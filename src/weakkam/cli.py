@@ -34,9 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage(s)")
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; sweeps are vectorized, so this only "
-                            "caps BLAS-style pools")
         if name == "ferry":
             p.add_argument("--points", default=None, help="points CSV overriding the config")
             p.add_argument("--p", type=float, default=None, help="chain exponent override")

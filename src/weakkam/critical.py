@@ -1,23 +1,24 @@
 """Critical value and weak KAM solutions of the discrete cell problem.
 
-The additive eigenvalue of the min-plus kernel is found through Karp's
-minimum mean cycle: c = -mu/tau where mu is the smallest cycle mean of
-the one-step costs. Shifting the kernel by c*tau then makes the best
-cycles exactly flat, and value iteration on the shifted backward
-operator converges (after damping the min-plus eigenspace cycling) to a
-fixed point u = T^- u + c*tau.
+The additive eigenvalue of the min-plus kernel is c = -mu/tau, where mu
+is the smallest cycle mean of the one-step costs, found by min-plus
+policy iteration (Howard's algorithm). Shifting the kernel by c*tau then
+makes the best cycles exactly flat, and value iteration on the shifted
+backward operator converges (after damping the min-plus eigenspace
+cycling) to a fixed point u = T^- u + c*tau.
 """
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-import math
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, NumericalError
-from .grid import GridTorus, ValueFunction, wrap_cells
-from .kernel import ActionKernel, invariant_axes, kernel_closure, minplus_apply
+from .grid import ValueFunction
+from .kernel import ActionKernel, minplus_apply
 
 
 @dataclass
@@ -26,6 +27,7 @@ class CriticalValue:
     mean_cycle_weight: float
     witness_cycle: list  # cell indices, cycle closes from last back to first
     tau: float
+    iterations: int = 0  # policy-iteration rounds
 
     def witness_mean(self, K: ActionKernel) -> float:
         """Replay the witness cycle through the kernel and average it."""
@@ -67,184 +69,122 @@ def _backward_sources(K: ActionKernel) -> np.ndarray:
 
 
 def critical_value(K: ActionKernel) -> CriticalValue:
-    """Minimum mean cycle of the kernel graph, with a certified witness.
+    """Minimum mean cycle of the kernel graph by min-plus policy iteration.
 
-    Plain Karp runs the k-edge walk recursion from a single source (the
-    graph is strongly connected by the stencil construction), takes
-    mu = min_v max_k (D_N(v) - D_k(v)) / (N - k), and reconstructs a
-    cycle by walking predecessors back from the optimizing vertex.
-    Translation-invariant axes are projected out first: cycles of the
-    full graph and of the offset-reduced graph have the same means, so
-    Karp runs on the small quotient and the witness lifts back exactly.
+    Howard's algorithm runs on the reversed graph: a policy gives each
+    cell z one offset s, pointing z at its source src[s, z] at cost
+    weights[s, z]. Value determination gives every cell the mean eta of
+    the policy cycle it reaches and a bias x; improvement first lowers
+    eta, then x at equal eta, until the policy is stable. mu is the
+    smallest policy cycle mean and the witness is that cycle, reversed
+    into forward order.
     """
-    inv = invariant_axes(K)
-    if len(inv) == K.grid.dim:
-        mu, witness = _invariant_min_cycle(K)
-    elif inv:
-        mu, witness = _reduced_karp(K, inv)
+    src = _backward_sources(K)
+    W = K.weights
+    cols = np.arange(K.point_count)
+    policy = _initial_policy(K, src)
+    # a few rounds suffice in practice; the cap turns a rounding-level
+    # flip-flop between equivalent policies into an error
+    max_rounds = 2 * K.point_count + 16
+    for it in range(1, max_rounds + 1):
+        eta, x, cycles = _policy_values(src[policy, cols], W[policy, cols])
+        E = eta[src]
+        e_min = E.min(axis=0)
+        better = e_min < eta
+        if better.any():  # first lower eta: reach a cycle of smaller mean
+            cand = np.where(E == e_min, W + x[src], np.inf)
+        else:  # then lower x through successors of equal mean
+            cand = np.where(E == eta, W - eta + x[src], np.inf)
+            # x sums costs along policy paths; ignore gains at rounding level
+            tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(W))))
+            better = cand.min(axis=0) < x - tol
+        if not better.any():
+            break
+        policy = np.where(better, np.argmin(cand, axis=0), policy)
     else:
-        mu, witness = _karp(K)
+        raise NumericalError(f"policy iteration did not settle in {max_rounds} rounds")
 
-    cv = CriticalValue(c=-mu / K.tau, mean_cycle_weight=mu, witness_cycle=witness,
-                       tau=K.tau)
+    mu, cycle = min(cycles, key=lambda mc: mc[0])
+    # policy cycles follow kernel edges backwards: reverse, smallest cell first
+    cv = CriticalValue(c=-mu / K.tau, mean_cycle_weight=mu,
+                       witness_cycle=cycle[:1] + cycle[:0:-1], tau=K.tau, iterations=it)
     replay = cv.witness_mean(K)
     if abs(replay - mu) > 1e-9 * max(1.0, abs(mu)):
-        cv.witness_cycle = _closure_witness(K, mu)
-        replay = cv.witness_mean(K)
-        if abs(replay - mu) > 1e-9 * max(1.0, abs(mu)):
-            raise NumericalError(
-                f"failed to certify a minimum mean cycle: mu={mu}, witness mean={replay}"
-            )
+        raise NumericalError(
+            f"failed to certify a minimum mean cycle: mu={mu}, witness mean={replay}"
+        )
     return cv
 
 
-def _karp(K: ActionKernel):
-    N = K.point_count
-    src = _backward_sources(K)
+def _initial_policy(K: ActionKernel, src: np.ndarray) -> np.ndarray:
+    """Shortest-path tree into the cheapest self-loop, else the greedy policy.
+
+    The tree comes from one Dijkstra run out of the cell v* with the
+    cheapest self-loop, on forward edges shifted to be nonnegative; every
+    reached cell takes the offset leading to its predecessor, so the
+    whole grid starts on the cycle at v*. Kernels without a zero offset
+    start from the cheapest incoming edge of every cell.
+    """
     W = K.weights
-    D = np.full((N + 1, N), np.inf)
-    pred = np.zeros((N + 1, N), dtype=np.int32)
-    # virtual-source form: a single start vertex misses cycles it cannot
-    # reach when the stencil offsets share a factor with the grid size
-    D[0] = 0.0
-    cols = np.arange(N)
-    for k in range(N):
-        cand = D[k][src] + W  # (S, N)
-        s_best = np.argmin(cand, axis=0)
-        D[k + 1] = cand[s_best, cols]
-        pred[k + 1] = src[s_best, cols]
-
-    finite_N = np.isfinite(D[N])
-    if not np.any(finite_N):
-        raise NumericalError("no walks of full length; kernel graph is degenerate")
-    ks = np.arange(N)
-    with np.errstate(invalid="ignore"):
-        ratios = (D[N][None, :] - D[:N, :]) / (N - ks)[:, None]
-    ratios = np.where(np.isfinite(D[:N, :]) & finite_N[None, :], ratios, -np.inf)
-    per_vertex = np.max(ratios, axis=0)
-    per_vertex = np.where(finite_N & np.isfinite(per_vertex), per_vertex, np.inf)
-    v_star = int(np.argmin(per_vertex))
-    mu = float(per_vertex[v_star])
-    return mu, _extract_cycle(pred, v_star, N)
+    policy = np.argmin(W, axis=0)
+    zero = np.nonzero(np.all(K.offsets == 0, axis=1))[0]
+    if zero.size == 0:
+        return policy
+    N = K.point_count
+    # offsets congruent mod n alias onto the same (source, target) pairs
+    # on tiny grids, and scipy would sum such duplicates: keep the cheapest
+    _, first, group = np.unique(K.offsets % K.grid.n_per_axis, axis=0,
+                                return_index=True, return_inverse=True)
+    shifted = W - W.min()
+    w = np.full((first.size, N), np.inf)
+    for s, g in enumerate(group):
+        np.minimum(w[g], shifted[s], out=w[g])
+    # column z lists the sources of z; zero-cost entries stay stored
+    G = sparse.csc_matrix((w.T.ravel(), src[first].T.ravel(),
+                           np.arange(0, w.size + 1, first.size)), shape=(N, N))
+    v_star = int(np.argmin(W[zero[0]]))
+    _, pred = dijkstra(G, indices=v_star, return_predecessors=True)
+    tree = np.argmin(np.where(src == pred, W, np.inf), axis=0)
+    policy = np.where(pred >= 0, tree, policy)
+    policy[v_star] = zero[0]
+    return policy
 
 
-def _cycle_repeat(offsets_walked: np.ndarray, n: int) -> int:
-    """Times a walk with the given per-axis winding must repeat to close."""
-    w = np.sum(offsets_walked, axis=0) % n
-    r = 1
-    for w_ax in w.tolist():
-        r = math.lcm(r, n // math.gcd(n, int(w_ax)))
-    return r
+def _policy_values(succ: np.ndarray, cost: np.ndarray):
+    """Cycle mean eta and bias x of every cell under a fixed policy.
 
-
-def _invariant_min_cycle(K: ActionKernel):
-    """Fully translation-invariant kernel: the best single offset, repeated.
-
-    Every edge costs at least min_s w(s), and repeating the best offset
-    until its winding cancels mod n achieves that bound exactly.
+    Returns eta, x and the (mean, cells) of every policy cycle. Each cycle
+    is rooted at its smallest cell with x = 0, so a cycle that survives a
+    policy change keeps exactly the same values.
     """
-    n = K.grid.n_per_axis
-    w = K.weights[:, 0]
-    s_star = int(np.argmin(w))
-    mu = float(w[s_star])
-    o = K.offsets[s_star]
-    r = _cycle_repeat(o[None, :], n)
-    cells = (np.arange(r)[:, None] * o[None, :]) % n
-    witness = np.ravel_multi_index(tuple(cells.T), K.grid.shape).tolist()
-    return mu, witness
-
-
-def _reduced_karp(K: ActionKernel, inv: list):
-    """Karp on the quotient over invariant axes, with an exact lift.
-
-    Quotient vertices are cells of the non-invariant sub-torus; parallel
-    offsets collapsing to the same quotient move keep their cheapest
-    representative, whose invariant components drive the lift.
-    """
-    n = K.grid.n_per_axis
-    non_inv = [ax for ax in range(K.grid.dim) if ax not in inv]
-    red_grid = GridTorus(dim=len(non_inv), n_per_axis=n)
-
-    slab = [slice(None)] * K.grid.dim
-    for ax in inv:
-        slab[ax] = 0
-    sheet = K.weights.reshape((K.stencil_size,) + K.grid.shape)[(slice(None),) + tuple(slab)]
-    sheet = sheet.reshape(K.stencil_size, red_grid.point_count)
-
-    red_offsets, group = np.unique(K.offsets[:, non_inv], axis=0, return_inverse=True)
-    red_w = np.full((red_offsets.shape[0], red_grid.point_count), np.inf)
-    chosen = np.zeros_like(red_w, dtype=np.int64)
-    for s in range(K.stencil_size):
-        g = group[s]
-        better = sheet[s] < red_w[g]
-        red_w[g] = np.where(better, sheet[s], red_w[g])
-        chosen[g] = np.where(better, s, chosen[g])
-
-    red_K = ActionKernel(grid=red_grid, tau=K.tau, stencil_radius=K.stencil_radius,
-                         offsets=red_offsets, weights=red_w)
-    mu, red_witness = _karp(red_K)
-
-    # lift: walk the quotient cycle, accumulating invariant coordinates
-    m = len(red_witness)
-    red_cells = np.stack(np.unravel_index(np.asarray(red_witness), red_grid.shape), axis=-1)
-    steps = []
-    for i in range(m):
-        a, b = red_cells[i], red_cells[(i + 1) % m]
-        o_red = wrap_cells((b - a)[None, :], n)[0]
-        s_red = red_K.offset_index(o_red)
-        b_flat = int(np.ravel_multi_index(tuple(b), red_grid.shape))
-        steps.append(K.offsets[chosen[s_red, b_flat]])
-    steps = np.asarray(steps)
-    r = _cycle_repeat(steps[:, inv], n)
-
-    cell = np.zeros(K.grid.dim, dtype=np.int64)
-    cell[non_inv] = red_cells[0]
-    witness = []
-    for k in range(r * m):
-        witness.append(int(np.ravel_multi_index(tuple(cell % n), K.grid.shape)))
-        cell = cell + steps[k % m]
-    return mu, witness
-
-
-def _extract_cycle(pred, v_star: int, N: int) -> list:
-    """Walk the optimal N-edge walk backwards until a vertex repeats."""
-    seen = {}
-    v = v_star
-    walk = []
-    for k in range(N, -1, -1):
-        if v in seen:
-            start = seen[v]
-            cyc = walk[start:]
-            cyc.reverse()
-            return cyc
-        seen[v] = len(walk)
-        walk.append(v)
-        v = int(pred[k, v])
-    # the N-edge walk must contain a repeat, but keep a defensive fallback
-    return walk[-1:]
-
-
-def _closure_witness(K: ActionKernel, mu: float) -> list:
-    """Certified zero-mean cycle on the mu-shifted kernel via the closure."""
-    sp_mat = kernel_closure(K, shift=-mu)
-    fwd = K.forward_targets()
-    cols = np.arange(K.point_count)
-    hop = K.weights - mu  # hop[s, z] entering z
-    cyc_val = np.min(
-        np.stack([hop[s, fwd[s]] + sp_mat[fwd[s], cols] for s in range(K.stencil_size)]),
-        axis=0)
-    v0 = int(np.argmin(cyc_val))
-    cycle = [v0]
-    v = v0
-    for _ in range(K.point_count + 1):
-        scores = np.array([hop[s, fwd[s, v]] + sp_mat[fwd[s, v], v0]
-                           for s in range(K.stencil_size)])
-        s_best = int(np.argmin(scores))
-        v = int(fwd[s_best, v])
-        if v == v0:
-            return cycle
-        cycle.append(v)
-    raise NumericalError("could not close a witness cycle through the closure")
+    nxt, w = succ.tolist(), cost.tolist()
+    n = len(nxt)
+    eta, x = [0.0] * n, [0.0] * n
+    state = [0] * n  # 0 unseen, 1 on the current walk, 2 valued
+    cycles = []
+    for v0 in range(n):
+        walk, v = [], v0
+        while state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            v = nxt[v]
+        if state[v] == 1:  # the walk closed a new cycle through v
+            k = walk.index(v)
+            cyc = walk[k:]
+            del walk[k:]
+            r = cyc.index(min(cyc))
+            cyc = cyc[r:] + cyc[:r]
+            mean = math.fsum(w[u] for u in cyc) / len(cyc)
+            cycles.append((mean, cyc))
+            for u in cyc:
+                eta[u], state[u] = mean, 2
+            for u in reversed(cyc[1:]):
+                x[u] = w[u] - mean + x[nxt[u]]
+        for u in reversed(walk):
+            eta[u] = eta[nxt[u]]
+            x[u] = w[u] - eta[u] + x[nxt[u]]
+            state[u] = 2
+    return np.array(eta), np.array(x), cycles
 
 
 def lax_oleinik_minus(K: ActionKernel, u: np.ndarray, shift: float = 0.0) -> np.ndarray:

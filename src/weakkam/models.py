@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ArtifactError, ConfigError
 from .grid import GridTorus
 
 Array = np.ndarray
@@ -266,7 +266,12 @@ def make_vector_field(spec: dict, grid: GridTorus) -> VectorField:
         path = spec.get("path")
         if path is None:
             raise ConfigError("table field needs a 'path' to a CSV of cell samples")
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except OSError as exc:
+            raise ArtifactError(f"cannot read field table {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"field table {path} is not numeric CSV: {exc}") from exc
         return table_field(grid, raw[:, -grid.dim:])
     raise ConfigError(
         f"unknown vector field {name!r}; builtins are 'zero', 'constant', "

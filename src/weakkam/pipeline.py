@@ -116,6 +116,7 @@ def _stage_critical(cfg, state, out, formats):
     _ensure(state, cfg)
     cv = critical_value(state["K"])
     state["cv"] = cv
+    state.setdefault("stage_stats", {})["critical"] = {"policy_iterations": cv.iterations}
     files = []
     if "json" in formats:
         files.append(write_json(os.path.join(out, "critical.json"), {
@@ -321,6 +322,7 @@ class _Runner:
         self.manifest["stages"][name] = {
             "files": [os.path.basename(p) for p in stage_files],
             "wall_time_s": time.perf_counter() - t0,
+            **self.state.get("stage_stats", {}).get(name, {}),
         }
 
     def finish(self) -> dict:

@@ -227,6 +227,28 @@ def test_cli_partial_manifest_records_error(tmp_path):
     assert manifest["error"]["type"] == "NumericalError"
 
 
+def test_cli_bad_field_table_is_exit_2(tmp_path, capsys):
+    table = tmp_path / "field.csv"
+    table.write_text("x0,v0\n0.1,abc\n")
+    path = write_config(tmp_path, model={"family": "mane",
+                                         "field": {"name": "table", "path": str(table)}})
+    assert main(["chains", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"]["stage"] == "chains"
+    assert manifest["error"]["type"] == "ConfigError"
+
+
+def test_cli_missing_field_table_is_exit_4(tmp_path):
+    path = write_config(tmp_path, model={"family": "mane", "field": {
+        "name": "table", "path": str(tmp_path / "absent.csv")}})
+    assert main(["chains", "--config", path]) == 4
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "ArtifactError"
+
+
 def test_cli_ferry_flags(tmp_path, capsys):
     pts = tmp_path / "seg.csv"
     pts.write_text("\n".join(str(k / 8) for k in range(9)) + "\n")

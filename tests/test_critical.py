@@ -1,10 +1,10 @@
 """Critical value, Lax-Oleinik operators, weak KAM fixed points."""
 
 import numpy as np
-import networkx as nx
 import pytest
 
 from weakkam import (
+    ActionKernel,
     ConfigError,
     NumericalError,
     ValueFunction,
@@ -23,23 +23,11 @@ from weakkam import (
     weak_kam_solution,
     zero_field,
 )
-from weakkam.critical import _karp
 
 from conftest import toy_kernel
+from oracles import _karp, exhaustive_min_mean
 
 KARP_TOY = [[4.0, 1.0], [2.0, 3.0]]
-
-
-def exhaustive_min_mean(dense):
-    G = nx.DiGraph()
-    n = dense.shape[0]
-    for y in range(n):
-        for x in range(n):
-            if np.isfinite(dense[y, x]):
-                G.add_edge(y, x, w=dense[y, x])
-    means = [sum(dense[c[i], c[(i + 1) % len(c)]] for i in range(len(c))) / len(c)
-             for c in nx.simple_cycles(G)]
-    return min(means)
 
 
 def test_karp_two_point_toy():
@@ -72,8 +60,49 @@ def test_pendulum_critical_value_matches_exhaustive_cycles():
     K = build_kernel(g, mechanical_lagrangian(cosine_potential(1, [1])),
                      stencil_radius=2 * g.spacing)
     cv = critical_value(K)
-    assert cv.mean_cycle_weight == exhaustive_min_mean(K.dense())
+    assert cv.mean_cycle_weight == exhaustive_min_mean(K)
     assert cv.c == pytest.approx(1.0)
+
+
+def _raw_kernel(n, offsets, weights):
+    offsets = np.asarray(offsets, dtype=np.int64)
+    g = build_grid(offsets.shape[1], n)
+    return ActionKernel(grid=g, tau=0.5, stencil_radius=g.spacing, offsets=offsets,
+                        weights=np.asarray(weights, dtype=float))
+
+
+def _normal_weights(S, N, seed):
+    return np.random.default_rng(seed).normal(size=(S, N))
+
+
+EXHAUSTIVE_CASES = {
+    # no zero offset, so the greedy start: it leaves several policy cycles,
+    # and only moving cells to a cycle of smaller mean finds mu = -3
+    "no-zero-offset": lambda: _raw_kernel(7, [[-1], [1], [2]], [
+        [0, 8, -2, 3, -4, -5, 0], [-4, 9, -1, 8, -1, -2, 1], [9, -1, 7, 9, -5, 3, 9]]),
+    # on a 2x2 torus +1 and -1 reach the same cell along both axes
+    "aliased-offsets": lambda: _raw_kernel(
+        2, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)], _normal_weights(9, 4, seed=2)),
+    "aliased-no-zero": lambda: _raw_kernel(2, [[-1], [1]], _normal_weights(2, 2, seed=3)),
+}
+
+
+@pytest.mark.parametrize("case", list(EXHAUSTIVE_CASES))
+def test_critical_value_matches_exhaustive_on_raw_kernels(case):
+    K = EXHAUSTIVE_CASES[case]()
+    cv = critical_value(K)
+    assert cv.mean_cycle_weight == pytest.approx(exhaustive_min_mean(K), abs=1e-12)
+    assert cv.witness_mean(K) == pytest.approx(cv.mean_cycle_weight, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(2048, 1), (512, 2)], ids=["pendulum-2048", "double-well-512"])
+def test_policy_iteration_starts_at_the_optimum(n, k):
+    # the shortest-path-tree start must not creep towards the optimum
+    # one cell per round, as the greedy start does on these kernels
+    K = build_kernel(build_grid(1, n), mechanical_lagrangian(cosine_potential(1, [k])))
+    cv = critical_value(K)
+    assert cv.iterations <= 2
+    assert cv.mean_cycle_weight == np.min(K.diagonal())
 
 
 def test_invariant_reduction_agrees_with_full_karp():

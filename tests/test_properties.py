@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from weakkam import (
+    ActionKernel,
     build_grid,
     build_kernel,
     chain_graph,
@@ -22,6 +23,8 @@ from weakkam import (
     wrap_cells,
     wrap_displacement,
 )
+
+from oracles import exhaustive_min_mean
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -115,6 +118,25 @@ def test_shifted_steps_preserve_domination(seed, steps):
     for _ in range(steps):
         u = lax_oleinik_plus(K, u, shift)
         assert check_dominated(K, u, c, tol=1e-9).dominated
+
+
+STEPS_2D = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4),
+       st.lists(st.sampled_from(STEPS_2D), min_size=1, max_size=3, unique=True),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_critical_value_matches_exhaustive_2d(n, steps, seed):
+    # tiny tori: on n=2 the steps +1 and -1 alias onto the same edge
+    g = build_grid(2, n)
+    offsets = np.array(sorted(steps), dtype=np.int64)
+    weights = np.random.default_rng(seed).integers(-5, 10, size=(len(steps), g.point_count))
+    K = ActionKernel(grid=g, tau=0.5, stencil_radius=g.spacing, offsets=offsets,
+                     weights=weights.astype(float))
+    cv = critical_value(K)
+    assert abs(cv.mean_cycle_weight - exhaustive_min_mean(K)) <= 1e-9
+    assert abs(cv.witness_mean(K) - cv.mean_cycle_weight) <= 1e-9
 
 
 @settings(max_examples=20, deadline=None)
