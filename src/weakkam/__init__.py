@@ -11,8 +11,7 @@ from .models import (
 )
 from .kernel import (
     ActionKernel, build_kernel, stencil_offsets,
-    minplus_apply, minplus_power_min, kernel_closure,
-    dump_kernel, load_kernel,
+    minplus_apply, dump_kernel, load_kernel,
 )
 from .critical import (
     CriticalValue, WeakKamSolution, DominationReport,

@@ -1,21 +1,33 @@
 """Peierls barrier, projected Aubry set, Mather semi-distance, quotient.
 
-The barrier is assembled from the min-plus closure of the c-shifted
-kernel: h(x,y) = min over critical cells a of SP(x,a) + SP(a,y), where
-the critical cells are those lying on a zero-mean cycle. Routing every
-pair through the flat cycles is what the liminf over long horizons
-selects, and it gives exact zeros of h on the critical cells, exact
-triangle inequalities, and columns that are genuine fixed points of the
-shifted backward operator.
+The barrier h(x,y) = min over critical cells a of SP(x,a) + SP(a,y), with
+SP the shortest paths of the kernel shifted by c*tau, routes every pair
+through the flat cycles the liminf over long horizons selects. Reweighted
+by the bias x of critical_value (a Johnson potential), the costs
+r = w(y->z) + c*tau + x(y) - x(z) are nonnegative; their zero edges on
+cycles form the critical graph, whose strong classes are joined by flat
+cycles, so one representative per class and two sparse Dijkstra runs
+from each give h exactly. When every cell is critical, h = SP, run from
+one slab of the translation-invariant axes and rolled.
 """
 
-from dataclasses import dataclass, field as dc_field
+import os
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components, dijkstra
 
+from .critical import CriticalValue
 from .errors import ConfigError, NumericalError
-from .kernel import ActionKernel, kernel_closure
+from .kernel import ActionKernel, backward_sources, invariant_axes, stencil_graph
+
+# reduced costs at most ZERO_TOL * scale are critical edges; below
+# -NEGATIVE_TOL * scale the bias is no subsolution, so c is too low
+ZERO_TOL = 1e-10
+NEGATIVE_TOL = 1e-9
+# N x N float arrays the barrier and quotient stages hold: h and delta
+DENSE_COPIES = 2
 
 
 @dataclass
@@ -107,46 +119,102 @@ class QuotientPartition:
         return delta.values[np.ix_(pos, pos)]
 
 
-def cycle_values(K: ActionKernel, sp_mat: np.ndarray, shift: float) -> np.ndarray:
-    """Per-cell best cycle weight on the shifted kernel: min over first
-    hops x -> y of cost + SP(y, x)."""
-    fwd = K.forward_targets()
-    cols = np.arange(K.point_count)
-    best = np.full(K.point_count, np.inf)
-    for s in range(K.stencil_size):
-        tgt = fwd[s]
-        np.minimum(best, K.weights[s, tgt] + shift + sp_mat[tgt, cols], out=best)
-    return best
+@dataclass
+class PeierlsBarrier(SemiMetric):
+    """The barrier h and the critical graph it was built from."""
+
+    representatives: np.ndarray = None  # smallest cell of each critical class
+    critical_edges: int = 0
+    invariant_axes: list = field(default_factory=list)  # slab path only
 
 
-def peierls_barrier(K: ActionKernel, c: float, horizon: Optional[int] = None,
-                    zero_tol: Optional[float] = None) -> SemiMetric:
-    """Long-run minimal cost between all cell pairs at the critical level.
+def available_memory() -> int:
+    """Free physical memory in bytes, as the operating system reports it."""
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
-    With the kernel shifted by c*tau the best cycles have weight zero,
-    and the liminf of n-step costs is realized by paths routed through
-    those cycles: h(x,y) = min over critical cells a of SP(x,a)+SP(a,y).
+
+def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
+    """Long-run minimal cost between all cell pairs at the level cv.c.
+
+    h(y,z) = min over representatives a of F[y,a] + B[a,z] - x(y) + x(z),
+    with F and B the reduced-cost shortest paths into and out of a and
+    x = cv.bias. Raises NumericalError when cv.c is not critical, the
+    graph is not strongly connected, or h would not fit in free memory.
     """
-    shift = c * K.tau
-    sp_mat = kernel_closure(K, shift, max_rounds=horizon)
-    cyc = cycle_values(K, sp_mat, shift)
-    if zero_tol is None:
-        scale = float(np.max(np.abs(sp_mat)))
-        zero_tol = 1e-10 * max(1.0, scale)
-    critical = np.nonzero(cyc <= zero_tol)[0]
+    N = K.point_count
+    x = cv.bias
+    if x is None or x.shape != (N,):
+        raise ConfigError("peierls_barrier needs the bias that critical_value(K) "
+                          "returns for this kernel")
+    need, free = DENSE_COPIES * 8 * N * N, available_memory()
+    if need > free:
+        raise NumericalError(
+            f"the {N}x{N} barrier and Mather distance need {need / 2**20:.1f} MiB, "
+            f"but only {free / 2**20:.1f} MiB of memory is free")
+
+    src = backward_sources(K)
+    shifted = K.weights + cv.c * K.tau
+    r = shifted + x[src] - x
+    scale = max(1.0, float(np.max(np.abs(shifted))) + float(np.max(np.abs(x))))
+    if r.min() < -NEGATIVE_TOL * scale:
+        raise NumericalError(
+            f"negative reduced cost {r.min():.3e} at level c={cv.c}: the bias is no "
+            "subsolution there. The supplied c is likely not the critical value "
+            "of this kernel.")
+    np.maximum(r, 0.0, out=r)
+    zero = stencil_graph(K, np.where(r <= ZERO_TOL * scale, 1.0, np.inf)).tocoo()
+    _, label = connected_components(zero, directed=True, connection="strong")
+    # zero edges within a strong class lie on flat cycles: the critical graph
+    inner = label[zero.row] == label[zero.col]
+    critical = np.unique(zero.col[inner])
     if critical.size == 0:
         raise NumericalError(
-            f"no zero-mean cycle at level c={c}; smallest cycle weight {cyc.min():.3e}. "
-            "The supplied c is likely not the critical value of this kernel."
-        )
-    N = K.point_count
-    if critical.size == N:
-        h = sp_mat.copy()
+            f"no zero-mean cycle at level c={cv.c}; smallest reduced cost {r.min():.3e}. "
+            "The supplied c is likely not the critical value of this kernel.")
+    _, first = np.unique(label[critical], return_index=True)
+    reps = np.sort(critical[first])
+
+    G = stencil_graph(K, r)
+    cells = np.stack(np.unravel_index(np.arange(N), K.grid.shape), axis=-1)
+    axes = invariant_axes(K)
+    slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
+    if critical.size == N and slab.size <= reps.size:
+        # every cell is critical, so h = SP: rows from the slab, rolled
+        h = _translate_rows(K, cells, axes, slab, dijkstra(G, indices=slab) - x[slab, None] + x)
     else:
-        h = np.full((N, N), np.inf)
-        for a in critical:
-            np.minimum(h, sp_mat[:, a][:, None] + sp_mat[a, :][None, :], out=h)
-    return SemiMetric(point_ids=np.arange(N), values=h, symmetric=False)
+        axes = []
+        # into[i, y] = SP(y, a) - x(a) and out[i, y] = SP(a, y) + x(a), a = reps[i]
+        into = dijkstra(G.T, indices=reps) - x
+        out = dijkstra(G, indices=reps) + x
+        h = into[0][:, None] + out[0]
+        for i in range(1, reps.size):
+            np.minimum(h, into[i][:, None] + out[i], out=h)
+    # h(y, z) is finite exactly when some path leads from y to z
+    if not np.all(np.isfinite(h)):
+        stranded = np.unique(np.nonzero(~np.isfinite(h))[1])[:8]
+        raise NumericalError(
+            f"kernel graph is not strongly connected, e.g. cells {stranded.tolist()}")
+    return PeierlsBarrier(point_ids=np.arange(N), values=h, representatives=reps,
+                          critical_edges=int(inner.sum()), invariant_axes=axes)
+
+
+def _translate_rows(K: ActionKernel, cells: np.ndarray, axes: list, slab: np.ndarray,
+                    sp: np.ndarray) -> np.ndarray:
+    """Every source row of sp, each the row of its slab projection rolled
+    along the invariant axes by the source's coordinates."""
+    if not axes:
+        return sp
+    N = K.point_count
+    row_of = np.empty(N, dtype=np.int64)
+    row_of[slab] = np.arange(slab.size)
+    proj = cells.copy()
+    proj[:, axes] = 0
+    pflat = np.ravel_multi_index(tuple(proj.T), K.grid.shape)
+    full = np.empty((N, N))
+    for y in range(N):
+        base = sp[row_of[pflat[y]]].reshape(K.grid.shape)
+        full[y] = np.roll(base, shift=tuple(cells[y][axes]), axis=tuple(axes)).ravel()
+    return full
 
 
 def aubry_set(h: SemiMetric, eta: Optional[float], K: ActionKernel, c: float) -> AubrySet:

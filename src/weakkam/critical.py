@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, NumericalError
 from .grid import ValueFunction
-from .kernel import ActionKernel, minplus_apply
+from .kernel import ActionKernel, backward_sources, minplus_apply, stencil_graph
 
 
 @dataclass
@@ -28,6 +27,9 @@ class CriticalValue:
     witness_cycle: list  # cell indices, cycle closes from last back to first
     tau: float
     iterations: int = 0  # policy-iteration rounds
+    # bias x of the stable policy: x(z) <= w(y->z) + c*tau + x(y) on every
+    # stencil edge, the potential the Peierls barrier reweights with
+    bias: Optional[np.ndarray] = None
 
     def witness_mean(self, K: ActionKernel) -> float:
         """Replay the witness cycle through the kernel and average it."""
@@ -58,16 +60,6 @@ def as_value_array(u) -> np.ndarray:
     return np.asarray(u, dtype=float)
 
 
-def _backward_sources(K: ActionKernel) -> np.ndarray:
-    """src[s, z] = flat index of the cell feeding z along offset s."""
-    idx = np.arange(K.point_count).reshape(K.grid.shape)
-    src = np.empty((K.stencil_size, K.point_count), dtype=np.int64)
-    axes = tuple(range(K.grid.dim))
-    for s, o in enumerate(K.offsets):
-        src[s] = np.roll(idx, shift=tuple(o), axis=axes).ravel()
-    return src
-
-
 def critical_value(K: ActionKernel) -> CriticalValue:
     """Minimum mean cycle of the kernel graph by min-plus policy iteration.
 
@@ -79,7 +71,7 @@ def critical_value(K: ActionKernel) -> CriticalValue:
     smallest policy cycle mean and the witness is that cycle, reversed
     into forward order.
     """
-    src = _backward_sources(K)
+    src = backward_sources(K)
     W = K.weights
     cols = np.arange(K.point_count)
     policy = _initial_policy(K, src)
@@ -107,7 +99,8 @@ def critical_value(K: ActionKernel) -> CriticalValue:
     mu, cycle = min(cycles, key=lambda mc: mc[0])
     # policy cycles follow kernel edges backwards: reverse, smallest cell first
     cv = CriticalValue(c=-mu / K.tau, mean_cycle_weight=mu,
-                       witness_cycle=cycle[:1] + cycle[:0:-1], tau=K.tau, iterations=it)
+                       witness_cycle=cycle[:1] + cycle[:0:-1], tau=K.tau, iterations=it,
+                       bias=x)
     replay = cv.witness_mean(K)
     if abs(replay - mu) > 1e-9 * max(1.0, abs(mu)):
         raise NumericalError(
@@ -130,18 +123,7 @@ def _initial_policy(K: ActionKernel, src: np.ndarray) -> np.ndarray:
     zero = np.nonzero(np.all(K.offsets == 0, axis=1))[0]
     if zero.size == 0:
         return policy
-    N = K.point_count
-    # offsets congruent mod n alias onto the same (source, target) pairs
-    # on tiny grids, and scipy would sum such duplicates: keep the cheapest
-    _, first, group = np.unique(K.offsets % K.grid.n_per_axis, axis=0,
-                                return_index=True, return_inverse=True)
-    shifted = W - W.min()
-    w = np.full((first.size, N), np.inf)
-    for s, g in enumerate(group):
-        np.minimum(w[g], shifted[s], out=w[g])
-    # column z lists the sources of z; zero-cost entries stay stored
-    G = sparse.csc_matrix((w.T.ravel(), src[first].T.ravel(),
-                           np.arange(0, w.size + 1, first.size)), shape=(N, N))
+    G = stencil_graph(K, W - W.min())
     v_star = int(np.argmin(W[zero[0]]))
     _, pred = dijkstra(G, indices=v_star, return_predecessors=True)
     tree = np.argmin(np.where(src == pred, W, np.inf), axis=0)
@@ -210,7 +192,7 @@ class DominationReport:
 def check_dominated(K: ActionKernel, u: np.ndarray, c: float, tol: float = 0.0) -> DominationReport:
     """Largest violation of u(z) - u(y) <= cost[y][z] + c*tau over stencil edges."""
     u = as_value_array(u)
-    src = _backward_sources(K)
+    src = backward_sources(K)
     viol = u[None, :] - u[src] - K.weights - c * K.tau  # (S, N)
     flat = int(np.argmax(viol))
     s, z = np.unravel_index(flat, viol.shape)

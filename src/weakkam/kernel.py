@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ArtifactError, ConfigError, NumericalError
 from .grid import GridTorus, wrap_cells
@@ -190,40 +191,12 @@ def minplus_apply(K: ActionKernel, u: np.ndarray, shift: float = 0.0) -> np.ndar
     return K.apply_min(u, shift)
 
 
-def minplus_power_min(K: ActionKernel, shift: float = 0.0, n_min: int = 1,
-                      n_max: int = None, exit_tol: float = 1e-12) -> np.ndarray:
-    """Elementwise min of the shifted kernel's min-plus powers n_min..n_max.
-
-    Stops early once two consecutive accumulated snapshots differ by less
-    than exit_tol everywhere. Entries never reached stay +inf.
-    """
-    if n_min < 1:
-        raise ConfigError("n_min must be at least 1")
-    n_max = 8 * K.grid.n_per_axis if n_max is None else int(n_max)
-    if n_max < n_min:
-        raise ConfigError("n_max must be >= n_min")
-    P = K.dense(shift)
-    M = P.copy() if n_min == 1 else np.full_like(P, np.inf)
-    for n in range(2, n_max + 1):
-        P = K.apply_min(P, shift)
-        if n < n_min:
-            continue
-        before = M.copy()
-        np.minimum(M, P, out=M)
-        with np.errstate(invalid="ignore"):
-            gap = before - M  # inf - inf on never-reached entries
-        gap[~np.isfinite(before) & ~np.isfinite(M)] = 0.0
-        if n > n_min and np.all(gap < exit_tol):
-            break
-    return M
-
-
 def invariant_axes(K: ActionKernel) -> list:
     """Grid axes along which every stencil weight sheet is constant.
 
     Cost invariance under translation along an axis means all source
-    rows on a translate are rolls of the base row, which lets the
-    closure run from one source per invariant slab.
+    rows of a shortest-path matrix on a translate are rolls of the base
+    row, which lets shortest paths run from one source per invariant slab.
     """
     mesh = K.weights.reshape((K.stencil_size,) + K.grid.shape)
     axes = []
@@ -234,61 +207,35 @@ def invariant_axes(K: ActionKernel) -> list:
     return axes
 
 
-def kernel_closure(K: ActionKernel, shift: float = 0.0, exit_tol: float = 1e-13,
-                   max_rounds: int = None) -> np.ndarray:
-    """All-pairs min-plus closure (shortest paths, zero-length paths allowed).
+def backward_sources(K: ActionKernel) -> np.ndarray:
+    """src[s, z] = flat index of the cell feeding z along offset s."""
+    idx = np.arange(K.point_count).reshape(K.grid.shape)
+    src = np.empty((K.stencil_size, K.point_count), dtype=np.int64)
+    axes = tuple(range(K.grid.dim))
+    for s, o in enumerate(K.offsets):
+        src[s] = np.roll(idx, shift=tuple(o), axis=axes).ravel()
+    return src
 
-    Requires the shifted kernel to carry no substantially negative cycle;
-    float residue around an exactly-zero mean cycle is tolerated. Runs
-    Bellman-Ford rounds on all sources at once, reduced to one source
-    per translation-invariant slab when the weights allow it.
+
+def stencil_graph(K: ActionKernel, weights: np.ndarray) -> sparse.csc_matrix:
+    """Sparse (N, N) graph with the edge src[s, z] -> z weighing weights[s, z].
+
+    Offsets congruent mod n alias onto the same (source, target) pair on
+    tiny grids, and scipy would sum such duplicates: the cheapest weight
+    is kept. Zero weights stay stored, since csgraph reads a missing
+    entry as no edge; infinite weights mark absent edges and are dropped.
     """
     N = K.point_count
-    if max_rounds is None:
-        max_rounds = N + 1
-    inv = invariant_axes(K)
-    mesh_idx = np.arange(N).reshape(K.grid.shape)
-    sel = [slice(None)] * K.grid.dim
-    for ax in inv:
-        sel[ax] = slice(0, 1)
-    slab = mesh_idx[tuple(sel)].ravel()
-
-    D = np.full((slab.size, N), np.inf)
-    D[np.arange(slab.size), slab] = 0.0
-    for _ in range(max_rounds):
-        nxt = np.minimum(D, K.apply_min(D, shift))
-        with np.errstate(invalid="ignore"):
-            gap = D - nxt  # inf - inf on not-yet-reached entries
-        gap[~np.isfinite(D) & ~np.isfinite(nxt)] = 0.0
-        D = nxt
-        if np.all(gap <= exit_tol):
-            break
-    else:
-        probe = np.minimum(D, K.apply_min(D, shift))
-        drop = np.nanmax(np.where(np.isfinite(D), D - probe, 0.0))
-        if drop > 1e-9:
-            raise NumericalError(
-                f"shifted kernel has a negative cycle (still improving by {drop:.3e})"
-            )
-    if not np.all(np.isfinite(D)):
-        stranded = np.unique(np.argwhere(~np.isfinite(D))[:, 1])[:8]
-        raise NumericalError(f"kernel graph is not strongly connected, e.g. cells {stranded.tolist()}")
-    if not inv:
-        return D
-
-    row_of = np.empty(N, dtype=np.int64)
-    row_of[slab] = np.arange(slab.size)
-    cells = np.stack(np.unravel_index(np.arange(N), K.grid.shape), axis=-1)
-    proj = cells.copy()
-    proj[:, inv] = 0
-    pflat = np.ravel_multi_index(tuple(proj.T), K.grid.shape)
-    full = np.empty((N, N))
-    for y in range(N):
-        base = D[row_of[pflat[y]]].reshape(K.grid.shape)
-        t = cells[y][inv]
-        full[y] = np.roll(base, shift=tuple(t), axis=tuple(inv)).ravel()
-    return full
-
+    _, first, group = np.unique(K.offsets % K.grid.n_per_axis, axis=0,
+                                return_index=True, return_inverse=True)
+    w = np.full((first.size, N), np.inf)
+    for s, g in enumerate(group):
+        np.minimum(w[g], weights[s], out=w[g])
+    # column z lists the sources of z
+    keep = np.isfinite(w.T)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return sparse.csc_matrix((w.T[keep], backward_sources(K)[first].T[keep], indptr),
+                             shape=(N, N))
 
 # -- artifacts ---------------------------------------------------------------
 

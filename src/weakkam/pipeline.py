@@ -148,8 +148,13 @@ def _stage_weakkam(cfg, state, out, formats):
 
 
 def _stage_barrier(cfg, state, out, formats):
-    h = peierls_barrier(state["K"], state["cv"].c, horizon=cfg.horizon())
+    h = peierls_barrier(state["K"], state["cv"])
     state["h"] = h
+    state.setdefault("stage_stats", {})["barrier"] = {
+        "representatives": int(h.representatives.size),
+        "critical_edges": h.critical_edges,
+        "invariant_axes": h.invariant_axes,
+    }
     files = []
     n = h.size
     if "csv" in formats and n <= BARRIER_DUMP_LIMIT:

@@ -51,8 +51,8 @@ def pendulum_kernel_64():
 def pendulum_state_64(pendulum_kernel_64):
     K = pendulum_kernel_64
     cv = critical_value(K)
-    h = peierls_barrier(K, cv.c)
-    return {"K": K, "c": cv.c, "h": h}
+    h = peierls_barrier(K, cv)
+    return {"K": K, "c": cv.c, "cv": cv, "h": h}
 
 
 @pytest.fixture(scope="session")
@@ -60,8 +60,8 @@ def doublewell_state_64():
     grid = build_grid(1, 64)
     K = build_kernel(grid, mechanical_lagrangian(cosine_potential(1, [2])))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv.c)
-    return {"K": K, "c": cv.c, "h": h}
+    h = peierls_barrier(K, cv)
+    return {"K": K, "c": cv.c, "cv": cv, "h": h}
 
 
 @pytest.fixture(scope="session")

@@ -4,19 +4,25 @@
 kernel, run from a virtual source. Its (N+1) x N tables make it too slow
 and memory hungry for the library, which uses policy iteration instead.
 `exhaustive_min_mean` enumerates every simple cycle with networkx.
+
+`kernel_closure` is the all-pairs min-plus closure by Bellman-Ford rounds
+on every source at once, O(S N^3); `closure_barrier` routes it through
+the cells whose best cycle (`cycle_values`) is flat. The library builds
+the same barrier from reduced costs and sparse Dijkstra runs instead.
+`minplus_power_min` is the elementwise min of the kernel's min-plus powers.
 """
 
 import networkx as nx
 import numpy as np
 
-from weakkam.critical import _backward_sources
-from weakkam.errors import NumericalError
-from weakkam.kernel import ActionKernel
+from weakkam.aubry import SemiMetric
+from weakkam.errors import ConfigError, NumericalError
+from weakkam.kernel import ActionKernel, backward_sources, invariant_axes
 
 
 def _karp(K: ActionKernel):
     N = K.point_count
-    src = _backward_sources(K)
+    src = backward_sources(K)
     W = K.weights
     D = np.full((N + 1, N), np.inf)
     pred = np.zeros((N + 1, N), dtype=np.int32)
@@ -80,3 +86,123 @@ def exhaustive_min_mean(K) -> float:
         k = len(cyc)
         best = min(best, sum(G.edges[cyc[i], cyc[(i + 1) % k]]["w"] for i in range(k)) / k)
     return best
+
+
+def minplus_power_min(K: ActionKernel, shift: float = 0.0, n_min: int = 1,
+                      n_max: int = None, exit_tol: float = 1e-12) -> np.ndarray:
+    """Elementwise min of the shifted kernel's min-plus powers n_min..n_max.
+
+    Stops early once two consecutive accumulated snapshots differ by less
+    than exit_tol everywhere. Entries never reached stay +inf.
+    """
+    if n_min < 1:
+        raise ConfigError("n_min must be at least 1")
+    n_max = 8 * K.grid.n_per_axis if n_max is None else int(n_max)
+    if n_max < n_min:
+        raise ConfigError("n_max must be >= n_min")
+    P = K.dense(shift)
+    M = P.copy() if n_min == 1 else np.full_like(P, np.inf)
+    for n in range(2, n_max + 1):
+        P = K.apply_min(P, shift)
+        if n < n_min:
+            continue
+        before = M.copy()
+        np.minimum(M, P, out=M)
+        with np.errstate(invalid="ignore"):
+            gap = before - M  # inf - inf on never-reached entries
+        gap[~np.isfinite(before) & ~np.isfinite(M)] = 0.0
+        if n > n_min and np.all(gap < exit_tol):
+            break
+    return M
+
+
+def kernel_closure(K: ActionKernel, shift: float = 0.0, exit_tol: float = 1e-13,
+                   max_rounds: int = None) -> np.ndarray:
+    """All-pairs min-plus closure (shortest paths, zero-length paths allowed).
+
+    Requires the shifted kernel to carry no substantially negative cycle;
+    float residue around an exactly-zero mean cycle is tolerated. Runs
+    Bellman-Ford rounds on all sources at once, reduced to one source
+    per translation-invariant slab when the weights allow it.
+    """
+    N = K.point_count
+    if max_rounds is None:
+        max_rounds = N + 1
+    inv = invariant_axes(K)
+    mesh_idx = np.arange(N).reshape(K.grid.shape)
+    sel = [slice(None)] * K.grid.dim
+    for ax in inv:
+        sel[ax] = slice(0, 1)
+    slab = mesh_idx[tuple(sel)].ravel()
+
+    D = np.full((slab.size, N), np.inf)
+    D[np.arange(slab.size), slab] = 0.0
+    for _ in range(max_rounds):
+        nxt = np.minimum(D, K.apply_min(D, shift))
+        with np.errstate(invalid="ignore"):
+            gap = D - nxt  # inf - inf on not-yet-reached entries
+        gap[~np.isfinite(D) & ~np.isfinite(nxt)] = 0.0
+        D = nxt
+        if np.all(gap <= exit_tol):
+            break
+    else:
+        probe = np.minimum(D, K.apply_min(D, shift))
+        drop = np.nanmax(np.where(np.isfinite(D), D - probe, 0.0))
+        if drop > 1e-9:
+            raise NumericalError(
+                f"shifted kernel has a negative cycle (still improving by {drop:.3e})"
+            )
+    if not np.all(np.isfinite(D)):
+        stranded = np.unique(np.argwhere(~np.isfinite(D))[:, 1])[:8]
+        raise NumericalError(f"kernel graph is not strongly connected, e.g. cells {stranded.tolist()}")
+    if not inv:
+        return D
+
+    row_of = np.empty(N, dtype=np.int64)
+    row_of[slab] = np.arange(slab.size)
+    cells = np.stack(np.unravel_index(np.arange(N), K.grid.shape), axis=-1)
+    proj = cells.copy()
+    proj[:, inv] = 0
+    pflat = np.ravel_multi_index(tuple(proj.T), K.grid.shape)
+    full = np.empty((N, N))
+    for y in range(N):
+        base = D[row_of[pflat[y]]].reshape(K.grid.shape)
+        t = cells[y][inv]
+        full[y] = np.roll(base, shift=tuple(t), axis=tuple(inv)).ravel()
+    return full
+
+
+def cycle_values(K: ActionKernel, sp_mat: np.ndarray, shift: float) -> np.ndarray:
+    """Per-cell best cycle weight on the shifted kernel: min over first
+    hops x -> y of cost + SP(y, x)."""
+    fwd = K.forward_targets()
+    cols = np.arange(K.point_count)
+    best = np.full(K.point_count, np.inf)
+    for s in range(K.stencil_size):
+        tgt = fwd[s]
+        np.minimum(best, K.weights[s, tgt] + shift + sp_mat[tgt, cols], out=best)
+    return best
+
+
+def closure_barrier(K: ActionKernel, c: float) -> SemiMetric:
+    """h(x,y) = min over critical cells a of SP(x,a) + SP(a,y), with SP the
+    closure of the kernel shifted by c*tau and the critical cells those
+    whose best cycle is flat."""
+    shift = c * K.tau
+    sp_mat = kernel_closure(K, shift)
+    cyc = cycle_values(K, sp_mat, shift)
+    zero_tol = 1e-10 * max(1.0, float(np.max(np.abs(sp_mat))))
+    critical = np.nonzero(cyc <= zero_tol)[0]
+    if critical.size == 0:
+        raise NumericalError(
+            f"no zero-mean cycle at level c={c}; smallest cycle weight {cyc.min():.3e}. "
+            "The supplied c is likely not the critical value of this kernel."
+        )
+    N = K.point_count
+    if critical.size == N:
+        h = sp_mat.copy()
+    else:
+        h = np.full((N, N), np.inf)
+        for a in critical:
+            np.minimum(h, sp_mat[:, a][:, None] + sp_mat[a, :][None, :], out=h)
+    return SemiMetric(point_ids=np.arange(N), values=h, symmetric=False)

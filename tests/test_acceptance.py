@@ -71,7 +71,7 @@ def _state(dim, n, L, tau=None, radius=None):
     g = build_grid(dim, n)
     K = build_kernel(g, L, tau=tau, stencil_radius=radius)
     cv = critical_value(K)
-    h = peierls_barrier(K, cv.c)
+    h = peierls_barrier(K, cv)
     A = aubry_set(h, None, K, cv.c)
     return SimpleNamespace(grid=g, K=K, c=cv.c, h=h, aubry=A, delta=mather_delta(h))
 
@@ -282,7 +282,7 @@ def test_09_chain_recurrent_set_matches_aubry_set():
     for label, X in fields.items():
         K = build_kernel(g, mane_lagrangian(X))
         cv = critical_value(K)
-        h = peierls_barrier(K, cv.c)
+        h = peierls_barrier(K, cv)
         A = aubry_set(h, None, K, cv.c)
         params = default_chain_parameters(g, X)
         cg = chain_graph(X, g, dt=params["dt"], eps=params["eps"],
@@ -322,7 +322,7 @@ def test_11_alternating_smoothing_bounds():
     g = build_grid(1, 128)
     K = build_kernel(g, PENDULUM, tau=0.125, stencil_radius=0.3)
     cv = critical_value(K)
-    h = peierls_barrier(K, cv.c)
+    h = peierls_barrier(K, cv)
     A = aubry_set(h, None, K, cv.c)
     sol = weak_kam_solution(K, cv.c)
     smoothed = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau), tol=1e-9)

@@ -1,5 +1,7 @@
 """Peierls barrier, Aubry set, Mather semi-distance, quotient structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,21 @@ from weakkam import (
     build_kernel,
     classify_aubry,
     constant_field,
+    cosine_potential,
     critical_value,
-    kernel_closure,
     kinetic_lagrangian,
     mane_lagrangian,
     mather_delta,
+    mechanical_lagrangian,
     peierls_barrier,
     quotient,
     representation_check,
     sin_gradient_field,
 )
+from weakkam import aubry
 from weakkam.aubry import SemiMetric
+
+from oracles import closure_barrier, kernel_closure
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +35,13 @@ def sin_state():
     g = build_grid(1, 64)
     K = build_kernel(g, mane_lagrangian(sin_gradient_field(1)))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv.c)
+    h = peierls_barrier(K, cv)
     return {"K": K, "c": cv.c, "h": h, "grid": g}
 
 
 def test_barrier_kinetic_equals_closure(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, 0.0)
+    h = peierls_barrier(K, critical_value(K))
     np.testing.assert_allclose(h.values, kernel_closure(K), atol=1e-12)
     np.testing.assert_array_equal(h.diagonal(), np.zeros(16))
 
@@ -57,14 +63,72 @@ def test_barrier_triangle_inequality(pendulum_state_64):
 
 
 def test_barrier_needs_correct_level(pendulum_state_64):
-    K = pendulum_state_64["K"]
-    with pytest.raises(NumericalError):
-        peierls_barrier(K, pendulum_state_64["c"] - 0.5)
+    K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
+    # below c the bias is no subsolution; above it no cycle is flat
+    for c in (cv.c - 0.5, cv.c + 0.5):
+        with pytest.raises(NumericalError):
+            peierls_barrier(K, dataclasses.replace(cv, c=c))
+
+
+def _kernel(dim, n, L, cells=None):
+    g = build_grid(dim, n)
+    return build_kernel(g, L, stencil_radius=None if cells is None else cells * g.spacing)
+
+
+# kernel, representatives (one per critical class), invariant axes of the
+# slab path ([] when the barrier is assembled from representatives)
+ORACLE_CASES = {
+    "pendulum-64": (lambda: _kernel(1, 64, mechanical_lagrangian(cosine_potential(1, [1]))),
+                    1, []),
+    "double-well-64": (lambda: _kernel(1, 64, mechanical_lagrangian(cosine_potential(1, [2]))),
+                       2, []),
+    "sin-gradient-64": (lambda: _kernel(1, 64, mane_lagrangian(sin_gradient_field(1))), 2, []),
+    # one class of 64 cells: every cell is critical, rolled from one row
+    "constant-drift-64": (lambda: _kernel(1, 64, mane_lagrangian(constant_field([1.0], 1))),
+                          1, [0]),
+    "kinetic-6x6": (lambda: _kernel(2, 6, kinetic_lagrangian(2), cells=2), 36, [0, 1]),
+    # invariant along axis 1 only, and only the line x0 = 0 is critical
+    "pendulum-x0-6x6": (lambda: _kernel(2, 6, mechanical_lagrangian(cosine_potential(2, [1, 0])),
+                                        cells=2), 6, []),
+    "sin-gradient-24x24": (lambda: _kernel(2, 24, mane_lagrangian(sin_gradient_field(2))),
+                           4, []),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_barrier_matches_closure_oracle(case):
+    build, reps, axes = ORACLE_CASES[case]
+    K = build()
+    cv = critical_value(K)
+    h = peierls_barrier(K, cv)
+    ref = closure_barrier(K, cv.c)
+    np.testing.assert_allclose(h.values, ref.values, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(aubry_set(h, None, K, cv.c).indices,
+                                  aubry_set(ref, None, K, cv.c).indices)
+    assert h.representatives.size == reps
+    assert h.invariant_axes == axes
+
+
+def test_barrier_needs_the_bias(pendulum_state_64):
+    K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
+    with pytest.raises(ConfigError):
+        peierls_barrier(K, dataclasses.replace(cv, bias=None))
+
+
+def test_barrier_refuses_more_memory_than_is_free(monkeypatch, pendulum_state_64):
+    K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
+    assert aubry.available_memory() > 0
+    need = aubry.DENSE_COPIES * 8 * K.point_count**2
+    monkeypatch.setattr(aubry, "available_memory", lambda: need - 1)
+    with pytest.raises(NumericalError, match="MiB"):
+        peierls_barrier(K, cv)
+    monkeypatch.setattr(aubry, "available_memory", lambda: need)
+    np.testing.assert_array_equal(peierls_barrier(K, cv).values, pendulum_state_64["h"].values)
 
 
 def test_aubry_kinetic_everything_stationary(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, 0.0)
+    h = peierls_barrier(K, critical_value(K))
     A = aubry_set(h, None, K, 0.0)
     assert list(A.indices) == list(range(16))
     assert set(A.labels) == {"stationary"}
@@ -87,7 +151,7 @@ def test_aubry_constant_field_periodic():
     g = build_grid(1, 64)
     K = build_kernel(g, mane_lagrangian(constant_field([1.0], 1)))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv.c)
+    h = peierls_barrier(K, cv)
     A = aubry_set(h, None, K, cv.c)
     assert len(A.indices) == 64
     assert set(A.labels) == {"periodic"}
@@ -109,7 +173,7 @@ def test_mather_delta_symmetric_and_zero_on_aubry(pendulum_state_64):
 
 def test_mather_delta_kinetic_positive_off_diagonal(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, 0.0)
+    h = peierls_barrier(K, critical_value(K))
     d = mather_delta(h)
     off = d.values[~np.eye(16, dtype=bool)]
     assert np.min(off) > 0.0
@@ -140,7 +204,7 @@ def test_quotient_kinetic_merges_at_spacing_squared(mane_zero_kernel_16):
     # delta scales like spacing^2/tau here, so a generous threshold
     # collapses neighbors into one class through chained merges
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, 0.0)
+    h = peierls_barrier(K, critical_value(K))
     A = aubry_set(h, None, K, 0.0)
     d = mather_delta(h)
     sp = K.grid.spacing
@@ -167,7 +231,7 @@ def test_classify_constant_field_periodic_label():
     g = build_grid(1, 32)
     K = build_kernel(g, mane_lagrangian(constant_field([1.0], 1)))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv.c)
+    h = peierls_barrier(K, cv)
     labels = classify_aubry(K, h, cv.c, np.array([0, 5]))
     assert labels == ["periodic", "periodic"]
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from weakkam import ConfigError, ArtifactError, NumericalError
+from weakkam import ConfigError, ArtifactError, NumericalError, aubry
 from weakkam.cli import main
 from weakkam.config import ExperimentConfig
 from weakkam.pipeline import load_points_csv, run_comparison, run_ferry, run_pipeline
@@ -88,6 +88,10 @@ def test_quotient_pipeline_pendulum(tmp_path):
     assert manifest["status"] == "ok"
     data = json.loads((tmp_path / "o" / "quotient.json").read_text())
     assert data["class_count"] == 1
+    barrier = manifest["stages"]["barrier"]
+    # the self-loop at the hyperbolic fixed point is the only flat cycle
+    assert barrier == {"files": ["barrier.csv"], "wall_time_s": barrier["wall_time_s"],
+                       "representatives": 1, "critical_edges": 1, "invariant_axes": []}
     # prerequisite stages ran and left their artifacts
     for stage in ("critical", "barrier", "aubry", "quotient"):
         assert stage in manifest["stages"]
@@ -192,6 +196,9 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert main(["critical", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "kinetic" in err
+    path = write_config(tmp_path, solver={"horizon": 5})
+    assert main(["critical", "--config", path]) == 2
+    assert "unknown keys in config section 'solver'" in capsys.readouterr().err
 
 
 def test_cli_missing_config_is_exit_4(tmp_path, capsys):
@@ -199,13 +206,17 @@ def test_cli_missing_config_is_exit_4(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_cli_numerical_failure_is_exit_3(tmp_path, capsys):
+def test_cli_numerical_failure_is_exit_3(tmp_path, capsys, monkeypatch):
     path = write_config(
         tmp_path,
         model={"family": "mechanical", "potential": {"name": "cosine", "k": [1]}},
         solver={"max_iter": 2})
     assert main(["weakkam", "--config", path]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    # a barrier larger than the free memory is refused, not allocated
+    monkeypatch.setattr(aubry, "available_memory", lambda: 0)
+    assert main(["barrier", "--config", write_config(tmp_path)]) == 3
+    assert "memory is free" in capsys.readouterr().err
 
 
 def test_cli_output_collision_is_exit_4(tmp_path, capsys):
@@ -215,7 +226,7 @@ def test_cli_output_collision_is_exit_4(tmp_path, capsys):
     assert main(["critical", "--config", path]) == 4
 
 
-def test_cli_partial_manifest_records_error(tmp_path):
+def test_cli_partial_manifest_records_error(tmp_path, monkeypatch):
     path = write_config(
         tmp_path,
         model={"family": "mechanical", "potential": {"name": "cosine", "k": [1]}},
@@ -225,6 +236,12 @@ def test_cli_partial_manifest_records_error(tmp_path):
     assert manifest["status"] == "error"
     assert manifest["error"]["stage"] == "weakkam"
     assert manifest["error"]["type"] == "NumericalError"
+    monkeypatch.setattr(aubry, "available_memory", lambda: 0)
+    assert main(["barrier", "--config", write_config(tmp_path)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["error"]["stage"] == "barrier"
+    assert manifest["error"]["type"] == "NumericalError"
+    assert list(manifest["stages"]) == ["critical"]
 
 
 def test_cli_bad_field_table_is_exit_2(tmp_path, capsys):

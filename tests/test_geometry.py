@@ -9,10 +9,10 @@ from weakkam import (
     build_grid,
     circle_points,
     covering_number,
+    critical_value,
     ferry_delta_p,
     hausdorff1_report,
     interval_semimetric,
-    kernel_closure,
     mather_delta,
     peierls_barrier,
     quadratic_bound_check,
@@ -86,7 +86,7 @@ def test_quadratic_bound_on_exact_square_metric():
 
 def test_quadratic_bound_pendulum_like(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, 0.0)
+    h = peierls_barrier(K, critical_value(K))
     A = aubry_set(h, None, K, 0.0)
     rep = quadratic_bound_check(mather_delta(h), A, K.grid, window=0.3)
     # kinetic deltas are d^2/tau on neighbor pairs; ratio stays bounded

@@ -10,19 +10,18 @@ from weakkam import (
     build_kernel,
     cosine_potential,
     dump_kernel,
-    kernel_closure,
     kinetic_lagrangian,
     load_kernel,
     mane_lagrangian,
     mechanical_lagrangian,
     minplus_apply,
-    minplus_power_min,
     sin_gradient_field,
     stencil_offsets,
 )
 from weakkam.kernel import invariant_axes
 
 from conftest import toy_kernel
+from oracles import kernel_closure, minplus_power_min
 
 TOY = [[0.0, 5.0], [1.0, 3.0]]
 

@@ -1,10 +1,12 @@
 """Property-based checks for the wrapping, min-plus and metric layers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakkam import (
     ActionKernel,
+    NumericalError,
     build_grid,
     build_kernel,
     chain_graph,
@@ -18,13 +20,14 @@ from weakkam import (
     lax_oleinik_plus,
     mechanical_lagrangian,
     minplus_apply,
+    peierls_barrier,
     sin_gradient_field,
     weak_kam_solution,
     wrap_cells,
     wrap_displacement,
 )
 
-from oracles import exhaustive_min_mean
+from oracles import closure_barrier, exhaustive_min_mean
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -137,6 +140,27 @@ def test_critical_value_matches_exhaustive_2d(n, steps, seed):
     cv = critical_value(K)
     assert abs(cv.mean_cycle_weight - exhaustive_min_mean(K)) <= 1e-9
     assert abs(cv.witness_mean(K) - cv.mean_cycle_weight) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4),
+       st.lists(st.sampled_from(STEPS_2D), min_size=1, max_size=4, unique=True),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_barrier_matches_closure_oracle_2d(n, steps, seed):
+    # few steps often leave the graph not strongly connected: then both fail
+    g = build_grid(2, n)
+    offsets = np.array(sorted(steps), dtype=np.int64)
+    weights = np.random.default_rng(seed).integers(-5, 10, size=(len(steps), g.point_count))
+    K = ActionKernel(grid=g, tau=0.5, stencil_radius=g.spacing, offsets=offsets,
+                     weights=weights.astype(float))
+    cv = critical_value(K)
+    try:
+        ref = closure_barrier(K, cv.c).values
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            peierls_barrier(K, cv)
+        return
+    np.testing.assert_allclose(peierls_barrier(K, cv).values, ref, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
