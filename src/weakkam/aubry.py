@@ -2,13 +2,12 @@
 
 The barrier h(x,y) = min over critical cells a of SP(x,a) + SP(a,y), with
 SP the shortest paths of the kernel shifted by c*tau, routes every pair
-through the flat cycles the liminf over long horizons selects. Reweighted
-by the bias x of critical_value (a Johnson potential), the costs
-r = w(y->z) + c*tau + x(y) - x(z) are nonnegative; their zero edges on
-cycles form the critical graph, whose strong classes are joined by flat
-cycles, so one representative per class and two sparse Dijkstra runs
-from each give h exactly. When every cell is critical, h = SP, run from
-one slab of the translation-invariant axes and rolled.
+through the flat cycles the liminf over long horizons selects. The strong
+classes of the critical graph (critical.critical_graph) are joined by
+flat cycles, so one representative per class and two sparse Dijkstra
+runs on the nonnegative reduced costs from each give h exactly. When
+every cell is critical, h = SP, run from one slab of the
+translation-invariant axes and rolled.
 """
 
 import os
@@ -16,18 +15,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
-from .critical import CriticalValue
+from .critical import CriticalValue, critical_graph
 from .errors import ConfigError, NumericalError
-from .kernel import ActionKernel, backward_sources, invariant_axes, stencil_graph
+from .kernel import ActionKernel, invariant_axes
 
-# reduced costs at most ZERO_TOL * scale are critical edges; below
-# -NEGATIVE_TOL * scale the bias is no subsolution, so c is too low
-ZERO_TOL = 1e-10
-NEGATIVE_TOL = 1e-9
 # N x N float arrays the barrier and quotient stages hold: h and delta
 DENSE_COPIES = 2
+# entries of each temporary row block of the representation check
+BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -142,39 +139,16 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
     graph is not strongly connected, or h would not fit in free memory.
     """
     N = K.point_count
-    x = cv.bias
-    if x is None or x.shape != (N,):
-        raise ConfigError("peierls_barrier needs the bias that critical_value(K) "
-                          "returns for this kernel")
+    G, critical, labels, edges = critical_graph(K, cv)
     need, free = DENSE_COPIES * 8 * N * N, available_memory()
     if need > free:
         raise NumericalError(
             f"the {N}x{N} barrier and Mather distance need {need / 2**20:.1f} MiB, "
             f"but only {free / 2**20:.1f} MiB of memory is free")
-
-    src = backward_sources(K)
-    shifted = K.weights + cv.c * K.tau
-    r = shifted + x[src] - x
-    scale = max(1.0, float(np.max(np.abs(shifted))) + float(np.max(np.abs(x))))
-    if r.min() < -NEGATIVE_TOL * scale:
-        raise NumericalError(
-            f"negative reduced cost {r.min():.3e} at level c={cv.c}: the bias is no "
-            "subsolution there. The supplied c is likely not the critical value "
-            "of this kernel.")
-    np.maximum(r, 0.0, out=r)
-    zero = stencil_graph(K, np.where(r <= ZERO_TOL * scale, 1.0, np.inf)).tocoo()
-    _, label = connected_components(zero, directed=True, connection="strong")
-    # zero edges within a strong class lie on flat cycles: the critical graph
-    inner = label[zero.row] == label[zero.col]
-    critical = np.unique(zero.col[inner])
-    if critical.size == 0:
-        raise NumericalError(
-            f"no zero-mean cycle at level c={cv.c}; smallest reduced cost {r.min():.3e}. "
-            "The supplied c is likely not the critical value of this kernel.")
-    _, first = np.unique(label[critical], return_index=True)
+    x = cv.bias
+    _, first = np.unique(labels[critical], return_index=True)
     reps = np.sort(critical[first])
 
-    G = stencil_graph(K, r)
     cells = np.stack(np.unravel_index(np.arange(N), K.grid.shape), axis=-1)
     axes = invariant_axes(K)
     slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
@@ -195,7 +169,7 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
         raise NumericalError(
             f"kernel graph is not strongly connected, e.g. cells {stranded.tolist()}")
     return PeierlsBarrier(point_ids=np.arange(N), values=h, representatives=reps,
-                          critical_edges=int(inner.sum()), invariant_axes=axes)
+                          critical_edges=edges, invariant_axes=axes)
 
 
 def _translate_rows(K: ActionKernel, cells: np.ndarray, axes: list, slab: np.ndarray,
@@ -339,16 +313,18 @@ def representation_check(h: SemiMetric, delta: SemiMetric, A: AubrySet) -> Repre
     """Residual of delta(x,y) = (u1-u2)(y) - (u1-u2)(x) over Aubry pairs,
     with u1 = h(x,.) and u2 = h(y,.) the barrier-column solutions."""
     pos = h.positions_of(A.indices)
-    H = h.values
-    D = delta.values
-    px = pos[:, None]
+    H, D = h.values, delta.values
     py = pos[None, :]
-    rhs = (H[px, py] - H[py, py]) - (H[px, px] - H[py, px])
-    res = np.abs(D[px, py] - rhs)
-    flat = int(np.argmax(res))
-    i, j = np.unravel_index(flat, res.shape)
-    return RepresentationReport(
-        max_residual=float(res[i, j]),
-        worst_pair=(int(A.indices[i]), int(A.indices[j])),
-        pairs_checked=int(res.size),
-    )
+    rows = max(1, BLOCK_ENTRIES // pos.size)
+    worst, pair = -np.inf, None
+    # row blocks of the |A| x |A| residual; a later block must be strictly
+    # worse, so the pair is the first maximum in row-major order
+    for i0 in range(0, pos.size, rows):
+        px = pos[i0:i0 + rows, None]
+        rhs = (H[px, py] - H[py, py]) - (H[px, px] - H[py, px])
+        res = np.abs(D[px, py] - rhs)
+        i, j = np.unravel_index(int(np.argmax(res)), res.shape)
+        if res[i, j] > worst:
+            worst, pair = float(res[i, j]), (int(A.indices[i0 + i]), int(A.indices[j]))
+    return RepresentationReport(max_residual=worst, worst_pair=pair,
+                                pairs_checked=pos.size**2)

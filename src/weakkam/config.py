@@ -19,7 +19,7 @@ DEFAULTS = {
     "model": {"family": "kinetic"},
     "grid": {"dim": 1, "n": 256},
     "kernel": {"tau": "auto", "stencil_radius": "auto"},
-    "solver": {"tol": 1e-9, "max_iter": "auto"},
+    "solver": {"tol": 1e-9},
     "aubry": {"eta_mode": "auto", "merge_threshold": "auto"},
     "dynamics": {"dt": "auto", "eps": "auto", "substeps": 4},
     "regularizer": {"stages": 4},
@@ -100,7 +100,6 @@ class ExperimentConfig:
         _numeric(r["kernel"], "tau", "kernel", minimum=1e-12, auto_ok=True)
         _numeric(r["kernel"], "stencil_radius", "kernel", minimum=1e-12, auto_ok=True)
         _numeric(r["solver"], "tol", "solver", minimum=0.0)
-        _numeric(r["solver"], "max_iter", "solver", minimum=1, auto_ok=True)
         eta = r["aubry"]["eta_mode"]
         if eta != "auto":
             _numeric(r["aubry"], "eta_mode", "aubry", minimum=0.0)
@@ -151,10 +150,6 @@ class ExperimentConfig:
 
     def solver_tol(self) -> float:
         return float(self.raw["solver"]["tol"])
-
-    def max_iter(self, grid: GridTorus):
-        m = self.raw["solver"]["max_iter"]
-        return None if m == "auto" else int(m)
 
     def eta(self):
         e = self.raw["aubry"]["eta_mode"]

@@ -1,11 +1,11 @@
-"""Critical value and weak KAM solutions of the discrete cell problem.
+"""Critical value, critical graph and weak KAM solutions of the cell problem.
 
 The additive eigenvalue of the min-plus kernel is c = -mu/tau, where mu
 is the smallest cycle mean of the one-step costs, found by min-plus
-policy iteration (Howard's algorithm). Shifting the kernel by c*tau then
-makes the best cycles exactly flat, and value iteration on the shifted
-backward operator converges (after damping the min-plus eigenspace
-cycling) to a fixed point u = T^- u + c*tau.
+policy iteration (Howard's algorithm). Reweighted by the policy bias x,
+the costs r = w(y->z) + c*tau + x(y) - x(z) are nonnegative; their zero
+edges on cycles form the critical graph. The weak KAM solution of u0 is
+its Lax-Oleinik limit min_x u0(x) + h(x,.), two Dijkstra runs on r.
 """
 
 import math
@@ -13,11 +13,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ConfigError, NumericalError
 from .grid import ValueFunction
 from .kernel import ActionKernel, backward_sources, minplus_apply, stencil_graph
+
+# reduced costs at most ZERO_TOL * scale are critical edges; below
+# -NEGATIVE_TOL * scale the bias is no subsolution, so c is too low
+ZERO_TOL = 1e-10
+NEGATIVE_TOL = 1e-9
 
 
 @dataclass
@@ -51,6 +57,7 @@ class WeakKamSolution:
     c: float
     residual: float
     iterations: int
+    critical_cells: int = 0
 
 
 def as_value_array(u) -> np.ndarray:
@@ -202,58 +209,78 @@ def check_dominated(K: ActionKernel, u: np.ndarray, c: float, tol: float = 0.0) 
                             dominated=worst <= tol)
 
 
-def weak_kam_solution(K: ActionKernel, c: float, u0: Optional[np.ndarray] = None,
-                      tol: float = 1e-9, max_iter: Optional[int] = None,
-                      check_every: int = 8) -> WeakKamSolution:
-    """Damped value iteration for u = T- u + c*tau, normalized to min u = 0.
+def critical_graph(K: ActionKernel, cv: CriticalValue) -> tuple:
+    """The graph of reduced costs r >= 0 at level cv.c, reweighted by cv.bias,
+    the sorted critical cells, the strong class of every cell among the zero
+    edges (r <= ZERO_TOL * scale), and the critical-edge count: zero edges
+    inside a class, which lie on flat cycles. NumericalError when cv.c is
+    not critical: below it some r is negative, above it no cycle is flat."""
+    x = cv.bias
+    if x is None or x.shape != (K.point_count,):
+        raise ConfigError("the critical graph needs the bias that critical_value(K) "
+                          "returns for this kernel")
+    r = K.weights + cv.c * K.tau
+    scale = max(1.0, float(max(r.max(), -r.min())) + float(np.max(np.abs(x))))
+    r += x[backward_sources(K)]
+    r -= x
+    if r.min() < -NEGATIVE_TOL * scale:
+        raise NumericalError(
+            f"negative reduced cost {r.min():.3e} at level c={cv.c}: the bias is no "
+            "subsolution there. The supplied c is likely not the critical value "
+            "of this kernel.")
+    G = stencil_graph(K, np.maximum(r, 0.0, out=r))
+    # the zero edges of the column-major graph, their columns from indptr
+    zero = np.flatnonzero(G.data <= ZERO_TOL * scale)
+    row, col = G.indices[zero], np.searchsorted(G.indptr, zero, side="right") - 1
+    _, labels = connected_components(
+        sparse.csr_matrix((np.ones(row.size), (row, col)), shape=G.shape),
+        directed=True, connection="strong")
+    inner = labels[row] == labels[col]
+    critical = np.unique(col[inner])
+    if critical.size == 0:
+        raise NumericalError(
+            f"no zero-mean cycle at level c={cv.c}; smallest reduced cost {r.min():.3e}. "
+            "The supplied c is likely not the critical value of this kernel.")
+    return G, critical, labels, int(inner.sum())
 
-    The undamped iterates eventually cycle on the min-plus eigenspace;
-    an elementwise running min over the post-burn-in tail converges to a
-    genuine fixed point (min-plus combinations of solutions are
-    solutions). If the residual stalls the accumulator is re-seeded from
-    the current iterate, which discards transient undershoot.
+
+def weak_kam_solution(K: ActionKernel, cv: CriticalValue, u0: Optional[np.ndarray] = None,
+                      tol: float = 1e-9) -> WeakKamSolution:
+    """u = T- u + c*tau as the Lax-Oleinik limit min_x u0(x) + h(x,.), min u = 0.
+
+    Two Dijkstra runs on the reduced costs from an added source node: the
+    first starts every cell x at u0(x) (default 0) and gives g(a) = min_x
+    u0(x) + SP(x,a), the second starts the critical cells a at g(a) and
+    gives min_a g(a) + SP(a,y). NumericalError when the fixed-point
+    residual max |T- u + c*tau - u| exceeds tol.
     """
     N = K.point_count
-    shift = c * K.tau
-    max_iter = 50 * N if max_iter is None else int(max_iter)
-    burn_in = min(N, max_iter // 4)
-    z = np.zeros(N) if u0 is None else as_value_array(u0).copy()
-    if z.shape != (N,):
-        raise ConfigError(f"u0 has shape {z.shape}, expected ({N},)")
-
-    m = None
-    best_res = np.inf
-    stall = 0
-    res = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        z_next = K.apply_min(z, shift)
-        raw = float(np.max(np.abs(z_next - z)))
-        z = z_next
-        if raw <= tol:  # the undamped iterate converged outright
-            m = z
-            res = raw
-            break
-        if it < burn_in:
-            continue
-        m = z.copy() if m is None else np.minimum(m, z)
-        if it % check_every == 0:
-            res = float(np.max(np.abs(K.apply_min(m, shift) - m)))
-            if res <= tol:
-                break
-            if res < best_res - tol:
-                best_res = res
-                stall = 0
-            else:
-                stall += 1
-                if stall * check_every > 2 * N:
-                    m = None  # re-seed: the early mins trapped a transient
-                    best_res = np.inf
-                    stall = 0
-    else:
-        raise NumericalError(
-            f"weak KAM iteration did not reach tol={tol} in {max_iter} sweeps "
-            f"(last residual {res:.3e})"
-        )
-    u = m - np.min(m)
-    return WeakKamSolution(u=ValueFunction(K.grid, u), c=c, residual=res, iterations=it)
+    u0 = np.zeros(N) if u0 is None else as_value_array(u0)
+    if u0.shape != (N,):
+        raise ConfigError(f"u0 has shape {u0.shape}, expected ({N},)")
+    G, critical, _, _ = critical_graph(K, cv)
+    G, x = G.tocsr(), cv.bias
+    # node N is the source; its out-edges, the last N entries, are rewritten
+    # per pass, and an infinite weight is no edge
+    M = sparse.csr_matrix((np.concatenate((G.data, np.zeros(N))),
+                           np.concatenate((G.indices, np.arange(N, dtype=G.indices.dtype))),
+                           np.append(G.indptr, G.nnz + N)), shape=(N + 1, N + 1))
+    start = M.data[-N:]
+    # a path y -> z costs SP(y,z) + x(y) - x(z) in reduced costs; shifting
+    # the starts to be nonnegative moves every distance by one constant
+    start[:] = u0 - x
+    start -= start.min()
+    d = dijkstra(M, indices=N)[:N]
+    start[:] = np.inf
+    start[critical] = d[critical]
+    u = dijkstra(M, indices=N)[:N] + x
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("kernel graph is not strongly connected: no critical cell "
+                             f"reaches cells {np.nonzero(~np.isfinite(u))[0][:8].tolist()}")
+    u -= u.min()
+    res = float(np.max(np.abs(K.apply_min(u, cv.c * K.tau) - u)))
+    if res > tol:
+        raise NumericalError(f"weak KAM solution has fixed-point residual {res:.3e} "
+                             f"above tol={tol}")
+    return WeakKamSolution(u=ValueFunction(K.grid, u), c=cv.c, residual=res, iterations=2,
+                           critical_cells=int(critical.size))

@@ -130,9 +130,10 @@ def _stage_weakkam(cfg, state, out, formats):
     grid, K = state["grid"], state["K"]
     rng = np.random.default_rng(cfg.seed())
     u0 = rng.standard_normal(grid.point_count)
-    sol = weak_kam_solution(K, state["cv"].c, u0=u0, tol=cfg.solver_tol(),
-                            max_iter=cfg.max_iter(grid))
+    sol = weak_kam_solution(K, state["cv"], u0=u0, tol=cfg.solver_tol())
     state["sol"] = sol
+    state.setdefault("stage_stats", {})["weakkam"] = {
+        "critical_cells": sol.critical_cells, "residual": sol.residual}
     files = []
     if "json" in formats:
         files.append(write_json(os.path.join(out, "weakkam.json"), {

@@ -300,7 +300,7 @@ def test_10_solution_uniqueness_up_to_constants():
     K = build_kernel(g, mane_lagrangian(constant_field([1.0], 1)))
     cv = critical_value(K)
     sols = [
-        weak_kam_solution(K, cv.c, u0=np.random.default_rng(seed).uniform(0, 1, 256))
+        weak_kam_solution(K, cv, u0=np.random.default_rng(seed).uniform(0, 1, 256))
         for seed in range(5)
     ]
     unique_osc = weak_kam_constancy_check(sols).max_oscillation
@@ -309,7 +309,7 @@ def test_10_solution_uniqueness_up_to_constants():
     Kd = build_kernel(g, DOUBLE_WELL)
     cvd = critical_value(Kd)
     pinned = [
-        weak_kam_solution(Kd, cvd.c, u0=10.0 * tent_function(g, center=cell).values)
+        weak_kam_solution(Kd, cvd, u0=10.0 * tent_function(g, center=cell).values)
         for cell in (0, 128)
     ]
     split_osc = weak_kam_constancy_check(pinned).max_oscillation
@@ -324,7 +324,7 @@ def test_11_alternating_smoothing_bounds():
     cv = critical_value(K)
     h = peierls_barrier(K, cv)
     A = aubry_set(h, None, K, cv.c)
-    sol = weak_kam_solution(K, cv.c)
+    sol = weak_kam_solution(K, cv)
     smoothed = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau), tol=1e-9)
 
     x = g.coords()[:, 0]

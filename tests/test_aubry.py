@@ -23,11 +23,12 @@ from weakkam import (
     quotient,
     representation_check,
     sin_gradient_field,
+    weak_kam_solution,
 )
 from weakkam import aubry
 from weakkam.aubry import SemiMetric
 
-from oracles import closure_barrier, kernel_closure
+from oracles import closure_barrier, kernel_closure, value_iteration_weak_kam
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,19 @@ def test_barrier_matches_closure_oracle(case):
                                   aubry_set(ref, None, K, cv.c).indices)
     assert h.representatives.size == reps
     assert h.invariant_axes == axes
+
+
+@pytest.mark.parametrize("case", [c for c in ORACLE_CASES if c != "pendulum-x0-6x6"])
+def test_weak_kam_matches_value_iteration_oracle(case):
+    K = ORACLE_CASES[case][0]()
+    cv = critical_value(K)
+    u0 = np.random.default_rng(5).standard_normal(K.point_count)
+    u = weak_kam_solution(K, cv, u0=u0).u.values
+    ref = value_iteration_weak_kam(K, cv.c, u0=u0).u.values
+    np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-12)
+    # the Lax-Oleinik limit of u0 through the barrier
+    lim = np.min(u0[:, None] + closure_barrier(K, cv.c).values, axis=0)
+    np.testing.assert_allclose(u, lim - lim.min(), rtol=0.0, atol=1e-12)
 
 
 def test_barrier_needs_the_bias(pendulum_state_64):
@@ -210,6 +224,32 @@ def test_quotient_kinetic_merges_at_spacing_squared(mane_zero_kernel_16):
     sp = K.grid.spacing
     q = quotient(d, A, 2 * sp**2 / K.tau)
     assert q.class_count == 1
+
+
+# 1 row, 5 rows (uneven on |A| = 36) and one block per check
+@pytest.mark.parametrize("block", [1, 180, aubry.BLOCK_ENTRIES])
+@pytest.mark.parametrize("noise", [0, 1])
+@pytest.mark.parametrize("case", ["kinetic-6x6", "double-well-64"])
+def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
+    K = ORACLE_CASES[case][0]()
+    cv = critical_value(K)
+    h = peierls_barrier(K, cv)
+    # exact delta: every residual ties at 0; noisy delta: one largest residual
+    rng = np.random.default_rng(3)
+    delta = SemiMetric(point_ids=h.point_ids,
+                       values=mather_delta(h).values + noise * rng.random(h.values.shape))
+    A = aubry_set(h, None, K, cv.c)
+    # the whole |A| x |A| residual at once, first maximum in row-major order
+    pos = h.positions_of(A.indices)
+    H, D = h.values, delta.values
+    px, py = pos[:, None], pos[None, :]
+    res = np.abs(D[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
+    i, j = np.unravel_index(int(np.argmax(res)), res.shape)
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    rep = representation_check(h, delta, A)
+    assert rep.max_residual == float(res[i, j])
+    assert rep.worst_pair == (int(A.indices[i]), int(A.indices[j]))
+    assert rep.pairs_checked == res.size
 
 
 def test_representation_zero_on_diagonal_pairs(pendulum_state_64):

@@ -1,5 +1,6 @@
 """Config schema, pipeline artifacts, CLI exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from weakkam import ConfigError, ArtifactError, NumericalError, aubry
+from weakkam import ConfigError, ArtifactError, NumericalError, aubry, critical_value, pipeline
 from weakkam.cli import main
 from weakkam.config import ExperimentConfig
 from weakkam.pipeline import load_points_csv, run_comparison, run_ferry, run_pipeline
@@ -84,10 +85,16 @@ def test_quotient_pipeline_pendulum(tmp_path):
         "model": {"family": "mechanical", "potential": {"name": "cosine", "k": [1]}},
         "grid": {"dim": 1, "n": 64},
         "outputs": {"directory": str(tmp_path / "o")}})
-    manifest = run_pipeline(cfg, ["quotient"])
+    manifest = run_pipeline(cfg, ["quotient", "weakkam"])
     assert manifest["status"] == "ok"
     data = json.loads((tmp_path / "o" / "quotient.json").read_text())
     assert data["class_count"] == 1
+    # the weak KAM stage records its critical cells and certified residual
+    weakkam = json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"]["weakkam"]
+    assert weakkam["critical_cells"] == 1
+    assert weakkam["residual"] == json.loads(
+        (tmp_path / "o" / "weakkam.json").read_text())["residual"]
+    assert weakkam["residual"] <= 1e-9
     barrier = manifest["stages"]["barrier"]
     # the self-loop at the hyperbolic fixed point is the only flat cycle
     assert barrier == {"files": ["barrier.csv"], "wall_time_s": barrier["wall_time_s"],
@@ -196,9 +203,10 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert main(["critical", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "kinetic" in err
-    path = write_config(tmp_path, solver={"horizon": 5})
-    assert main(["critical", "--config", path]) == 2
-    assert "unknown keys in config section 'solver'" in capsys.readouterr().err
+    for retired in ("horizon", "max_iter"):
+        path = write_config(tmp_path, solver={retired: 5})
+        assert main(["critical", "--config", path]) == 2
+        assert "unknown keys in config section 'solver'" in capsys.readouterr().err
 
 
 def test_cli_missing_config_is_exit_4(tmp_path, capsys):
@@ -206,12 +214,19 @@ def test_cli_missing_config_is_exit_4(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def below_critical(K):
+    cv = critical_value(K)
+    return dataclasses.replace(cv, c=cv.c - 0.5)
+
+
 def test_cli_numerical_failure_is_exit_3(tmp_path, capsys, monkeypatch):
     path = write_config(
         tmp_path,
-        model={"family": "mechanical", "potential": {"name": "cosine", "k": [1]}},
-        solver={"max_iter": 2})
-    assert main(["weakkam", "--config", path]) == 3
+        model={"family": "mechanical", "potential": {"name": "cosine", "k": [1]}})
+    # a level below the critical value leaves no weak KAM solution
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "critical_value", below_critical)
+        assert main(["weakkam", "--config", path]) == 3
     assert "numerical failure" in capsys.readouterr().err
     # a barrier larger than the free memory is refused, not allocated
     monkeypatch.setattr(aubry, "available_memory", lambda: 0)
@@ -229,9 +244,10 @@ def test_cli_output_collision_is_exit_4(tmp_path, capsys):
 def test_cli_partial_manifest_records_error(tmp_path, monkeypatch):
     path = write_config(
         tmp_path,
-        model={"family": "mechanical", "potential": {"name": "cosine", "k": [1]}},
-        solver={"max_iter": 2})
-    assert main(["weakkam", "--config", path]) == 3
+        model={"family": "mechanical", "potential": {"name": "cosine", "k": [1]}})
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "critical_value", below_critical)
+        assert main(["weakkam", "--config", path]) == 3
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "error"
     assert manifest["error"]["stage"] == "weakkam"

@@ -1,5 +1,7 @@
 """Critical value, Lax-Oleinik operators, weak KAM fixed points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,25 +158,25 @@ def test_lax_oleinik_shape_check(kinetic_kernel_16):
 
 
 def test_weak_kam_kinetic_is_constant(mane_zero_kernel_16):
-    sol = weak_kam_solution(mane_zero_kernel_16, 0.0)
+    sol = weak_kam_solution(mane_zero_kernel_16, critical_value(mane_zero_kernel_16))
     assert sol.residual == 0.0
-    assert sol.iterations == 1
+    assert sol.iterations == 2
     np.testing.assert_array_equal(sol.u.values, np.zeros(16))
 
 
 def test_weak_kam_pendulum_matches_barrier_column(pendulum_state_64):
-    K, c, h = pendulum_state_64["K"], pendulum_state_64["c"], pendulum_state_64["h"]
-    sol = weak_kam_solution(K, c)
+    K, cv, h = pendulum_state_64["K"], pendulum_state_64["cv"], pendulum_state_64["h"]
+    sol = weak_kam_solution(K, cv)
     assert sol.u.values[0] == 0.0  # normalized at the Aubry cell
     assert sol.u.oscillation() > 0.1
     np.testing.assert_allclose(sol.u.values, h.values[0], atol=1e-9)
 
 
 def test_weak_kam_unique_up_to_constants(pendulum_state_64):
-    K, c = pendulum_state_64["K"], pendulum_state_64["c"]
+    K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
     rng = np.random.default_rng(11)
-    a = weak_kam_solution(K, c, u0=rng.uniform(0, 1, 64))
-    b = weak_kam_solution(K, c, u0=rng.uniform(0, 1, 64))
+    a = weak_kam_solution(K, cv, u0=rng.uniform(0, 1, 64))
+    b = weak_kam_solution(K, cv, u0=rng.uniform(0, 1, 64))
     diff = a.u.values - b.u.values
     assert diff.max() - diff.min() <= 1e-9
 
@@ -182,19 +184,33 @@ def test_weak_kam_unique_up_to_constants(pendulum_state_64):
 def test_weak_kam_accepts_value_function(mane_zero_kernel_16):
     g = build_grid(1, 16)
     u0 = ValueFunction(grid=g, values=np.zeros(16))
-    sol = weak_kam_solution(mane_zero_kernel_16, 0.0, u0=u0)
+    sol = weak_kam_solution(mane_zero_kernel_16, critical_value(mane_zero_kernel_16), u0=u0)
     assert sol.residual == 0.0
 
 
 def test_weak_kam_rejects_bad_seed_shape(mane_zero_kernel_16):
     with pytest.raises(ConfigError):
-        weak_kam_solution(mane_zero_kernel_16, 0.0, u0=np.zeros(5))
+        weak_kam_solution(mane_zero_kernel_16, critical_value(mane_zero_kernel_16),
+                          u0=np.zeros(5))
 
 
-def test_weak_kam_iteration_cap_raises(pendulum_state_64):
-    K, c = pendulum_state_64["K"], pendulum_state_64["c"]
-    with pytest.raises(NumericalError):
-        weak_kam_solution(K, c, max_iter=2)
+def test_weak_kam_needs_critical_level(pendulum_state_64):
+    K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
+    # below c the bias is no subsolution; above it no cycle is flat
+    for c in (cv.c - 0.5, cv.c + 0.5):
+        with pytest.raises(NumericalError):
+            weak_kam_solution(K, dataclasses.replace(cv, c=c))
+
+
+def test_weak_kam_needs_a_path_from_the_critical_cells():
+    # steps only along axis 0: the column x1 = 1 carries no flat cycle and
+    # no path leads into it from the critical column x1 = 0
+    g = build_grid(2, 2)
+    weights = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    K = ActionKernel(grid=g, tau=1.0, stencil_radius=g.spacing,
+                     offsets=np.array([[0, 0], [1, 0]]), weights=weights)
+    with pytest.raises(NumericalError, match="no critical cell reaches cells \\[1, 3\\]"):
+        weak_kam_solution(K, critical_value(K))
 
 
 def test_dominated_constants_on_mane(mane_zero_kernel_16):
@@ -205,7 +221,7 @@ def test_dominated_constants_on_mane(mane_zero_kernel_16):
 
 def test_dominated_weak_kam_output(pendulum_state_64):
     K, c = pendulum_state_64["K"], pendulum_state_64["c"]
-    sol = weak_kam_solution(K, c)
+    sol = weak_kam_solution(K, pendulum_state_64["cv"])
     rep = check_dominated(K, sol.u, c, tol=1e-9)
     assert rep.dominated
 

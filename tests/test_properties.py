@@ -103,16 +103,17 @@ def pendulum64():
     if _pend is None:
         K = build_kernel(build_grid(1, 64),
                          mechanical_lagrangian(cosine_potential(1, [1])))
-        _pend = (K, critical_value(K).c)
+        _pend = (K, critical_value(K))
     return _pend
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=6))
 def test_shifted_steps_preserve_domination(seed, steps):
-    K, c = pendulum64()
+    K, cv = pendulum64()
+    c = cv.c
     rng = np.random.default_rng(seed)
-    u = weak_kam_solution(K, c, u0=rng.uniform(0, 1, 64)).u.values
+    u = weak_kam_solution(K, cv, u0=rng.uniform(0, 1, 64)).u.values
     assert check_dominated(K, u, c, tol=1e-9).dominated
     shift = c * K.tau
     for _ in range(steps):
@@ -161,6 +162,25 @@ def test_barrier_matches_closure_oracle_2d(n, steps, seed):
             peierls_barrier(K, cv)
         return
     np.testing.assert_allclose(peierls_barrier(K, cv).values, ref, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4),
+       st.lists(st.sampled_from(STEPS_2D), max_size=3, unique=True),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_weak_kam_matches_closure_oracle_2d(n, steps, seed):
+    # the unit steps along both axes keep the graph strongly connected
+    g = build_grid(2, n)
+    offsets = np.array(sorted(set(steps) | {(0, 1), (1, 0)}), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(-5, 10, size=(len(offsets), g.point_count))
+    K = ActionKernel(grid=g, tau=0.5, stencil_radius=g.spacing, offsets=offsets,
+                     weights=weights.astype(float))
+    cv = critical_value(K)
+    u0 = rng.uniform(0, 10, g.point_count)
+    lim = np.min(u0[:, None] + closure_barrier(K, cv.c).values, axis=0)
+    u = weak_kam_solution(K, cv, u0=u0).u.values
+    np.testing.assert_allclose(u, lim - lim.min(), rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

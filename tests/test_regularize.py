@@ -41,7 +41,7 @@ def pend_smooth_128():
     g = build_grid(1, 128)
     K = build_kernel(g, PEND, tau=0.125, stencil_radius=0.3)
     cv = critical_value(K)
-    sol = weak_kam_solution(K, cv.c)
+    sol = weak_kam_solution(K, cv)
     return {"g": g, "K": K, "c": cv.c, "u": sol.u}
 
 
@@ -109,7 +109,7 @@ def test_smooth_output_near_fixed_point():
     g = build_grid(1, 64)
     K = build_kernel(g, PEND)
     cv = critical_value(K)
-    sol = weak_kam_solution(K, cv.c)
+    sol = weak_kam_solution(K, cv)
     v = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau))
     res = np.max(np.abs(lax_oleinik_minus(K, v.values, cv.c * K.tau) - v.values))
     assert res <= 2e-9
@@ -173,7 +173,7 @@ def test_subsolution_residual_halves_under_refinement():
         g = build_grid(1, n)
         K = build_kernel(g, PEND, tau=0.0625, stencil_radius=0.3)
         cv = critical_value(K)
-        sol = weak_kam_solution(K, cv.c)
+        sol = weak_kam_solution(K, cv)
         res[n] = subsolution_residual(sol.u, L=PEND, grid=g, c=cv.c)
     assert res[128] <= 10 * (1.0 / 128)
     assert 0.35 * res[128] <= res[256] <= 0.65 * res[128]
