@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .critical import CriticalValue, critical_graph
 from .errors import ConfigError, NumericalError
@@ -23,7 +24,7 @@ from .kernel import ActionKernel, invariant_axes
 
 # N x N float arrays the barrier and quotient stages hold: h and delta
 DENSE_COPIES = 2
-# entries of each temporary row block of the representation check
+# entries of each row block the A x A consumers of h and delta read
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -123,6 +124,16 @@ class PeierlsBarrier(SemiMetric):
     representatives: np.ndarray = None  # smallest cell of each critical class
     critical_edges: int = 0
     invariant_axes: list = field(default_factory=list)  # slab path only
+
+
+def row_blocks(values: np.ndarray, pos: np.ndarray):
+    """Yield (i0, values[pos[i0:i1]][:, pos]) in row blocks of at most
+    BLOCK_ENTRIES entries (at least one row). When pos lists every row in
+    order a block is a view; otherwise only that block is gathered."""
+    rows = max(1, BLOCK_ENTRIES // max(1, pos.size))
+    whole = pos.size == values.shape[0] and np.array_equal(pos, np.arange(pos.size))
+    for i0 in range(0, pos.size, rows):
+        yield i0, (values[i0:i0 + rows] if whole else values[pos[i0:i0 + rows, None], pos])
 
 
 def available_memory() -> int:
@@ -270,32 +281,18 @@ def mather_delta(h: SemiMetric) -> SemiMetric:
 
 
 def quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) -> QuotientPartition:
-    """Union-find merge of Aubry indices at delta <= merge_threshold."""
+    """Classes of Aubry indices joined by chains of delta <= merge_threshold."""
     pos = delta.positions_of(A.indices)
-    sub = delta.values[np.ix_(pos, pos)]
-    k = pos.size
-    if np.all(sub <= merge_threshold):
+    if all(np.all(b <= merge_threshold) for _, b in row_blocks(delta.values, pos)):
         members = sorted(int(i) for i in A.indices)
         return QuotientPartition(classes=[members], representative=[members[0]],
                                  merge_threshold=float(merge_threshold))
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    ii, jj = np.nonzero(sub <= merge_threshold)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    graph = sparse.vstack([sparse.csr_matrix(b <= merge_threshold)
+                           for _, b in row_blocks(delta.values, pos)])
     groups = {}
-    ids = A.indices
-    for i in range(k):
-        groups.setdefault(find(i), []).append(int(ids[i]))
+    for label, i in zip(connected_components(graph, directed=False)[1].tolist(),
+                        A.indices.tolist()):
+        groups.setdefault(label, []).append(i)
     classes = sorted((sorted(m) for m in groups.values()), key=lambda m: m[0])
     reps = [m[0] for m in classes]
     return QuotientPartition(classes=classes, representative=reps,
@@ -313,16 +310,15 @@ def representation_check(h: SemiMetric, delta: SemiMetric, A: AubrySet) -> Repre
     """Residual of delta(x,y) = (u1-u2)(y) - (u1-u2)(x) over Aubry pairs,
     with u1 = h(x,.) and u2 = h(y,.) the barrier-column solutions."""
     pos = h.positions_of(A.indices)
-    H, D = h.values, delta.values
-    py = pos[None, :]
-    rows = max(1, BLOCK_ENTRIES // pos.size)
+    diag = np.diagonal(h.values)[pos]
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly
     # worse, so the pair is the first maximum in row-major order
-    for i0 in range(0, pos.size, rows):
-        px = pos[i0:i0 + rows, None]
-        rhs = (H[px, py] - H[py, py]) - (H[px, px] - H[py, px])
-        res = np.abs(D[px, py] - rhs)
+    for (i0, Hb), (_, HTb), (_, Db) in zip(row_blocks(h.values, pos),
+                                           row_blocks(h.values.T, pos),
+                                           row_blocks(delta.values, pos)):
+        rhs = (Hb - diag) - (diag[i0:i0 + Hb.shape[0], None] - HTb)
+        res = np.abs(Db - rhs)
         i, j = np.unravel_index(int(np.argmax(res)), res.shape)
         if res[i, j] > worst:
             worst, pair = float(res[i, j]), (int(A.indices[i0 + i]), int(A.indices[j]))

@@ -4,7 +4,9 @@ semi-metric delta_p.
 The 1-dimensional Hausdorff measure of a finite semi-metric space is
 estimated through greedy coverings: N(r) balls of radius r give the
 surrogate N(r)*2r. Greedy covering is deterministic under index order,
-which the artifact determinism contract relies on.
+which the artifact determinism contract relies on. It reads delta in row
+blocks into one boolean ball matrix per radius, and a ball matrix larger
+than the free memory is refused as a numerical failure, never allocated.
 """
 
 from dataclasses import dataclass
@@ -12,9 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .grid import GridTorus, wrap_displacement
-from .aubry import AubrySet, SemiMetric
+from .aubry import AubrySet, SemiMetric, available_memory, row_blocks
 
 
 @dataclass
@@ -25,40 +27,46 @@ class CoveringReport:
     dim_slope: float           # least-squares slope of log N vs log(1/r)
 
 
-def _greedy_centers(values: np.ndarray, r: float) -> list:
+def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float) -> list:
     """Greedy ball covering anchored at the first uncovered point.
 
     The center is the candidate whose ball covers that point and the
     most other uncovered points (ties to the lowest index), so balls
     straddle the frontier instead of trailing it; anchoring at the first
     uncovered point keeps the scan deterministic and the count within
-    the usual greedy factor of the optimal covering.
+    the usual greedy factor of the optimal covering. Balls are rows of
+    the boolean matrix values[pos][:, pos] <= r, read in row blocks.
     """
-    k = values.shape[0]
+    k = pos.size
+    # the ball matrix and, at worst, every row of it gathered as candidates
+    need, free = 2 * k * k, available_memory()
+    if need > free:
+        raise NumericalError(
+            f"the {k}x{k} covering balls need {need / 2**20:.1f} MiB, "
+            f"but only {free / 2**20:.1f} MiB of memory is free")
+    ball = np.empty((k, k), dtype=bool)
+    for i0, block in row_blocks(values, pos):
+        np.less_equal(block, r, out=ball[i0:i0 + block.shape[0]])
     uncovered = np.ones(k, dtype=bool)
     centers = []
     while True:
         left = np.nonzero(uncovered)[0]
         if left.size == 0:
             return centers
-        i = int(left[0])
-        cands = np.nonzero(values[:, i] <= r)[0]
-        gains = (values[cands][:, uncovered] <= r).sum(axis=1)
-        q = int(cands[int(np.argmax(gains))])
+        cands = np.nonzero(ball[:, left[0]])[0]
+        gain = ball[cands]
+        gain &= uncovered
+        q = int(cands[int(np.argmax(np.count_nonzero(gain, axis=1)))])
         centers.append(q)
-        uncovered &= values[q] > r
+        uncovered &= ~ball[q]
 
 
 def covering_number(delta: SemiMetric, indices, r: float) -> int:
     """Size of the greedy covering of the given ids by delta-balls of radius r."""
     if r <= 0:
         raise ConfigError(f"covering radius must be positive, got {r}")
-    if indices is None:
-        sub = delta.values
-    else:
-        pos = delta.positions_of(indices)
-        sub = delta.values[np.ix_(pos, pos)]
-    return len(_greedy_centers(sub, r))
+    pos = np.arange(delta.size) if indices is None else delta.positions_of(indices)
+    return len(_greedy_centers(delta.values, pos, r))
 
 
 def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:

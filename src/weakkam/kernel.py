@@ -207,12 +207,13 @@ def invariant_axes(K: ActionKernel) -> list:
     return axes
 
 
-def backward_sources(K: ActionKernel) -> np.ndarray:
-    """src[s, z] = flat index of the cell feeding z along offset s."""
+def backward_sources(K: ActionKernel, rows=None) -> np.ndarray:
+    """src[s, z] = flat index of the cell feeding z along offset rows[s] (default: all)."""
+    offsets = K.offsets if rows is None else K.offsets[rows]
     idx = np.arange(K.point_count).reshape(K.grid.shape)
-    src = np.empty((K.stencil_size, K.point_count), dtype=np.int64)
+    src = np.empty((len(offsets), K.point_count), dtype=np.int64)
     axes = tuple(range(K.grid.dim))
-    for s, o in enumerate(K.offsets):
+    for s, o in enumerate(offsets):
         src[s] = np.roll(idx, shift=tuple(o), axis=axes).ravel()
     return src
 
@@ -234,7 +235,7 @@ def stencil_graph(K: ActionKernel, weights: np.ndarray) -> sparse.csc_matrix:
     # column z lists the sources of z
     keep = np.isfinite(w.T)
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    return sparse.csc_matrix((w.T[keep], backward_sources(K)[first].T[keep], indptr),
+    return sparse.csc_matrix((w.T[keep], backward_sources(K, first).T[keep], indptr),
                              shape=(N, N))
 
 # -- artifacts ---------------------------------------------------------------

@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 
-from .aubry import aubry_set, mather_delta, peierls_barrier, quotient, representation_check
+from .aubry import (aubry_set, mather_delta, peierls_barrier, quotient, representation_check,
+                    row_blocks)
 from .chains import chain_graph, chain_recurrent_set, compare_aubry_chain
 from .config import ExperimentConfig
 from .critical import critical_value, weak_kam_solution
@@ -51,12 +52,20 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _matrix_rows(values: np.ndarray):
+    """CSV text of the rows i,j,values[i,j], one chunk per i."""
+    line = "%d,%d," + FLOAT_FMT + "\n"
+    for i, row in enumerate(values):
+        yield "".join([line % (i, j, v) for j, v in enumerate(row.tolist())])
+
+
 def write_csv(path, header, rows) -> str:
+    """A row is a sequence of cells, or preformatted CSV text (a str)."""
     try:
         with open(path, "w", newline="\n") as f:
             f.write(",".join(header) + "\n")
             for row in rows:
-                f.write(",".join(_fmt_cell(v) for v in row) + "\n")
+                f.write(row if isinstance(row, str) else ",".join(map(_fmt_cell, row)) + "\n")
     except OSError as e:
         raise ArtifactError(f"cannot write {path}: {e}") from e
     return path
@@ -159,9 +168,8 @@ def _stage_barrier(cfg, state, out, formats):
     files = []
     n = h.size
     if "csv" in formats and n <= BARRIER_DUMP_LIMIT:
-        vals = h.values
-        rows = ((i, j, vals[i, j]) for i in range(n) for j in range(n))
-        files.append(write_csv(os.path.join(out, "barrier.csv"), ["i", "j", "h"], rows))
+        files.append(write_csv(os.path.join(out, "barrier.csv"), ["i", "j", "h"],
+                               _matrix_rows(h.values)))
     elif "csv" in formats:
         state.setdefault("notes", []).append(
             f"barrier.csv skipped: {n}x{n} matrix exceeds dump limit {BARRIER_DUMP_LIMIT}")
@@ -172,6 +180,7 @@ def _stage_aubry(cfg, state, out, formats):
     grid, K = state["grid"], state["K"]
     A = aubry_set(state["h"], cfg.eta(), K, state["cv"].c)
     state["A"] = A
+    state.setdefault("stage_stats", {})["aubry"] = {"aubry_size": int(A.indices.size)}
     files = []
     if "csv" in formats:
         coords = grid.coords(A.indices)
@@ -189,14 +198,14 @@ def _stage_quotient(cfg, state, out, formats):
     state["delta"] = delta
     Q = quotient(delta, state["A"], cfg.merge_threshold(grid))
     state["Q"] = Q
+    state.setdefault("stage_stats", {})["quotient"] = {"class_count": Q.class_count}
     rep = representation_check(state["h"], delta, state["A"])
-    pos = delta.positions_of(np.asarray(sum(Q.classes, []), dtype=np.int64))
+    class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
+    label = np.array([class_of[i] for i in state["A"].indices.tolist()])
     diam = 0.0
-    start = 0
-    for members in Q.classes:
-        p = pos[start:start + len(members)]
-        start += len(members)
-        diam = max(diam, float(np.max(delta.values[np.ix_(p, p)])))
+    for i0, block in row_blocks(delta.values, delta.positions_of(state["A"].indices)):
+        same = label[i0:i0 + block.shape[0], None] == label
+        diam = max(diam, float(np.max(block, where=same, initial=0.0)))
     files = []
     if "csv" in formats:
         rows = ((ci, m) for ci, members in enumerate(Q.classes) for m in members)
@@ -216,12 +225,13 @@ def _stage_quotient(cfg, state, out, formats):
 def _auto_scales(delta, indices) -> np.ndarray:
     """Geometric scale grid spanning the positive delta range of the set."""
     pos = delta.positions_of(np.asarray(indices, dtype=np.int64))
-    sub = delta.values[np.ix_(pos, pos)]
-    off = sub[sub > 0]
-    if off.size == 0:
+    lo, hi = np.inf, 0.0
+    for _, block in row_blocks(delta.values, pos):
+        lo = min(lo, float(np.min(block, where=block > 0, initial=np.inf)))
+        hi = max(hi, float(np.max(block, where=block > 0, initial=0.0)))
+    if hi == 0.0:
         return np.geomspace(1e-4, 1e-1, 6)
-    hi = float(np.max(off))
-    lo = max(float(np.min(off)) / 2.0, hi * 1e-4)
+    lo = max(lo / 2.0, hi * 1e-4)
     return np.geomspace(lo, hi, 8)
 
 
@@ -230,6 +240,8 @@ def _stage_dimension(cfg, state, out, formats):
     scales = _auto_scales(delta, A.indices)
     report = hausdorff1_report(delta, A.indices, scales)
     state["dimension"] = report
+    state.setdefault("stage_stats", {})["dimension"] = {
+        "covering_counts": report.covering_counts.tolist()}
     files = []
     if "csv" in formats:
         rows = zip(report.scales, report.covering_counts, report.h1_estimates)
@@ -446,8 +458,8 @@ def _ferry_stage(cfg, state, out, formats, path, exponent):
     k = dp.size
     files = []
     if "csv" in formats:
-        rows = ((i, j, dp.values[i, j]) for i in range(k) for j in range(k))
-        files.append(write_csv(os.path.join(out, "ferry.csv"), ["i", "j", "delta_p"], rows))
+        files.append(write_csv(os.path.join(out, "ferry.csv"), ["i", "j", "delta_p"],
+                               _matrix_rows(dp.values)))
     if "json" in formats:
         files.append(write_json(os.path.join(out, "ferry.json"), {
             "p": exponent, "point_count": k,

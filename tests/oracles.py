@@ -14,6 +14,12 @@ the same barrier from reduced costs and sparse Dijkstra runs instead.
 `value_iteration_weak_kam` is the damped value iteration for the weak KAM
 solution u = T- u + c*tau; the library computes the same Lax-Oleinik
 limit in closed form from two Dijkstra runs on the critical graph.
+
+`_greedy_centers`, `union_find_quotient` and `_auto_scales` are the
+greedy covering, the quotient and the covering scale grid on float copies
+of the whole |A| x |A| block of delta; the library reads that block in
+row blocks, into a boolean ball matrix for the covering and into sparse
+threshold pairs for the quotient.
 """
 
 from typing import Optional
@@ -21,7 +27,7 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from weakkam.aubry import SemiMetric
+from weakkam.aubry import AubrySet, QuotientPartition, SemiMetric
 from weakkam.critical import WeakKamSolution, as_value_array
 from weakkam.errors import ConfigError, NumericalError
 from weakkam.grid import ValueFunction
@@ -271,3 +277,72 @@ def value_iteration_weak_kam(K: ActionKernel, c: float, u0: Optional[np.ndarray]
         )
     u = m - np.min(m)
     return WeakKamSolution(u=ValueFunction(K.grid, u), c=c, residual=res, iterations=it)
+
+
+def _greedy_centers(values: np.ndarray, r: float) -> list:
+    """Greedy ball covering anchored at the first uncovered point.
+
+    The center is the candidate whose ball covers that point and the
+    most other uncovered points (ties to the lowest index), so balls
+    straddle the frontier instead of trailing it; anchoring at the first
+    uncovered point keeps the scan deterministic and the count within
+    the usual greedy factor of the optimal covering.
+    """
+    k = values.shape[0]
+    uncovered = np.ones(k, dtype=bool)
+    centers = []
+    while True:
+        left = np.nonzero(uncovered)[0]
+        if left.size == 0:
+            return centers
+        i = int(left[0])
+        cands = np.nonzero(values[:, i] <= r)[0]
+        gains = (values[cands][:, uncovered] <= r).sum(axis=1)
+        q = int(cands[int(np.argmax(gains))])
+        centers.append(q)
+        uncovered &= values[q] > r
+
+
+def union_find_quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) -> QuotientPartition:
+    """Union-find merge of Aubry indices at delta <= merge_threshold."""
+    pos = delta.positions_of(A.indices)
+    sub = delta.values[np.ix_(pos, pos)]
+    k = pos.size
+    if np.all(sub <= merge_threshold):
+        members = sorted(int(i) for i in A.indices)
+        return QuotientPartition(classes=[members], representative=[members[0]],
+                                 merge_threshold=float(merge_threshold))
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    ii, jj = np.nonzero(sub <= merge_threshold)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    groups = {}
+    ids = A.indices
+    for i in range(k):
+        groups.setdefault(find(i), []).append(int(ids[i]))
+    classes = sorted((sorted(m) for m in groups.values()), key=lambda m: m[0])
+    reps = [m[0] for m in classes]
+    return QuotientPartition(classes=classes, representative=reps,
+                             merge_threshold=float(merge_threshold))
+
+
+def _auto_scales(delta, indices) -> np.ndarray:
+    """Geometric scale grid spanning the positive delta range of the set."""
+    pos = delta.positions_of(np.asarray(indices, dtype=np.int64))
+    sub = delta.values[np.ix_(pos, pos)]
+    off = sub[sub > 0]
+    if off.size == 0:
+        return np.geomspace(1e-4, 1e-1, 6)
+    hi = float(np.max(off))
+    lo = max(float(np.min(off)) / 2.0, hi * 1e-4)
+    return np.geomspace(lo, hi, 8)

@@ -25,10 +25,11 @@ from weakkam import (
     sin_gradient_field,
     weak_kam_solution,
 )
-from weakkam import aubry
+from weakkam import aubry, geometry, pipeline
 from weakkam.aubry import SemiMetric
 
-from oracles import closure_barrier, kernel_closure, value_iteration_weak_kam
+from oracles import (_auto_scales, _greedy_centers, closure_barrier, kernel_closure,
+                     union_find_quotient, value_iteration_weak_kam)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +251,39 @@ def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
     assert rep.max_residual == float(res[i, j])
     assert rep.worst_pair == (int(A.indices[i]), int(A.indices[j]))
     assert rep.pairs_checked == res.size
+
+
+# one row per block, uneven blocks (7 entries: rows of 1 on the full set of
+# 5, rows of 2 on the subset of 3) and one block for the whole set
+@pytest.mark.parametrize("block", [1, 7, 25])
+@pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4], [4, 0, 2]], ids=["full", "partial"])
+def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    pos = np.array(ids)
+    # distinct entries: a dropped or repeated row cannot match
+    vals = np.arange(25.0).reshape(5, 5)
+    starts, blocks = zip(*aubry.row_blocks(vals, pos))
+    np.testing.assert_array_equal(np.concatenate(blocks), vals[np.ix_(pos, pos)])
+    assert list(starts) == np.cumsum([0] + [b.shape[0] for b in blocks[:-1]]).tolist()
+    assert max(b.size for b in blocks) <= max(block, pos.size)
+    # every consumer of the blocks agrees with its copying oracle
+    vals = np.random.default_rng(7).integers(0, 4, (5, 5)) / 4
+    np.fill_diagonal(vals, 0.0)
+    delta = SemiMetric(point_ids=np.arange(5), values=vals)
+    sub = vals[np.ix_(pos, pos)]
+    A = aubry.AubrySet(indices=pos, self_barrier=np.zeros(pos.size),
+                       labels=["other"] * pos.size, threshold=0.0)
+    for r in (0.25, 0.5, 0.75):
+        assert geometry._greedy_centers(vals, pos, r) == _greedy_centers(sub, r)
+        got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
+        assert (got.classes, got.representative) == (want.classes, want.representative)
+    np.testing.assert_array_equal(pipeline._auto_scales(delta, pos), _auto_scales(delta, pos))
+    H = np.triu(vals)
+    px, py = pos[:, None], pos[None, :]
+    res = np.abs(vals[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
+    i, j = np.unravel_index(int(np.argmax(res)), res.shape)
+    rep = representation_check(SemiMetric(point_ids=np.arange(5), values=H), delta, A)
+    assert (rep.max_residual, rep.worst_pair) == (res[i, j], (ids[i], ids[j]))
 
 
 def test_representation_zero_on_diagonal_pairs(pendulum_state_64):

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from weakkam import ConfigError, ArtifactError, NumericalError, aubry, critical_value, pipeline
+from weakkam import (ConfigError, ArtifactError, NumericalError, aubry, critical_value, geometry,
+                     pipeline)
 from weakkam.cli import main
 from weakkam.config import ExperimentConfig
 from weakkam.pipeline import load_points_csv, run_comparison, run_ferry, run_pipeline
@@ -85,10 +86,16 @@ def test_quotient_pipeline_pendulum(tmp_path):
         "model": {"family": "mechanical", "potential": {"name": "cosine", "k": [1]}},
         "grid": {"dim": 1, "n": 64},
         "outputs": {"directory": str(tmp_path / "o")}})
-    manifest = run_pipeline(cfg, ["quotient", "weakkam"])
+    manifest = run_pipeline(cfg, ["dimension", "weakkam"])
     assert manifest["status"] == "ok"
     data = json.loads((tmp_path / "o" / "quotient.json").read_text())
     assert data["class_count"] == 1
+    # the manifest alone records the Aubry size, class count and covering counts
+    stages = manifest["stages"]
+    assert stages["aubry"]["aubry_size"] == 1
+    assert stages["quotient"]["class_count"] == 1
+    counts = (tmp_path / "o" / "dimension.csv").read_text().splitlines()[1:]
+    assert stages["dimension"]["covering_counts"] == [int(r.split(",")[1]) for r in counts]
     # the weak KAM stage records its critical cells and certified residual
     weakkam = json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"]["weakkam"]
     assert weakkam["critical_cells"] == 1
@@ -100,8 +107,39 @@ def test_quotient_pipeline_pendulum(tmp_path):
     assert barrier == {"files": ["barrier.csv"], "wall_time_s": barrier["wall_time_s"],
                        "representatives": 1, "critical_edges": 1, "invariant_axes": []}
     # prerequisite stages ran and left their artifacts
-    for stage in ("critical", "barrier", "aubry", "quotient"):
+    for stage in ("critical", "barrier", "aubry", "quotient", "dimension"):
         assert stage in manifest["stages"]
+
+
+# one row per block, rows of 1 (7 entries on |A| = 5) and one block
+@pytest.mark.parametrize("block", [1, 7, 25])
+def test_quotient_stage_class_diameter(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    cfg = ExperimentConfig.from_dict({"grid": {"dim": 1, "n": 8},
+                                      "aubry": {"merge_threshold": 0.25}})
+    vals = np.random.default_rng(3).integers(0, 4, (8, 8)) / 8
+    np.fill_diagonal(vals, 0.0)
+    ids = np.array([6, 1, 3, 0, 4])
+    state = {"grid": cfg.grid(), "h": aubry.SemiMetric(point_ids=np.arange(8), values=vals),
+             "A": aubry.AubrySet(indices=ids, self_barrier=np.zeros(5),
+                                 labels=["other"] * 5, threshold=0.0)}
+    pipeline._stage_quotient(cfg, state, str(tmp_path), ["json"])
+    Q, delta = state["Q"], state["delta"]
+    # classes chained past the threshold: {0, 1, 3, 4} has diameter 0.375,
+    # and the largest delta across classes is larger still
+    assert Q.classes == [[0, 1, 3, 4], [6]]
+    want = max(float(np.max(delta.values[np.ix_(m, m)])) for m in Q.classes)
+    assert want == 0.375 < float(np.max(delta.values[np.ix_(ids, ids)]))
+    data = json.loads((tmp_path / "quotient.json").read_text())
+    assert data["max_class_diameter_delta"] == want
+
+
+def test_matrix_rows_write_the_cell_by_cell_text(tmp_path):
+    vals = np.array([[0.0, -1.5e-300, np.inf], [1 / 3, 2.0**60, -0.0], [7.0, np.nan, 1e-12]])
+    cells = ((i, j, vals[i, j]) for i in range(3) for j in range(3))
+    want = pipeline.write_csv(tmp_path / "cells.csv", ["i", "j", "h"], cells)
+    got = pipeline.write_csv(tmp_path / "rows.csv", ["i", "j", "h"], pipeline._matrix_rows(vals))
+    assert open(got, "rb").read() == open(want, "rb").read()
 
 
 def test_manifest_checksums_match_files(tmp_path):
@@ -228,6 +266,13 @@ def test_cli_numerical_failure_is_exit_3(tmp_path, capsys, monkeypatch):
         m.setattr(pipeline, "critical_value", below_critical)
         assert main(["weakkam", "--config", path]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    # so are covering balls larger than the free memory
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "available_memory", lambda: 0)
+        assert main(["dimension", "--config", write_config(tmp_path)]) == 3
+    assert "memory is free" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["error"]["stage"] == "dimension"
     # a barrier larger than the free memory is refused, not allocated
     monkeypatch.setattr(aubry, "available_memory", lambda: 0)
     assert main(["barrier", "--config", write_config(tmp_path)]) == 3

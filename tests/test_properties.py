@@ -13,21 +13,29 @@ from weakkam import (
     chain_recurrent_set,
     check_dominated,
     cosine_potential,
+    covering_number,
     critical_value,
     ferry_delta_p,
+    hausdorff1_report,
     kinetic_lagrangian,
     lax_oleinik_minus,
     lax_oleinik_plus,
     mechanical_lagrangian,
     minplus_apply,
     peierls_barrier,
+    quotient,
     sin_gradient_field,
     weak_kam_solution,
     wrap_cells,
     wrap_displacement,
 )
 
-from oracles import closure_barrier, exhaustive_min_mean
+from weakkam import aubry, geometry, pipeline
+from weakkam.aubry import AubrySet, SemiMetric
+
+from oracles import _auto_scales as oracle_scales
+from oracles import _greedy_centers as oracle_centers
+from oracles import closure_barrier, exhaustive_min_mean, union_find_quotient
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -206,3 +214,50 @@ def test_chain_set_monotone_in_eps(a, b):
     small = set(chain_recurrent_set(chain_graph(X, g, dt=dt, eps=a * g.spacing)))
     large = set(chain_recurrent_set(chain_graph(X, g, dt=dt, eps=b * g.spacing)))
     assert small <= large
+
+
+@st.composite
+def semimetric_cases(draw):
+    """A small semi-metric (zero diagonal), an index set and a row-block size.
+
+    Values are asymmetric or symmetric, and either continuous or on a
+    quarter grid, whose many ties exercise the greedy tie-breaks. The index
+    set is every point in order (block views) or a shuffled subset (gathers).
+    """
+    k = draw(st.integers(min_value=1, max_value=7))
+    if draw(st.booleans()):
+        vals = np.array(draw(st.lists(st.integers(0, 4), min_size=k * k, max_size=k * k))) / 4
+    else:
+        vals = np.array(draw(st.lists(unit_floats, min_size=k * k, max_size=k * k)))
+    vals = vals.reshape(k, k)
+    if draw(st.booleans()):
+        vals = np.minimum(vals, vals.T)
+    np.fill_diagonal(vals, 0.0)
+    if draw(st.booleans()):
+        indices = np.arange(k)
+    else:
+        perm = draw(st.permutations(range(k)))
+        indices = np.array(perm[:draw(st.integers(min_value=1, max_value=k))])
+    return vals, indices, draw(st.sampled_from([1, 5, 1 << 20]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(semimetric_cases(), st.floats(min_value=0.01, max_value=1.0))
+def test_block_consumers_match_copying_oracles(case, radius):
+    vals, indices, block = case
+    delta = SemiMetric(point_ids=np.arange(vals.shape[0]), values=vals)
+    sub = vals[np.ix_(indices, indices)]
+    radii = [radius] + [float(v) for v in np.unique(sub) if v > 0]
+    A = AubrySet(indices=indices, self_barrier=np.zeros(indices.size),
+                 labels=["other"] * indices.size, threshold=0.0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(aubry, "BLOCK_ENTRIES", block)
+        for r in radii:
+            assert geometry._greedy_centers(vals, indices, r) == oracle_centers(sub, r)
+            assert covering_number(delta, indices, r) == len(oracle_centers(sub, r))
+            got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
+            assert (got.classes, got.representative) == (want.classes, want.representative)
+        scales = pipeline._auto_scales(delta, indices)
+        np.testing.assert_array_equal(scales, oracle_scales(delta, indices))
+        counts = hausdorff1_report(delta, indices, scales).covering_counts
+        assert counts.tolist() == [len(oracle_centers(sub, r)) for r in np.sort(scales)[::-1]]
