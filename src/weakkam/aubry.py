@@ -26,6 +26,8 @@ from .kernel import ActionKernel, invariant_axes
 DENSE_COPIES = 2
 # entries of each row block the A x A consumers of h and delta read
 BLOCK_ENTRIES = 1 << 20
+# columns of each tile a transposed row block is copied in
+TILE = 64
 
 
 @dataclass
@@ -129,11 +131,23 @@ class PeierlsBarrier(SemiMetric):
 def row_blocks(values: np.ndarray, pos: np.ndarray):
     """Yield (i0, values[pos[i0:i1]][:, pos]) in row blocks of at most
     BLOCK_ENTRIES entries (at least one row). When pos lists every row in
-    order a block is a view; otherwise only that block is gathered."""
+    order a block is a view, or, when values is not C-contiguous (a
+    transpose such as h.values.T), a copy made TILE columns at a time, so
+    the strided source is read in cache-sized tiles. Otherwise only that
+    block is gathered."""
     rows = max(1, BLOCK_ENTRIES // max(1, pos.size))
     whole = pos.size == values.shape[0] and np.array_equal(pos, np.arange(pos.size))
     for i0 in range(0, pos.size, rows):
-        yield i0, (values[i0:i0 + rows] if whole else values[pos[i0:i0 + rows, None], pos])
+        if not whole:
+            yield i0, values[pos[i0:i0 + rows, None], pos]
+        elif values.flags.c_contiguous:
+            yield i0, values[i0:i0 + rows]
+        else:
+            src = values[i0:i0 + rows]
+            block = np.empty(src.shape, dtype=values.dtype)
+            for j0 in range(0, pos.size, TILE):
+                block[:, j0:j0 + TILE] = src[:, j0:j0 + TILE]
+            yield i0, block
 
 
 def available_memory() -> int:
@@ -275,9 +289,14 @@ def classify_aubry(K: ActionKernel, h: SemiMetric, c: float, indices,
 
 
 def mather_delta(h: SemiMetric) -> SemiMetric:
-    """delta(x,y) = h(x,y) + h(y,x)."""
-    return SemiMetric(point_ids=h.point_ids.copy(), values=h.values + h.values.T,
-                      symmetric=True)
+    """delta(x,y) = h(x,y) + h(y,x), summed one row block at a time with
+    the transpose read in cache tiles (row_blocks); each entry is the same
+    single add as h + h.T."""
+    pos = np.arange(h.size)
+    values = np.empty(h.values.shape)
+    for (i0, Hb), (_, HTb) in zip(row_blocks(h.values, pos), row_blocks(h.values.T, pos)):
+        np.add(Hb, HTb, out=values[i0:i0 + Hb.shape[0]])
+    return SemiMetric(point_ids=h.point_ids.copy(), values=values, symmetric=True)
 
 
 def quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) -> QuotientPartition:
@@ -313,12 +332,15 @@ def representation_check(h: SemiMetric, delta: SemiMetric, A: AubrySet) -> Repre
     diag = np.diagonal(h.values)[pos]
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly
-    # worse, so the pair is the first maximum in row-major order
+    # worse, so the pair is the first maximum in row-major order. The
+    # blocks may be views of h and delta: only the block's own temporaries
+    # are written in place
     for (i0, Hb), (_, HTb), (_, Db) in zip(row_blocks(h.values, pos),
                                            row_blocks(h.values.T, pos),
                                            row_blocks(delta.values, pos)):
-        rhs = (Hb - diag) - (diag[i0:i0 + Hb.shape[0], None] - HTb)
-        res = np.abs(Db - rhs)
+        rhs = Hb - diag
+        rhs -= diag[i0:i0 + Hb.shape[0], None] - HTb
+        res = np.abs(np.subtract(Db, rhs, out=rhs), out=rhs)
         i, j = np.unravel_index(int(np.argmax(res)), res.shape)
         if res[i, j] > worst:
             worst, pair = float(res[i, j]), (int(A.indices[i0 + i]), int(A.indices[j]))

@@ -87,19 +87,10 @@ def critical_value(K: ActionKernel) -> CriticalValue:
     max_rounds = 2 * K.point_count + 16
     for it in range(1, max_rounds + 1):
         eta, x, cycles = _policy_values(src[policy, cols], W[policy, cols])
-        E = eta[src]
-        e_min = E.min(axis=0)
-        better = e_min < eta
-        if better.any():  # first lower eta: reach a cycle of smaller mean
-            cand = np.where(E == e_min, W + x[src], np.inf)
-        else:  # then lower x through successors of equal mean
-            cand = np.where(E == eta, W - eta + x[src], np.inf)
-            # x sums costs along policy paths; ignore gains at rounding level
-            tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(W))))
-            better = cand.min(axis=0) < x - tol
+        better, choice = _improvement(src, W, eta, x)
         if not better.any():
             break
-        policy = np.where(better, np.argmin(cand, axis=0), policy)
+        policy = np.where(better, choice, policy)
     else:
         raise NumericalError(f"policy iteration did not settle in {max_rounds} rounds")
 
@@ -114,6 +105,31 @@ def critical_value(K: ActionKernel) -> CriticalValue:
             f"failed to certify a minimum mean cycle: mu={mu}, witness mean={replay}"
         )
     return cv
+
+
+def _improvement(src: np.ndarray, W: np.ndarray, eta: np.ndarray, x: np.ndarray) -> tuple:
+    """Cells whose policy improves, and the offset each would take.
+
+    First lower eta: reach a cycle of smaller mean; else lower x through
+    successors of equal mean. The (S, N) candidates W + x[src], else
+    (W - eta) + x[src], are the largest temporaries of the iteration: they
+    are built in place once E = eta[src] is freed, and all are freed on
+    return.
+    """
+    E = eta[src]
+    e_min = E.min(axis=0)
+    better = e_min < eta
+    first = better.any()
+    off = E != (e_min if first else eta)
+    del E
+    cand = x[src]
+    cand += W if first else W - eta
+    cand[off] = np.inf
+    if not first:
+        # x sums costs along policy paths; ignore gains at rounding level
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(W))))
+        better = cand.min(axis=0) < x - tol
+    return better, np.argmin(cand, axis=0)
 
 
 def _initial_policy(K: ActionKernel, src: np.ndarray) -> np.ndarray:

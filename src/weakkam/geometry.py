@@ -7,6 +7,8 @@ surrogate N(r)*2r. Greedy covering is deterministic under index order,
 which the artifact determinism contract relies on. It reads delta in row
 blocks into one boolean ball matrix per radius, and a ball matrix larger
 than the free memory is refused as a numerical failure, never allocated.
+The balls holding a point are a column of that matrix; on a symmetric
+delta the matrix is its own transpose, so they are read as a row.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,8 @@ class CoveringReport:
     dim_slope: float           # least-squares slope of log N vs log(1/r)
 
 
-def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float) -> list:
+def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float,
+                    symmetric: bool = False) -> list:
     """Greedy ball covering anchored at the first uncovered point.
 
     The center is the candidate whose ball covers that point and the
@@ -35,7 +38,8 @@ def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float) -> list:
     straddle the frontier instead of trailing it; anchoring at the first
     uncovered point keeps the scan deterministic and the count within
     the usual greedy factor of the optimal covering. Balls are rows of
-    the boolean matrix values[pos][:, pos] <= r, read in row blocks.
+    the boolean matrix values[pos][:, pos] <= r, read in row blocks; the
+    candidates are the anchor's column, read as its row when symmetric.
     """
     k = pos.size
     # the ball matrix and, at worst, every row of it gathered as candidates
@@ -53,7 +57,7 @@ def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float) -> list:
         left = np.nonzero(uncovered)[0]
         if left.size == 0:
             return centers
-        cands = np.nonzero(ball[:, left[0]])[0]
+        cands = np.nonzero(ball[left[0]] if symmetric else ball[:, left[0]])[0]
         gain = ball[cands]
         gain &= uncovered
         q = int(cands[int(np.argmax(np.count_nonzero(gain, axis=1)))])
@@ -66,7 +70,7 @@ def covering_number(delta: SemiMetric, indices, r: float) -> int:
     if r <= 0:
         raise ConfigError(f"covering radius must be positive, got {r}")
     pos = np.arange(delta.size) if indices is None else delta.positions_of(indices)
-    return len(_greedy_centers(delta.values, pos, r))
+    return len(_greedy_centers(delta.values, pos, r, delta.symmetric))
 
 
 def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:
@@ -83,7 +87,8 @@ def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:
     counts = np.array([covering_number(delta, indices, float(r)) for r in scales])
     h1 = counts * 2.0 * scales
     if scales.size >= 2 and counts.max() > counts.min():
-        slope = float(np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0])
+        # -log r, not log(1/r): 1/r overflows on subnormal radii
+        slope = float(np.polyfit(-np.log(scales), np.log(counts), 1)[0])
     else:
         slope = 0.0
     return CoveringReport(scales=scales, covering_counts=counts,
@@ -157,7 +162,8 @@ def ferry_delta_p(points, p: float, metric: Optional[Callable] = None) -> SemiMe
     # coincident points.
     for m in range(k):
         np.minimum(D, D[:, m][:, None] + D[m, :][None, :], out=D)
-    return SemiMetric(point_ids=np.arange(k), values=D, symmetric=True)
+    # a metric callable need not be symmetric
+    return SemiMetric(point_ids=np.arange(k), values=D, symmetric=bool(np.array_equal(D, D.T)))
 
 
 def segment_points(n_intervals: int) -> np.ndarray:

@@ -262,10 +262,14 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     pos = np.array(ids)
     # distinct entries: a dropped or repeated row cannot match
     vals = np.arange(25.0).reshape(5, 5)
-    starts, blocks = zip(*aubry.row_blocks(vals, pos))
-    np.testing.assert_array_equal(np.concatenate(blocks), vals[np.ix_(pos, pos)])
-    assert list(starts) == np.cumsum([0] + [b.shape[0] for b in blocks[:-1]]).tolist()
-    assert max(b.size for b in blocks) <= max(block, pos.size)
+    # the transpose is not C-contiguous: its full blocks are copied in
+    # tiles of 2 or 3 columns, uneven on 5
+    for src, tile in [(vals, aubry.TILE), (vals.T, 2), (vals.T, 3)]:
+        monkeypatch.setattr(aubry, "TILE", tile)
+        starts, blocks = zip(*aubry.row_blocks(src, pos))
+        np.testing.assert_array_equal(np.concatenate(blocks), src[np.ix_(pos, pos)])
+        assert list(starts) == np.cumsum([0] + [b.shape[0] for b in blocks[:-1]]).tolist()
+        assert max(b.size for b in blocks) <= max(block, pos.size)
     # every consumer of the blocks agrees with its copying oracle
     vals = np.random.default_rng(7).integers(0, 4, (5, 5)) / 4
     np.fill_diagonal(vals, 0.0)
@@ -284,6 +288,32 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     i, j = np.unravel_index(int(np.argmax(res)), res.shape)
     rep = representation_check(SemiMetric(point_ids=np.arange(5), values=H), delta, A)
     assert (rep.max_residual, rep.worst_pair) == (res[i, j], (ids[i], ids[j]))
+
+
+# 70 points: one full tile of 64 columns and an uneven one; blocks of 1
+# and 7 entries (one row each) and one block for the whole matrix
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_mather_delta_is_the_sum_with_the_transpose(monkeypatch, block):
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    H = np.random.default_rng(5).normal(size=(70, 70))
+    # a C-contiguous h (its transpose tiled) and a transposed one (h tiled)
+    for values in (H, H.T):
+        h = SemiMetric(point_ids=np.arange(70), values=values)
+        d = mather_delta(h)
+        assert d.symmetric
+        assert np.array_equal(d.values, h.values + h.values.T)
+
+
+def test_representation_check_leaves_a_one_cell_barrier_unchanged():
+    # on one cell h.values.T is C-contiguous, so every block is a view; a
+    # negative self-barrier makes every intermediate differ from h and delta
+    h = SemiMetric(point_ids=[0], values=[[-0.25]])
+    delta = mather_delta(h)
+    A = aubry.AubrySet(indices=np.array([0]), self_barrier=np.array([-0.25]),
+                       labels=["stationary"], threshold=1.0)
+    rep = representation_check(h, delta, A)
+    assert (rep.max_residual, rep.worst_pair, rep.pairs_checked) == (0.5, (0, 0), 1)
+    assert h.values.tolist() == [[-0.25]] and delta.values.tolist() == [[-0.5]]
 
 
 def test_representation_zero_on_diagonal_pairs(pendulum_state_64):

@@ -128,6 +128,23 @@ def test_ferry_circle_ratio_halves():
     assert b.values[0, ib] <= 0.6 * a.values[0, ia]
 
 
+def test_symmetric_producers_are_exactly_symmetric(pendulum_state_64):
+    # covering_number reads balls by row when the flag is set
+    rng = np.random.default_rng(11)
+    h = SemiMetric(point_ids=np.arange(70), values=rng.normal(size=(70, 70)))
+    pts = rng.uniform(-1, 1, size=(9, 2))
+    produced = [mather_delta(h), mather_delta(pendulum_state_64["h"]),
+                ferry_delta_p(pts, 1.0), ferry_delta_p(pts, 2.5), interval_semimetric(33)]
+    produced.append(produced[0].restrict(rng.permutation(70)[:20]))
+    for m in produced:
+        assert m.symmetric
+        assert m.symmetry_defect() == 0.0
+    # a one-way surcharge on every step up in index makes the chains one-sided
+    def one_way(p):
+        return np.abs(p[:, None, 0] - p[None, :, 0]) + np.triu(np.ones((len(p), len(p))))
+    assert not ferry_delta_p(pts, 1.0, metric=one_way).symmetric
+
+
 def test_segment_and_circle_points_shapes():
     s = segment_points(8)
     assert s.shape == (9, 1)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weakkam import (
     ActionKernel,
@@ -243,9 +243,14 @@ def semimetric_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(semimetric_cases(), st.floats(min_value=0.01, max_value=1.0))
+# subnormal delta: the scales are subnormal and 1/r overflows
+@example(case=(np.array([[0.0, 2.22507386e-309], [2.22507386e-309, 0.0]]), np.arange(2), 1),
+         radius=1.0)
 def test_block_consumers_match_copying_oracles(case, radius):
     vals, indices, block = case
-    delta = SemiMetric(point_ids=np.arange(vals.shape[0]), values=vals)
+    # symmetric values take the row read of the coverings
+    delta = SemiMetric(point_ids=np.arange(vals.shape[0]), values=vals,
+                       symmetric=bool(np.array_equal(vals, vals.T)))
     sub = vals[np.ix_(indices, indices)]
     radii = [radius] + [float(v) for v in np.unique(sub) if v > 0]
     A = AubrySet(indices=indices, self_barrier=np.zeros(indices.size),
@@ -254,6 +259,8 @@ def test_block_consumers_match_copying_oracles(case, radius):
         m.setattr(aubry, "BLOCK_ENTRIES", block)
         for r in radii:
             assert geometry._greedy_centers(vals, indices, r) == oracle_centers(sub, r)
+            assert (geometry._greedy_centers(vals, indices, r, delta.symmetric)
+                    == oracle_centers(sub, r))
             assert covering_number(delta, indices, r) == len(oracle_centers(sub, r))
             got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
             assert (got.classes, got.representative) == (want.classes, want.representative)
