@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
@@ -179,7 +180,7 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
     slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
     if critical.size == N and slab.size <= reps.size:
         # every cell is critical, so h = SP: rows from the slab, rolled
-        h = _translate_rows(K, cells, axes, slab, dijkstra(G, indices=slab) - x[slab, None] + x)
+        h = _translate_rows(K.grid.shape, axes, dijkstra(G, indices=slab) - x[slab, None] + x)
     else:
         axes = []
         # into[i, y] = SP(y, a) - x(a) and out[i, y] = SP(a, y) + x(a), a = reps[i]
@@ -197,23 +198,33 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
                           critical_edges=edges, invariant_axes=axes)
 
 
-def _translate_rows(K: ActionKernel, cells: np.ndarray, axes: list, slab: np.ndarray,
-                    sp: np.ndarray) -> np.ndarray:
+def _translate_rows(shape: tuple, axes: list, sp: np.ndarray) -> np.ndarray:
     """Every source row of sp, each the row of its slab projection rolled
-    along the invariant axes by the source's coordinates."""
+    along the invariant axes by the source's coordinates.
+
+    sp holds one row per slab cell (zero coordinates on the invariant
+    axes) in flat order. Doubled along the invariant axes, the window
+    starting at n - s of a slab row is that row rolled by s, so every row
+    is a window of a strided view and the N x N result is one copy of it.
+    """
     if not axes:
         return sp
-    N = K.point_count
-    row_of = np.empty(N, dtype=np.int64)
-    row_of[slab] = np.arange(slab.size)
-    proj = cells.copy()
-    proj[:, axes] = 0
-    pflat = np.ravel_multi_index(tuple(proj.T), K.grid.shape)
-    full = np.empty((N, N))
-    for y in range(N):
-        base = sp[row_of[pflat[y]]].reshape(K.grid.shape)
-        full[y] = np.roll(base, shift=tuple(cells[y][axes]), axis=tuple(axes)).ravel()
-    return full
+    d = len(shape)
+    rest = [a for a in range(d) if a not in axes]
+    # source axes off the invariant ones, then the target grid axes
+    base = sp.reshape(tuple(shape[a] for a in rest) + shape)
+    lead = len(rest)
+    for a in axes:
+        base = np.concatenate([base, base], axis=lead + a)
+    win = sliding_window_view(base, [shape[a] for a in axes], axis=[lead + a for a in axes])
+    win = win[(slice(None),) * lead + tuple(slice(shape[a], 0, -1) if a in axes else slice(None)
+                                            for a in range(d))]
+    # win axes: rest sources, window starts (invariant sources) or targets, window targets
+    source = [lead + a if a in axes else rest.index(a) for a in range(d)]
+    target = [lead + d + axes.index(a) if a in axes else lead + a for a in range(d)]
+    full = np.empty(shape * 2)
+    full[...] = win.transpose(source + target)
+    return full.reshape(sp.shape[1], sp.shape[1])
 
 
 def aubry_set(h: SemiMetric, eta: Optional[float], K: ActionKernel, c: float) -> AubrySet:

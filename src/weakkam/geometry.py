@@ -4,11 +4,13 @@ semi-metric delta_p.
 The 1-dimensional Hausdorff measure of a finite semi-metric space is
 estimated through greedy coverings: N(r) balls of radius r give the
 surrogate N(r)*2r. Greedy covering is deterministic under index order,
-which the artifact determinism contract relies on. It reads delta in row
-blocks into one boolean ball matrix per radius, and a ball matrix larger
-than the free memory is refused as a numerical failure, never allocated.
-The balls holding a point are a column of that matrix; on a symmetric
-delta the matrix is its own transpose, so they are read as a row.
+which the artifact determinism contract relies on. One pass over delta,
+in row blocks, writes a small-integer level matrix that counts the
+scales each entry lies within, so the balls of every radius are a
+threshold of it. A level matrix that, with one gather of candidate
+balls, would not fit in the free memory is refused as a numerical
+failure, never allocated. The balls holding a point are a column of the
+matrix; on a symmetric delta they are read as a row.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,10 @@ from .errors import ConfigError, NumericalError
 from .grid import GridTorus, wrap_displacement
 from .aubry import AubrySet, SemiMetric, available_memory, row_blocks
 
+# entries of each level block: 1 MiB of float64 delta, compared with every
+# scale while it is in cache
+LEVEL_ENTRIES = 1 << 17
+
 
 @dataclass
 class CoveringReport:
@@ -29,62 +35,122 @@ class CoveringReport:
     dim_slope: float           # least-squares slope of log N vs log(1/r)
 
 
-def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float,
-                    symmetric: bool = False) -> list:
-    """Greedy ball covering anchored at the first uncovered point.
+def _levels(values: np.ndarray, pos: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """L[i, j] = the number of scales r with values[pos[i], pos[j]] <= r.
 
-    The center is the candidate whose ball covers that point and the
-    most other uncovered points (ties to the lowest index), so balls
-    straddle the frontier instead of trailing it; anchoring at the first
-    uncovered point keeps the scan deterministic and the count within
-    the usual greedy factor of the optimal covering. Balls are rows of
-    the boolean matrix values[pos][:, pos] <= r, read in row blocks; the
-    candidates are the anchor's column, read as its row when symmetric.
+    With the scales in decreasing order the ball matrix of radius
+    scales[t] is L > t, duplicates included. delta is read once, in level
+    blocks of LEVEL_ENTRIES entries, each compared with every scale while
+    it is in cache. The dtype is the smallest that counts every scale.
+    Raises NumericalError when L and a gather of all its rows as covering
+    candidates would not fit in free memory.
     """
     k = pos.size
-    # the ball matrix and, at worst, every row of it gathered as candidates
-    need, free = 2 * k * k, available_memory()
+    dtype = np.min_scalar_type(scales.size)
+    need, free = 2 * dtype.itemsize * k * k, available_memory()
     if need > free:
         raise NumericalError(
             f"the {k}x{k} covering balls need {need / 2**20:.1f} MiB, "
             f"but only {free / 2**20:.1f} MiB of memory is free")
-    ball = np.empty((k, k), dtype=bool)
+    L = np.zeros((k, k), dtype=dtype)
+    rows = max(1, LEVEL_ENTRIES // max(1, k))
+    hit = np.empty((rows, k), dtype=bool)
     for i0, block in row_blocks(values, pos):
-        np.less_equal(block, r, out=ball[i0:i0 + block.shape[0]])
-    uncovered = np.ones(k, dtype=bool)
+        for b0 in range(0, block.shape[0], rows):
+            sub = block[b0:b0 + rows]
+            level, h = L[i0 + b0:i0 + b0 + sub.shape[0]], hit[:sub.shape[0]]
+            for r in scales:
+                np.less_equal(sub, r, out=h)
+                level += h
+    return L
+
+
+def _cover(L: np.ndarray, t: int, r: float, pos: np.ndarray, symmetric: bool) -> list:
+    """Greedy covering by the balls L > t (rows of L), of radius r.
+
+    The anchor p is the first uncovered point, so every point before it
+    is covered and only columns from p on can gain. w[j] is t while j is
+    uncovered and the dtype's top after, which no level exceeds, so
+    L[c, p:] > w[p:] marks the uncovered points of c's ball.
+    """
+    k = L.shape[0]
+    covered = np.iinfo(L.dtype).max
+    w = np.full(k, t, dtype=L.dtype)
+    count = np.min_scalar_type(k)
     centers = []
+    p = 0
     while True:
-        left = np.nonzero(uncovered)[0]
-        if left.size == 0:
+        while p < k and w[p] == covered:
+            p += 1
+        if p == k:
             return centers
-        cands = np.nonzero(ball[left[0]] if symmetric else ball[:, left[0]])[0]
-        gain = ball[cands]
-        gain &= uncovered
-        q = int(cands[int(np.argmax(np.count_nonzero(gain, axis=1)))])
+        cands = ((L[p] if symmetric else L[:, p]) > t).nonzero()[0]
+        if cands.size == 0:
+            raise NumericalError(f"point {pos[p]} lies in no ball of radius {r}")
+        if cands.size == 1:
+            q = int(cands[0])
+        else:
+            gain = L[cands, p:]
+            np.greater(gain, w[p:], out=gain)
+            q = int(cands[int(np.argmax(np.add.reduce(gain, axis=1, dtype=count)))])
         centers.append(q)
-        uncovered &= ~ball[q]
+        if symmetric and q == p:
+            # the anchor's ball is its candidate row
+            w[cands] = covered
+        else:
+            w[p:][L[q, p:] > t] = covered
+
+
+def _greedy_coverings(values: np.ndarray, pos: np.ndarray, scales: np.ndarray,
+                      symmetric: bool = False) -> list:
+    """Greedy ball coverings of values[pos][:, pos] at each of the scales,
+    given in decreasing order; one list of centers per scale.
+
+    Each covering is anchored at the first uncovered point. The center
+    is the candidate whose ball covers that point and the most other
+    uncovered points (ties to the lowest index), so balls straddle the
+    frontier instead of trailing it; anchoring at the first uncovered
+    point keeps the scan deterministic and the count within the usual
+    greedy factor of the optimal covering. Balls are rows of the level
+    matrix (_levels); the candidates are the anchor's column, read as
+    its row when symmetric. Raises NumericalError when the level matrix
+    would not fit in free memory or a point lies in no ball.
+    """
+    L = _levels(values, pos, scales)
+    return [_cover(L, t, float(r), pos, symmetric) for t, r in enumerate(scales)]
+
+
+def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float,
+                    symmetric: bool = False) -> list:
+    """The greedy covering at the single radius r (_greedy_coverings)."""
+    return _greedy_coverings(values, pos, np.array([r], dtype=float), symmetric)[0]
+
+
+def _positions(delta: SemiMetric, indices) -> np.ndarray:
+    return np.arange(delta.size) if indices is None else delta.positions_of(indices)
 
 
 def covering_number(delta: SemiMetric, indices, r: float) -> int:
     """Size of the greedy covering of the given ids by delta-balls of radius r."""
-    if r <= 0:
+    if not r > 0:
         raise ConfigError(f"covering radius must be positive, got {r}")
-    pos = np.arange(delta.size) if indices is None else delta.positions_of(indices)
-    return len(_greedy_centers(delta.values, pos, r, delta.symmetric))
+    return len(_greedy_centers(delta.values, _positions(delta, indices), r, delta.symmetric))
 
 
 def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:
     """Covering counts and 1-d measure surrogates across scales.
 
-    No scale masking is applied: callers choose scale grids that avoid
-    saturation (r below the resolution of the point set) when the slope
-    matters.
+    Every scale's covering runs on one level matrix of delta. No scale
+    masking is applied: callers choose scale grids that avoid saturation
+    (r below the resolution of the point set) when the slope matters.
     """
     scales = np.asarray(scale_grid, dtype=float)
-    if scales.size == 0 or np.any(scales <= 0):
+    if scales.size == 0 or not np.all(scales > 0):
         raise ConfigError("scale_grid must be nonempty positive radii")
     scales = np.sort(scales)[::-1].copy()
-    counts = np.array([covering_number(delta, indices, float(r)) for r in scales])
+    coverings = _greedy_coverings(delta.values, _positions(delta, indices), scales,
+                                  delta.symmetric)
+    counts = np.array([len(c) for c in coverings])
     h1 = counts * 2.0 * scales
     if scales.size >= 2 and counts.max() > counts.min():
         # -log r, not log(1/r): 1/r overflows on subnormal radii

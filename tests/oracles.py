@@ -10,6 +10,9 @@ on every source at once, O(S N^3); `closure_barrier` routes it through
 the cells whose best cycle (`cycle_values`) is flat. The library builds
 the same barrier from reduced costs and sparse Dijkstra runs instead.
 `minplus_power_min` is the elementwise min of the kernel's min-plus powers.
+`translate_rows` expands the slab rows of a translation-invariant kernel
+to every source row with one np.roll per row; the library copies them
+from a strided window view of the doubled slab rows in one step.
 
 `value_iteration_weak_kam` is the damped value iteration for the weak KAM
 solution u = T- u + c*tau; the library computes the same Lax-Oleinik
@@ -18,8 +21,8 @@ limit in closed form from two Dijkstra runs on the critical graph.
 `_greedy_centers`, `union_find_quotient` and `_auto_scales` are the
 greedy covering, the quotient and the covering scale grid on float copies
 of the whole |A| x |A| block of delta; the library reads that block in
-row blocks, into a boolean ball matrix for the covering and into sparse
-threshold pairs for the quotient.
+row blocks, into a level matrix that serves every covering scale and
+into sparse threshold pairs for the quotient.
 """
 
 from typing import Optional
@@ -277,6 +280,26 @@ def value_iteration_weak_kam(K: ActionKernel, c: float, u0: Optional[np.ndarray]
         )
     u = m - np.min(m)
     return WeakKamSolution(u=ValueFunction(K.grid, u), c=c, residual=res, iterations=it)
+
+
+def translate_rows(K: ActionKernel, cells: np.ndarray, axes: list, slab: np.ndarray,
+                   sp: np.ndarray) -> np.ndarray:
+    """Every source row of sp, each the row of its slab projection rolled
+    along the invariant axes by the source's coordinates, one np.roll per
+    source row."""
+    if not axes:
+        return sp
+    N = K.point_count
+    row_of = np.empty(N, dtype=np.int64)
+    row_of[slab] = np.arange(slab.size)
+    proj = cells.copy()
+    proj[:, axes] = 0
+    pflat = np.ravel_multi_index(tuple(proj.T), K.grid.shape)
+    full = np.empty((N, N))
+    for y in range(N):
+        base = sp[row_of[pflat[y]]].reshape(K.grid.shape)
+        full[y] = np.roll(base, shift=tuple(cells[y][axes]), axis=tuple(axes)).ravel()
+    return full
 
 
 def _greedy_centers(values: np.ndarray, r: float) -> list:

@@ -29,7 +29,8 @@ from weakkam import aubry, geometry, pipeline
 from weakkam.aubry import SemiMetric
 
 from oracles import (_auto_scales, _greedy_centers, closure_barrier, kernel_closure,
-                     union_find_quotient, value_iteration_weak_kam)
+                     translate_rows, union_find_quotient, value_iteration_weak_kam)
+from weakkam.kernel import invariant_axes
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,20 @@ def test_weak_kam_matches_value_iteration_oracle(case):
     # the Lax-Oleinik limit of u0 through the barrier
     lim = np.min(u0[:, None] + closure_barrier(K, cv.c).values, axis=0)
     np.testing.assert_allclose(u, lim - lim.min(), rtol=0.0, atol=1e-12)
+
+
+# invariant along both axes, along axis 1 only, and along the one axis of 1-d
+@pytest.mark.parametrize("case", ["kinetic-6x6", "pendulum-x0-6x6", "constant-drift-64"])
+def test_translate_rows_matches_the_rolling_loop(case):
+    K = ORACLE_CASES[case][0]()
+    axes = invariant_axes(K)
+    assert axes
+    cells = np.stack(np.unravel_index(np.arange(K.point_count), K.grid.shape), axis=-1)
+    slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
+    # distinct entries: a misplaced one cannot match
+    sp = np.random.default_rng(3).standard_normal((slab.size, K.point_count))
+    np.testing.assert_array_equal(aubry._translate_rows(K.grid.shape, axes, sp),
+                                  translate_rows(K, cells, axes, slab, sp))
 
 
 def test_barrier_needs_the_bias(pendulum_state_64):

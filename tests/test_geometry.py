@@ -5,6 +5,7 @@ import pytest
 
 from weakkam import (
     ConfigError,
+    NumericalError,
     aubry_set,
     build_grid,
     circle_points,
@@ -48,6 +49,24 @@ def test_covering_rejects_nonpositive_radius():
     m = metric_from(np.zeros((3, 3)))
     with pytest.raises(ConfigError):
         covering_number(m, m.point_ids, 0.0)
+
+
+def test_covering_rejects_nan_radius():
+    # nan <= 0 is false, so a sign test alone lets it through to the covering
+    m = metric_from(np.zeros((3, 3)))
+    with pytest.raises(ConfigError):
+        covering_number(m, m.point_ids, float("nan"))
+    with pytest.raises(ConfigError):
+        hausdorff1_report(m, m.point_ids, [0.1, float("nan")])
+
+
+def test_covering_point_in_no_ball_is_numerical_failure():
+    # delta(0, 0) = 0.5 and delta(1, 0) = 1: no ball of radius 0.1 holds point 0
+    m = SemiMetric(point_ids=np.arange(2), values=[[0.5, 1.0], [1.0, 0.0]])
+    with pytest.raises(NumericalError, match="point 0 lies in no ball"):
+        covering_number(m, None, 0.1)
+    with pytest.raises(NumericalError, match="point 0 lies in no ball"):
+        hausdorff1_report(m, None, [1.0, 0.1])
 
 
 def test_h1_two_point_set_scales_linearly():

@@ -268,3 +268,43 @@ def test_block_consumers_match_copying_oracles(case, radius):
         np.testing.assert_array_equal(scales, oracle_scales(delta, indices))
         counts = hausdorff1_report(delta, indices, scales).covering_counts
         assert counts.tolist() == [len(oracle_centers(sub, r)) for r in np.sort(scales)[::-1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(semimetric_cases(), st.lists(st.floats(min_value=0.01, max_value=1.0), max_size=3),
+       st.integers(min_value=1, max_value=3), st.sampled_from([1, 3, 1 << 17]))
+def test_multiscale_coverings_match_per_scale_oracle(case, extra, copies, level_block):
+    vals, indices, block = case
+    delta = SemiMetric(point_ids=np.arange(vals.shape[0]), values=vals,
+                       symmetric=bool(np.array_equal(vals, vals.T)))
+    sub = vals[np.ix_(indices, indices)]
+    # every distinct delta value is a scale, so ties sit exactly at r, and
+    # each is repeated `copies` times
+    scales = [float(v) for v in np.unique(sub) if v > 0] * copies + extra
+    if not scales:
+        return
+    desc = np.sort(scales)[::-1]
+    want = [oracle_centers(sub, r) for r in desc]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(aubry, "BLOCK_ENTRIES", block)
+        m.setattr(geometry, "LEVEL_ENTRIES", level_block)
+        counts = hausdorff1_report(delta, indices, scales).covering_counts
+        assert counts.tolist() == [len(c) for c in want]
+        # the column read, and the row read when delta is symmetric
+        assert geometry._greedy_coverings(vals, indices, desc) == want
+        assert geometry._greedy_coverings(vals, indices, desc, delta.symmetric) == want
+
+
+def test_coverings_count_levels_past_255_scales():
+    # 300 scales on a 5-point set: the zero diagonal lies within all 300,
+    # which a byte-wide level count would wrap
+    rng = np.random.default_rng(17)
+    vals = rng.integers(1, 301, (5, 5)) / 300
+    np.fill_diagonal(vals, 0.0)
+    scales = np.arange(1, 301) / 300
+    delta = SemiMetric(point_ids=np.arange(5), values=vals)
+    desc = scales[::-1]
+    assert geometry._levels(vals, np.arange(5), desc).max() == 300
+    counts = hausdorff1_report(delta, None, scales).covering_counts
+    assert counts.tolist() == [len(oracle_centers(vals, r)) for r in desc]
+    assert counts[-1] == 5
