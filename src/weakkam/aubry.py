@@ -129,14 +129,14 @@ class PeierlsBarrier(SemiMetric):
     invariant_axes: list = field(default_factory=list)  # slab path only
 
 
-def row_blocks(values: np.ndarray, pos: np.ndarray):
+def row_blocks(values: np.ndarray, pos: np.ndarray, entries: Optional[int] = None):
     """Yield (i0, values[pos[i0:i1]][:, pos]) in row blocks of at most
-    BLOCK_ENTRIES entries (at least one row). When pos lists every row in
-    order a block is a view, or, when values is not C-contiguous (a
-    transpose such as h.values.T), a copy made TILE columns at a time, so
-    the strided source is read in cache-sized tiles. Otherwise only that
-    block is gathered."""
-    rows = max(1, BLOCK_ENTRIES // max(1, pos.size))
+    entries entries, BLOCK_ENTRIES by default (at least one row). When pos
+    lists every row in order a block is a view, or, when values is not
+    C-contiguous (a transpose such as h.values.T), a copy made TILE
+    columns at a time, so the strided source is read in cache-sized
+    tiles. Otherwise only that block is gathered."""
+    rows = max(1, (entries or BLOCK_ENTRIES) // max(1, pos.size))
     whole = pos.size == values.shape[0] and np.array_equal(pos, np.arange(pos.size))
     for i0 in range(0, pos.size, rows):
         if not whole:

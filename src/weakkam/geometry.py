@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericalError
 from .grid import GridTorus, wrap_displacement
 from .aubry import AubrySet, SemiMetric, available_memory, row_blocks
 
-# entries of each level block: 1 MiB of float64 delta, compared with every
+# entries of each row block of delta: 1 MiB of float64, compared with every
 # scale while it is in cache
 LEVEL_ENTRIES = 1 << 17
 
@@ -39,7 +39,7 @@ def _levels(values: np.ndarray, pos: np.ndarray, scales: np.ndarray) -> np.ndarr
     """L[i, j] = the number of scales r with values[pos[i], pos[j]] <= r.
 
     With the scales in decreasing order the ball matrix of radius
-    scales[t] is L > t, duplicates included. delta is read once, in level
+    scales[t] is L > t, duplicates included. delta is read once, in row
     blocks of LEVEL_ENTRIES entries, each compared with every scale while
     it is in cache. The dtype is the smallest that counts every scale.
     Raises NumericalError when L and a gather of all its rows as covering
@@ -53,15 +53,10 @@ def _levels(values: np.ndarray, pos: np.ndarray, scales: np.ndarray) -> np.ndarr
             f"the {k}x{k} covering balls need {need / 2**20:.1f} MiB, "
             f"but only {free / 2**20:.1f} MiB of memory is free")
     L = np.zeros((k, k), dtype=dtype)
-    rows = max(1, LEVEL_ENTRIES // max(1, k))
-    hit = np.empty((rows, k), dtype=bool)
-    for i0, block in row_blocks(values, pos):
-        for b0 in range(0, block.shape[0], rows):
-            sub = block[b0:b0 + rows]
-            level, h = L[i0 + b0:i0 + b0 + sub.shape[0]], hit[:sub.shape[0]]
-            for r in scales:
-                np.less_equal(sub, r, out=h)
-                level += h
+    for i0, block in row_blocks(values, pos, LEVEL_ENTRIES):
+        level = L[i0:i0 + block.shape[0]]
+        for r in scales:
+            level += block <= r
     return L
 
 
@@ -94,11 +89,7 @@ def _cover(L: np.ndarray, t: int, r: float, pos: np.ndarray, symmetric: bool) ->
             np.greater(gain, w[p:], out=gain)
             q = int(cands[int(np.argmax(np.add.reduce(gain, axis=1, dtype=count)))])
         centers.append(q)
-        if symmetric and q == p:
-            # the anchor's ball is its candidate row
-            w[cands] = covered
-        else:
-            w[p:][L[q, p:] > t] = covered
+        w[p:][L[q, p:] > t] = covered
 
 
 def _greedy_coverings(values: np.ndarray, pos: np.ndarray, scales: np.ndarray,

@@ -257,6 +257,7 @@ def test_block_consumers_match_copying_oracles(case, radius):
                  labels=["other"] * indices.size, threshold=0.0)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(aubry, "BLOCK_ENTRIES", block)
+        m.setattr(geometry, "LEVEL_ENTRIES", block)
         for r in radii:
             assert geometry._greedy_centers(vals, indices, r) == oracle_centers(sub, r)
             assert (geometry._greedy_centers(vals, indices, r, delta.symmetric)
@@ -272,8 +273,8 @@ def test_block_consumers_match_copying_oracles(case, radius):
 
 @settings(max_examples=80, deadline=None)
 @given(semimetric_cases(), st.lists(st.floats(min_value=0.01, max_value=1.0), max_size=3),
-       st.integers(min_value=1, max_value=3), st.sampled_from([1, 3, 1 << 17]))
-def test_multiscale_coverings_match_per_scale_oracle(case, extra, copies, level_block):
+       st.integers(min_value=1, max_value=3))
+def test_multiscale_coverings_match_per_scale_oracle(case, extra, copies):
     vals, indices, block = case
     delta = SemiMetric(point_ids=np.arange(vals.shape[0]), values=vals,
                        symmetric=bool(np.array_equal(vals, vals.T)))
@@ -286,8 +287,7 @@ def test_multiscale_coverings_match_per_scale_oracle(case, extra, copies, level_
     desc = np.sort(scales)[::-1]
     want = [oracle_centers(sub, r) for r in desc]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(aubry, "BLOCK_ENTRIES", block)
-        m.setattr(geometry, "LEVEL_ENTRIES", level_block)
+        m.setattr(geometry, "LEVEL_ENTRIES", block)
         counts = hausdorff1_report(delta, indices, scales).covering_counts
         assert counts.tolist() == [len(c) for c in want]
         # the column read, and the row read when delta is symmetric
