@@ -3,15 +3,14 @@
 from .errors import WeakKamError, ConfigError, NumericalError, ArtifactError
 from .grid import GridTorus, ValueFunction, build_grid, wrap_displacement, wrap_cells
 from .models import (
-    VectorField, Lagrangian, Potential, HamiltonianProbe,
-    legendre_hamiltonian, tilde_h, check_tonelli,
+    VectorField, Lagrangian, Potential, legendre_hamiltonian,
     zero_field, constant_field, sin_gradient_field, neg_grad_field, table_field,
     make_vector_field, cosine_potential, make_potential,
     mane_lagrangian, mechanical_lagrangian, kinetic_lagrangian, make_lagrangian,
 )
 from .kernel import (
     ActionKernel, build_kernel, stencil_offsets,
-    minplus_apply, dump_kernel, load_kernel,
+    minplus_apply,
 )
 from .critical import (
     CriticalValue, WeakKamSolution, DominationReport,
@@ -40,7 +39,7 @@ from .regularize import (
 )
 from .config import ExperimentConfig
 from .pipeline import (
-    run_pipeline, run_chains, run_comparison, run_ferry, run_all,
+    run_pipeline, run_all,
     write_csv, write_json, load_points_csv,
 )
 

@@ -10,9 +10,10 @@ import sys
 
 from .config import ExperimentConfig
 from .errors import ArtifactError, ConfigError, NumericalError
-from .pipeline import run_all, run_chains, run_comparison, run_ferry, run_pipeline
+from .pipeline import run_pipeline
 
-_STAGE_COMMANDS = {
+# subcommand -> the stages it requests from the pipeline's stage graph
+_COMMANDS = {
     "critical": ["critical"],
     "weakkam": ["weakkam"],
     "barrier": ["barrier"],
@@ -20,6 +21,10 @@ _STAGE_COMMANDS = {
     "quotient": ["quotient"],
     "dimension": ["dimension"],
     "regularize": ["regularize"],
+    "mane-compare": ["comparison"],
+    "chains": ["chains"],
+    "ferry": ["ferry"],
+    "all": ["all"],
 }
 
 
@@ -28,9 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weakkam",
         description="Weak KAM / Aubry-Mather experiments on discretized tori.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = list(_STAGE_COMMANDS) + ["mane-compare", "chains", "regularize",
-                                        "ferry", "all"]
-    for name in dict.fromkeys(commands):
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} stage(s)")
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="override the output directory")
@@ -44,16 +47,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        if args.command in _STAGE_COMMANDS:
-            manifest = run_pipeline(cfg, _STAGE_COMMANDS[args.command], out_dir=args.out)
-        elif args.command == "mane-compare":
-            manifest = run_comparison(cfg, out_dir=args.out)
-        elif args.command == "chains":
-            manifest = run_chains(cfg, out_dir=args.out)
-        elif args.command == "ferry":
-            manifest = run_ferry(cfg, points_path=args.points, p=args.p, out_dir=args.out)
-        else:
-            manifest = run_all(cfg, out_dir=args.out)
+        # ferry --points/--p stand in for the config's ferry.points/ferry.p
+        flags = {k: v for k, v in vars(args).items() if k in ("points", "p") and v is not None}
+        if flags:
+            cfg.raw["ferry"].update(flags)
+            cfg.validate()
+        manifest = run_pipeline(cfg, _COMMANDS[args.command], out_dir=args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ import copy
 import json
 from dataclasses import dataclass
 
+from .chains import default_chain_parameters
 from .errors import ArtifactError, ConfigError
 from .grid import GridTorus, build_grid
 from .kernel import ActionKernel, build_kernel
@@ -161,12 +162,10 @@ class ExperimentConfig:
 
     def dynamics_params(self, grid: GridTorus, X: VectorField) -> dict:
         d = self.raw["dynamics"]
-        eps = 0.75 * grid.spacing if d["eps"] == "auto" else float(d["eps"])
-        if d["dt"] == "auto":
-            dt = 16.0 * grid.spacing / max(1.0, X.max_norm_on(grid))
-        else:
-            dt = float(d["dt"])
-        return {"dt": dt, "eps": eps, "substeps": int(d["substeps"])}
+        params = default_chain_parameters(grid, X)
+        params.update({k: float(d[k]) for k in ("dt", "eps") if d[k] != "auto"},
+                      substeps=int(d["substeps"]))
+        return params
 
     def seed(self) -> int:
         return int(self.raw["seed"])

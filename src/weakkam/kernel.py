@@ -9,19 +9,16 @@ unreachable sentinel; min-plus arithmetic saturates through it).
 Because reachability depends only on the cell offset, the kernel is
 stored by stencil offset: weights[s, z] is the cost of entering cell z
 along offset s. Dense matrices are materialized on demand for small
-grids and for artifact dumps.
+grids.
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ArtifactError, ConfigError, NumericalError
-from .grid import GridTorus, wrap_cells
+from .errors import ConfigError, NumericalError
+from .grid import GridTorus
 from .models import Lagrangian
 
 DENSE_LIMIT = 4096  # dense matrices allowed up to this many grid points
@@ -237,65 +234,3 @@ def stencil_graph(K: ActionKernel, weights: np.ndarray) -> sparse.csc_matrix:
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     return sparse.csc_matrix((w.T[keep], backward_sources(K, first).T[keep], indptr),
                              shape=(N, N))
-
-# -- artifacts ---------------------------------------------------------------
-
-FLOAT_FMT = "%.11e"  # 12 significant digits
-
-
-def dump_kernel(K: ActionKernel, csv_path, json_path=None) -> None:
-    """Write finite entries as CSV rows i,j,cost plus a JSON sidecar."""
-    csv_path = Path(csv_path)
-    json_path = Path(json_path) if json_path else csv_path.with_suffix(".json")
-    fwd = K.forward_targets()
-    try:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "cost"])
-            rows = []
-            for s in range(K.stencil_size):
-                tgt = fwd[s]
-                src = np.arange(K.point_count)
-                vals = K.weights[s, tgt]
-                rows.extend(zip(src.tolist(), tgt.tolist(), vals.tolist()))
-            rows.sort()
-            for i, j, v in rows:
-                writer.writerow([i, j, FLOAT_FMT % v])
-        with open(json_path, "w") as fh:
-            json.dump({"dim": K.grid.dim, "n_per_axis": K.grid.n_per_axis,
-                       "tau": K.tau, "stencil_radius": K.stencil_radius}, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise ArtifactError(f"cannot write kernel artifact: {exc}") from exc
-
-
-def load_kernel(csv_path, json_path=None) -> ActionKernel:
-    """Rebuild a kernel from its CSV dump and JSON sidecar."""
-    csv_path = Path(csv_path)
-    json_path = Path(json_path) if json_path else csv_path.with_suffix(".json")
-    try:
-        with open(json_path) as fh:
-            meta = json.load(fh)
-        grid = GridTorus(dim=int(meta["dim"]), n_per_axis=int(meta["n_per_axis"]))
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, KeyError, ValueError) as exc:
-        raise ArtifactError(f"cannot load kernel artifact: {exc}") from exc
-    offsets = stencil_offsets(grid, float(meta["stencil_radius"]))
-    K = ActionKernel(grid=grid, tau=float(meta["tau"]),
-                     stencil_radius=float(meta["stencil_radius"]),
-                     offsets=offsets,
-                     weights=np.full((offsets.shape[0], grid.point_count), np.inf))
-    src = data[:, 0].astype(np.int64)
-    tgt = data[:, 1].astype(np.int64)
-    cells_src = np.stack(np.unravel_index(src, grid.shape), axis=-1)
-    cells_tgt = np.stack(np.unravel_index(tgt, grid.shape), axis=-1)
-    offs = wrap_cells(cells_tgt - cells_src, grid.n_per_axis)
-    lookup = {tuple(o): s for s, o in enumerate(offsets.tolist())}
-    for k in range(data.shape[0]):
-        s = lookup.get(tuple(offs[k].tolist()))
-        if s is None:
-            raise ArtifactError(f"entry {src[k]}->{tgt[k]} lies outside the declared stencil")
-        K.weights[s, tgt[k]] = data[k, 2]
-    if not np.all(np.isfinite(K.weights)):
-        raise ArtifactError("kernel dump is missing stencil entries")
-    return K

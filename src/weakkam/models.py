@@ -7,9 +7,8 @@ Two builtin families cover the experiments:
     H_X(x,p) = |p|^2/2 + p . X(x); constants solve the critical equation
     and the critical value is 0.
 
-"kinetic" is mechanical with V = 0. The Legendre transform is also
-available as a brute-force v-grid search (HamiltonianProbe) so analytic
-conjugates can be cross-checked.
+"kinetic" is mechanical with V = 0. Every builtin carries its
+closed-form conjugate, which the Legendre transform evaluates.
 """
 
 from dataclasses import dataclass, field
@@ -66,102 +65,18 @@ class Lagrangian:
         return out.reshape(x.shape[:-1])
 
 
-@dataclass(frozen=True)
-class HamiltonianProbe:
-    """Brute-force Legendre transform settings: v-grid radius and resolution."""
+def legendre_hamiltonian(L: Lagrangian, x, p) -> Array:
+    """H(x,p) = max_v [ p.v - L(x,v) ] from the model's closed-form conjugate.
 
-    radius: float = 4.0
-    samples_per_axis: int = 129
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigError("probe radius must be positive")
-        if self.samples_per_axis < 3:
-            raise ConfigError("probe needs at least 3 samples per axis")
-
-    def velocity_grid(self, dim: int) -> Array:
-        axis = np.linspace(-self.radius, self.radius, self.samples_per_axis)
-        if dim == 1:
-            return axis[:, None]
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def legendre_hamiltonian(L: Lagrangian, x, p, probe: HamiltonianProbe = None) -> Array:
-    """H(x,p) = max_v [ p.v - L(x,v) ] over the probe's velocity grid.
-
-    Uses the analytic conjugate when the model carries one; otherwise a
-    dense v search. x and p may be single points or (k, dim) batches.
+    x and p may be single points or (k, dim) batches.
     """
+    if L.analytic_hamiltonian is None:
+        raise ConfigError(f"Lagrangian {L.name!r} has no closed-form Hamiltonian")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p = np.atleast_2d(np.asarray(p, dtype=float))
     x, p = np.broadcast_arrays(x, p)
-    if L.analytic_hamiltonian is not None:
-        out = np.asarray(L.analytic_hamiltonian(x, p), dtype=float)
-        return out if out.size > 1 else float(out.reshape(-1)[0])
-    probe = probe or HamiltonianProbe()
-    vgrid = probe.velocity_grid(L.dim)  # (m, dim)
-    # values[k, i] = p_k . v_i - L(x_k, v_i)
-    k, m = x.shape[0], vgrid.shape[0]
-    xs = np.repeat(x, m, axis=0)
-    vs = np.tile(vgrid, (k, 1))
-    lvals = L(xs, vs).reshape(k, m)
-    pv = p @ vgrid.T
-    out = np.max(pv - lvals, axis=1)
-    return out if out.size > 1 else float(out[0])
-
-
-def tilde_h(L: Lagrangian, x) -> Array:
-    """Fiberwise minimum of H over p, which equals -L(x, 0).
-
-    For Tonelli Lagrangians inf_p H(x,p) is attained at the momentum of
-    the zero velocity and evaluates to -L(x,0); the stationary part of
-    the Aubry set is where this minimum reaches the critical value.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = -L(x, np.zeros_like(x))
+    out = np.asarray(L.analytic_hamiltonian(x, p), dtype=float)
     return out if out.size > 1 else float(out.reshape(-1)[0])
-
-
-def check_tonelli(L: Lagrangian, grid: GridTorus, probe: HamiltonianProbe = None) -> dict:
-    """Sampled sanity report for the Tonelli conditions.
-
-    Checks second differences in v (convexity), growth of L/|v| at the
-    probe boundary (superlinearity proxy), and finiteness on a coarse
-    (x, v) stencil. Report only; nothing is enforced.
-    """
-    probe = probe or HamiltonianProbe()
-    stride = max(1, grid.n_per_axis // 16)
-    chosen = np.arange(0, grid.point_count, stride**grid.dim)
-    xs = grid.coords(chosen)
-
-    report = {"convex": True, "superlinear": True, "finite": True,
-              "worst_second_difference": np.inf, "samples": int(xs.shape[0])}
-    h = 0.25
-    speeds = np.linspace(-probe.radius, probe.radius, 33)
-    for axis in range(grid.dim):
-        e = np.zeros(grid.dim)
-        e[axis] = 1.0
-        for s in speeds:
-            v0 = s * e
-            lm = L(xs, v0 - h * e)
-            l0 = L(xs, v0)
-            lp = L(xs, v0 + h * e)
-            if not (np.all(np.isfinite(lm)) and np.all(np.isfinite(l0)) and np.all(np.isfinite(lp))):
-                report["finite"] = False
-                continue
-            second = np.min(lm + lp - 2.0 * l0)
-            report["worst_second_difference"] = min(report["worst_second_difference"], float(second))
-            # zero counts as a violation: affine rays break strict convexity
-            if second <= 0.0:
-                report["convex"] = False
-        # superlinearity proxy: L(x, r e)/r should exceed L(x, (r/2) e)/(r/2)
-        r = probe.radius
-        big = L(xs, r * e) / r
-        mid = L(xs, (r / 2) * e) / (r / 2)
-        if not np.all(big >= mid - 1e-9):
-            report["superlinear"] = False
-    return report
 
 
 # ---------------------------------------------------------------------------

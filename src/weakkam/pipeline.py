@@ -20,7 +20,6 @@ from .config import ExperimentConfig
 from .critical import critical_value, weak_kam_solution
 from .errors import ArtifactError, ConfigError, WeakKamError
 from .geometry import ferry_delta_p, hausdorff1_report
-from .kernel import FLOAT_FMT
 from .regularize import (alternating_smooth, aubry_drift, default_schedule,
                          semiconcavity_constant, semiconvexity_constant,
                          subsolution_residual_field)
@@ -33,11 +32,15 @@ STAGE_DEPS = {
     "quotient": ["critical", "barrier", "aubry"],
     "dimension": ["critical", "barrier", "aubry", "quotient"],
     "regularize": ["critical", "barrier", "aubry", "weakkam"],
+    "chains": [],
+    "comparison": ["critical", "barrier", "aubry", "chains"],
+    "ferry": [],
 }
 STAGE_ORDER = ["critical", "weakkam", "barrier", "aubry", "quotient",
-               "dimension", "regularize"]
+               "dimension", "regularize", "chains", "comparison", "ferry"]
 
 BARRIER_DUMP_LIMIT = 2048  # full matrix CSV only below this point count
+FLOAT_FMT = "%.11e"  # 12 significant digits
 
 
 # -- deterministic writers ----------------------------------------------------
@@ -113,17 +116,11 @@ def _coord_header(dim: int) -> list:
 
 # -- stage bodies -------------------------------------------------------------
 
-def _ensure(state, cfg: ExperimentConfig):
-    if "grid" not in state:
-        state["grid"] = cfg.grid()
-        state["L"] = cfg.lagrangian(state["grid"])
-        state["K"] = cfg.kernel(state["grid"], state["L"])
-    return state
-
-
 def _stage_critical(cfg, state, out, formats):
-    _ensure(state, cfg)
-    cv = critical_value(state["K"])
+    grid = state["grid"] = cfg.grid()
+    L = state["L"] = cfg.lagrangian(grid)
+    K = state["K"] = cfg.kernel(grid, L)
+    cv = critical_value(K)
     state["cv"] = cv
     state.setdefault("stage_stats", {})["critical"] = {"policy_iterations": cv.iterations}
     files = []
@@ -231,7 +228,8 @@ def _auto_scales(delta, indices) -> np.ndarray:
         hi = max(hi, float(np.max(block, where=block > 0, initial=0.0)))
     if hi == 0.0:
         return np.geomspace(1e-4, 1e-1, 6)
-    lo = max(lo / 2.0, hi * 1e-4)
+    # halving the smallest subnormal underflows to 0; start at it instead
+    lo = max(lo / 2.0, hi * 1e-4) or lo
     return np.geomspace(lo, hi, 8)
 
 
@@ -239,7 +237,6 @@ def _stage_dimension(cfg, state, out, formats):
     delta, A = state["delta"], state["A"]
     scales = _auto_scales(delta, A.indices)
     report = hausdorff1_report(delta, A.indices, scales)
-    state["dimension"] = report
     state.setdefault("stage_stats", {})["dimension"] = {
         "covering_counts": report.covering_counts.tolist()}
     files = []
@@ -275,88 +272,16 @@ def _stage_regularize(cfg, state, out, formats):
             "semiconcavity_after": semiconcavity_constant(v),
             "max_aubry_drift": aubry_drift(u, v, state["A"].indices),
         }))
-    state["smoothed"] = v
     return files
 
 
-_STAGE_FN = {
-    "critical": _stage_critical,
-    "weakkam": _stage_weakkam,
-    "barrier": _stage_barrier,
-    "aubry": _stage_aubry,
-    "quotient": _stage_quotient,
-    "dimension": _stage_dimension,
-    "regularize": _stage_regularize,
-}
-
-
-def _expand_stages(stages) -> list:
-    want = set()
-    for s in stages:
-        if s not in STAGE_DEPS:
-            raise ConfigError(f"unknown stage {s!r}; known: {sorted(STAGE_DEPS)}")
-        want.add(s)
-        want.update(STAGE_DEPS[s])
-    return [s for s in STAGE_ORDER if s in want]
-
-
-def _prepare_out(cfg: ExperimentConfig, out_dir) -> tuple:
-    outputs = cfg.outputs()
-    out = out_dir or outputs["directory"]
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as e:
-        raise ArtifactError(f"cannot create output directory {out}: {e}") from e
-    return out, list(outputs["formats"])
-
-
-def _finish_manifest(out, manifest, files) -> dict:
-    manifest["checksums"] = {os.path.basename(p): _sha256(p) for p in sorted(files)}
-    write_json(os.path.join(out, "manifest.json"), manifest)
-    return manifest
-
-
-class _Runner:
-    """Accumulates stage results, files and timings into one manifest."""
-
-    def __init__(self, cfg: ExperimentConfig, out_dir=None, state=None):
-        self.cfg = cfg
-        self.out, self.formats = _prepare_out(cfg, out_dir)
-        self.state = {} if state is None else state
-        self.manifest = {"config": cfg.echo(), "stages": {}, "status": "ok"}
-        self.files = []
-
-    def run_stage(self, name, fn):
-        t0 = time.perf_counter()
-        try:
-            stage_files = fn()
-        except WeakKamError as e:
-            self.manifest["status"] = "error"
-            self.manifest["error"] = {"stage": name, "type": type(e).__name__,
-                                      "message": str(e)}
-            _finish_manifest(self.out, self.manifest, self.files)
-            raise
-        self.files.extend(stage_files)
-        self.manifest["stages"][name] = {
-            "files": [os.path.basename(p) for p in stage_files],
-            "wall_time_s": time.perf_counter() - t0,
-            **self.state.get("stage_stats", {}).get(name, {}),
-        }
-
-    def finish(self) -> dict:
-        if self.state.get("notes"):
-            self.manifest["notes"] = self.state["notes"]
-        return _finish_manifest(self.out, self.manifest, self.files)
-
-
-def _chains_stage(cfg, state, out, formats):
-    grid = state.setdefault("grid", cfg.grid())
+def _stage_chains(cfg, state, out, formats):
+    # the grid and the vector field only: chains alone builds no kernel
+    grid = state["grid"] if "grid" in state else cfg.grid()
     X = cfg.vector_field(grid)
     params = cfg.dynamics_params(grid, X)
-    g = chain_graph(X, grid, **params)
-    chain = chain_recurrent_set(g)
+    chain = chain_recurrent_set(chain_graph(X, grid, **params))
     state["chain"] = chain
-    state["chain_params"] = params
     files = []
     if "csv" in formats:
         coords = grid.coords(chain)
@@ -370,9 +295,8 @@ def _chains_stage(cfg, state, out, formats):
     return files
 
 
-def _comparison_stage(cfg, state, out, formats):
+def _stage_comparison(cfg, state, out, formats):
     cmp = compare_aubry_chain(state["A"].indices, state["chain"], state["grid"])
-    state["comparison"] = cmp
     files = []
     if "json" in formats:
         files.append(write_json(os.path.join(out, "comparison.json"), {
@@ -383,42 +307,6 @@ def _comparison_stage(cfg, state, out, formats):
             "chain_size": cmp.b_size,
         }))
     return files
-
-
-def run_pipeline(cfg: ExperimentConfig, stages, out_dir=None, state=None) -> dict:
-    """Execute the requested stages (plus prerequisites) and write artifacts.
-
-    Raises the stage's error after writing a partial manifest with an
-    error record, so CLI exit codes can reflect the failure class.
-    """
-    runner = _Runner(cfg, out_dir, state)
-    for name in _expand_stages(stages):
-        fn = _STAGE_FN[name]
-        runner.run_stage(name, lambda f=fn: f(cfg, runner.state, runner.out, runner.formats))
-    return runner.finish()
-
-
-def run_chains(cfg: ExperimentConfig, out_dir=None, state=None) -> dict:
-    """Chain-recurrence side only: flow graph, SCC set, artifacts."""
-    runner = _Runner(cfg, out_dir, state)
-    runner.run_stage("chains", lambda: _chains_stage(cfg, runner.state, runner.out,
-                                                     runner.formats))
-    return runner.finish()
-
-
-def run_comparison(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Variational Aubry set vs chain-recurrent set for a Mane model."""
-    if cfg.raw["model"].get("family") != "mane":
-        raise ConfigError("mane-compare requires model.family='mane'")
-    runner = _Runner(cfg, out_dir)
-    for name in _expand_stages(["aubry"]):
-        fn = _STAGE_FN[name]
-        runner.run_stage(name, lambda f=fn: f(cfg, runner.state, runner.out, runner.formats))
-    runner.run_stage("chains", lambda: _chains_stage(cfg, runner.state, runner.out,
-                                                     runner.formats))
-    runner.run_stage("comparison", lambda: _comparison_stage(cfg, runner.state, runner.out,
-                                                             runner.formats))
-    return runner.finish()
 
 
 def load_points_csv(path) -> np.ndarray:
@@ -451,10 +339,9 @@ def load_points_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _ferry_stage(cfg, state, out, formats, path, exponent):
-    pts = load_points_csv(path)
-    dp = ferry_delta_p(pts, exponent)
-    state["ferry"] = dp
+def _stage_ferry(cfg, state, out, formats):
+    exponent = float(cfg.raw["ferry"]["p"])
+    dp = ferry_delta_p(load_points_csv(cfg.raw["ferry"]["points"]), exponent)
     k = dp.size
     files = []
     if "csv" in formats:
@@ -469,33 +356,98 @@ def _ferry_stage(cfg, state, out, formats, path, exponent):
     return files
 
 
-def run_ferry(cfg: ExperimentConfig, points_path=None, p=None, out_dir=None) -> dict:
-    """Chain semi-metric demo on a point cloud file."""
-    fcfg = cfg.raw.get("ferry", {})
-    path = points_path or fcfg.get("points")
-    if not path:
-        raise ConfigError("ferry needs a points CSV (config ferry.points or --points)")
-    exponent = float(p if p is not None else fcfg.get("p", 2.0))
-    runner = _Runner(cfg, out_dir)
-    runner.run_stage("ferry", lambda: _ferry_stage(cfg, runner.state, runner.out,
-                                                   runner.formats, path, exponent))
-    return runner.finish()
+_STAGE_FN = {
+    "critical": _stage_critical,
+    "weakkam": _stage_weakkam,
+    "barrier": _stage_barrier,
+    "aubry": _stage_aubry,
+    "quotient": _stage_quotient,
+    "dimension": _stage_dimension,
+    "regularize": _stage_regularize,
+    "chains": _stage_chains,
+    "comparison": _stage_comparison,
+    "ferry": _stage_ferry,
+}
+
+
+def _why_not(cfg: ExperimentConfig, name) -> str:
+    """Why stage `name` cannot run on cfg; empty when it can."""
+    if name != "all" and name not in STAGE_DEPS:
+        return f"unknown stage {name!r}; known: {sorted(STAGE_DEPS)} and 'all'"
+    family = cfg.raw["model"].get("family")
+    if name in ("chains", "comparison") and family != "mane":
+        return f"stage {name!r} needs model.family='mane', got {family!r}"
+    if name == "ferry" and not cfg.raw["ferry"].get("points"):
+        return "stage 'ferry' needs a points CSV (config ferry.points or --points)"
+    return ""
+
+
+def _expand_stages(cfg: ExperimentConfig, stages) -> list:
+    """The requested stages and their prerequisites, in STAGE_ORDER.
+
+    "all" stands for every stage that applies to cfg.
+    """
+    want = set()
+    for s in stages:
+        if s == "all":
+            want.update(t for t in STAGE_ORDER if not _why_not(cfg, t))
+        else:
+            want.add(s)
+            want.update(STAGE_DEPS[s])
+    return [s for s in STAGE_ORDER if s in want]
+
+
+def _prepare_out(cfg: ExperimentConfig, out_dir) -> tuple:
+    outputs = cfg.outputs()
+    out = out_dir or outputs["directory"]
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ArtifactError(f"cannot create output directory {out}: {e}") from e
+    return out, list(outputs["formats"])
+
+
+def _finish_manifest(out, manifest, files) -> dict:
+    manifest["checksums"] = {os.path.basename(p): _sha256(p) for p in sorted(files)}
+    write_json(os.path.join(out, "manifest.json"), manifest)
+    return manifest
+
+
+def run_pipeline(cfg: ExperimentConfig, stages, out_dir=None) -> dict:
+    """Execute the requested stages (plus prerequisites) and write artifacts.
+
+    A requested stage that is unknown or does not apply to the config
+    fails before any stage runs. Every failure raises the stage's error
+    after writing a partial manifest with an error record, so CLI exit
+    codes can reflect the failure class.
+    """
+    out, formats = _prepare_out(cfg, out_dir)
+    manifest = {"config": cfg.echo(), "stages": {}, "status": "ok"}
+    state, files = {}, []
+    try:
+        for name in stages:
+            reason = _why_not(cfg, name)
+            if reason:
+                raise ConfigError(reason)
+        for name in _expand_stages(cfg, stages):
+            t0 = time.perf_counter()
+            stage_files = _STAGE_FN[name](cfg, state, out, formats)
+            files.extend(stage_files)
+            manifest["stages"][name] = {
+                "files": [os.path.basename(p) for p in stage_files],
+                "wall_time_s": time.perf_counter() - t0,
+                **state.get("stage_stats", {}).get(name, {}),
+            }
+    except WeakKamError as e:
+        manifest["status"] = "error"
+        manifest["error"] = {"stage": name, "type": type(e).__name__, "message": str(e)}
+        _finish_manifest(out, manifest, files)
+        raise
+    if state.get("notes"):
+        manifest["notes"] = state["notes"]
+    return _finish_manifest(out, manifest, files)
 
 
 def run_all(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Every applicable stage: full pipeline, plus the chain comparison
-    for Mane models and the ferry demo when a points file is configured."""
-    runner = _Runner(cfg, out_dir)
-    for name in STAGE_ORDER:
-        fn = _STAGE_FN[name]
-        runner.run_stage(name, lambda f=fn: f(cfg, runner.state, runner.out, runner.formats))
-    if cfg.raw["model"].get("family") == "mane":
-        runner.run_stage("chains", lambda: _chains_stage(cfg, runner.state, runner.out,
-                                                         runner.formats))
-        runner.run_stage("comparison", lambda: _comparison_stage(
-            cfg, runner.state, runner.out, runner.formats))
-    if cfg.raw.get("ferry", {}).get("points"):
-        runner.run_stage("ferry", lambda: _ferry_stage(
-            cfg, runner.state, runner.out, runner.formats,
-            cfg.raw["ferry"]["points"], float(cfg.raw["ferry"].get("p", 2.0))))
-    return runner.finish()
+    """Every stage that applies to the config."""
+    return run_pipeline(cfg, ["all"], out_dir)

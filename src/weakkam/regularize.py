@@ -6,7 +6,7 @@ functions that stay dominated, agree with the input on the Aubry cells
 of order 1/t from the quadratic cost of fast transitions.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .errors import ConfigError, NumericalError
 from .grid import GridTorus, ValueFunction
 from .kernel import ActionKernel
 from .critical import check_dominated
-from .models import HamiltonianProbe, Lagrangian, legendre_hamiltonian
+from .models import Lagrangian, legendre_hamiltonian
 
 
 @dataclass
@@ -106,17 +106,17 @@ def discrete_gradient(u: ValueFunction) -> np.ndarray:
 
 
 def subsolution_residual(u: ValueFunction, L: Lagrangian, grid: GridTorus,
-                         c: float, probe: HamiltonianProbe = None) -> float:
+                         c: float) -> float:
     """max over the grid of H(x, Du(x)) - c for the discrete gradient."""
-    field = subsolution_residual_field(u, L, grid, probe)
+    field = subsolution_residual_field(u, L, grid)
     return float(np.max(field) - c)
 
 
-def subsolution_residual_field(u: ValueFunction, L: Lagrangian, grid: GridTorus,
-                               probe: HamiltonianProbe = None) -> np.ndarray:
+def subsolution_residual_field(u: ValueFunction, L: Lagrangian,
+                               grid: GridTorus) -> np.ndarray:
     """Per-cell H(x, Du(x)); subtracting c gives the pointwise residual."""
     du = discrete_gradient(u)
-    H = legendre_hamiltonian(L, grid.coords(), du, probe)
+    H = legendre_hamiltonian(L, grid.coords(), du)
     return np.atleast_1d(np.asarray(H, dtype=float))
 
 

@@ -18,6 +18,10 @@ from a strided window view of the doubled slab rows in one step.
 solution u = T- u + c*tau; the library computes the same Lax-Oleinik
 limit in closed form from two Dijkstra runs on the critical graph.
 
+`dense_legendre` is the Legendre transform by a search over a dense
+velocity grid (`HamiltonianProbe`); the library evaluates each model's
+closed-form conjugate, which the tests check against it.
+
 `_greedy_centers`, `union_find_quotient` and `_auto_scales` are the
 greedy covering, the quotient and the covering scale grid on float copies
 of the whole |A| x |A| block of delta; the library reads that block in
@@ -25,6 +29,7 @@ row blocks, into a level matrix that serves every covering scale and
 into sparse threshold pairs for the quotient.
 """
 
+from dataclasses import dataclass
 from typing import Optional
 
 import networkx as nx
@@ -35,6 +40,7 @@ from weakkam.critical import WeakKamSolution, as_value_array
 from weakkam.errors import ConfigError, NumericalError
 from weakkam.grid import ValueFunction
 from weakkam.kernel import ActionKernel, backward_sources, invariant_axes
+from weakkam.models import Lagrangian
 
 
 def _karp(K: ActionKernel):
@@ -367,5 +373,30 @@ def _auto_scales(delta, indices) -> np.ndarray:
     if off.size == 0:
         return np.geomspace(1e-4, 1e-1, 6)
     hi = float(np.max(off))
-    lo = max(float(np.min(off)) / 2.0, hi * 1e-4)
+    lo = float(np.min(off))
+    lo = max(lo / 2.0, hi * 1e-4) or lo
     return np.geomspace(lo, hi, 8)
+
+
+@dataclass(frozen=True)
+class HamiltonianProbe:
+    """Dense Legendre search settings: v-grid radius and resolution."""
+
+    radius: float = 4.0
+    samples_per_axis: int = 129
+
+    def velocity_grid(self, dim: int) -> np.ndarray:
+        axis = np.linspace(-self.radius, self.radius, self.samples_per_axis)
+        mesh = np.meshgrid(*[axis] * dim, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def dense_legendre(L: Lagrangian, x, p, probe: HamiltonianProbe = HamiltonianProbe()):
+    """H(x,p) = max_v [ p.v - L(x,v) ] over the probe's velocity grid, per row."""
+    x, p = np.broadcast_arrays(np.atleast_2d(np.asarray(x, dtype=float)),
+                               np.atleast_2d(np.asarray(p, dtype=float)))
+    vgrid = probe.velocity_grid(L.dim)  # (m, dim)
+    k, m = x.shape[0], vgrid.shape[0]
+    # values[k, i] = p_k . v_i - L(x_k, v_i)
+    lvals = L(np.repeat(x, m, axis=0), np.tile(vgrid, (k, 1))).reshape(k, m)
+    return np.max(p @ vgrid.T - lvals, axis=1)

@@ -8,11 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from weakkam import (ConfigError, ArtifactError, NumericalError, aubry, critical_value, geometry,
-                     pipeline)
+from weakkam import (ConfigError, ArtifactError, NumericalError, aubry, config, critical_value,
+                     geometry, pipeline)
 from weakkam.cli import main
 from weakkam.config import ExperimentConfig
-from weakkam.pipeline import load_points_csv, run_comparison, run_ferry, run_pipeline
+from weakkam.pipeline import load_points_csv, run_pipeline
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -176,7 +176,7 @@ def test_comparison_requires_mane(tmp_path):
         "model": {"family": "kinetic"},
         "outputs": {"directory": str(tmp_path / "o")}})
     with pytest.raises(ConfigError):
-        run_comparison(cfg)
+        run_pipeline(cfg, ["comparison"])
 
 
 def test_comparison_sin_field(tmp_path):
@@ -184,7 +184,7 @@ def test_comparison_sin_field(tmp_path):
         "model": {"family": "mane", "field": {"name": "sin_gradient"}},
         "grid": {"dim": 1, "n": 64},
         "outputs": {"directory": str(tmp_path / "o")}})
-    run_comparison(cfg)
+    run_pipeline(cfg, ["comparison"])
     data = json.loads((tmp_path / "o" / "comparison.json").read_text())
     assert data["hausdorff_distance"] <= 2.0 / 64
 
@@ -192,15 +192,18 @@ def test_comparison_sin_field(tmp_path):
 def test_ferry_run_and_points_parsing(tmp_path):
     pts = tmp_path / "seg.csv"
     pts.write_text("x\n" + "\n".join(str(k / 16) for k in range(17)) + "\n")
-    cfg = ExperimentConfig.from_dict({
-        "ferry": {"points": str(pts), "p": 2.0},
-        "outputs": {"directory": str(tmp_path / "o")}})
-    run_ferry(cfg)
+
+    def ferry_config(p):
+        return ExperimentConfig.from_dict({
+            "ferry": {"points": str(pts), "p": p},
+            "outputs": {"directory": str(tmp_path / "o")}})
+
+    run_pipeline(ferry_config(2.0), ["ferry"])
     data = json.loads((tmp_path / "o" / "ferry.json").read_text())
     assert data["endpoint_value"] == pytest.approx(1.0 / 16)
     assert data["point_count"] == 17
 
-    out2 = run_ferry(cfg, p=1.0, out_dir=str(tmp_path / "o2"))
+    out2 = run_pipeline(ferry_config(1.0), ["ferry"], out_dir=str(tmp_path / "o2"))
     assert out2["status"] == "ok"
     data1 = json.loads((tmp_path / "o2" / "ferry.json").read_text())
     assert data1["endpoint_value"] == pytest.approx(1.0)
@@ -334,8 +337,64 @@ def test_cli_ferry_flags(tmp_path, capsys):
     assert main(["ferry", "--config", path, "--points", str(pts)]) == 0
     data = json.loads((tmp_path / "out" / "ferry.json").read_text())
     assert data["endpoint_value"] == pytest.approx(0.125)
+    assert main(["ferry", "--config", path, "--points", str(pts), "--p", "1"]) == 0
+    data = json.loads((tmp_path / "out" / "ferry.json").read_text())
+    assert data["p"] == 1.0 and data["endpoint_value"] == pytest.approx(1.0)
+    # a bad --p is refused like a bad ferry.p
+    capsys.readouterr()
+    assert main(["ferry", "--config", path, "--points", str(pts), "--p", "-1"]) == 2
+    assert "ferry.p must be a positive number" in capsys.readouterr().err
 
 
 def test_cli_mane_compare_wrong_family_is_exit_2(tmp_path, capsys):
     path = write_config(tmp_path)  # kinetic default
     assert main(["mane-compare", "--config", path]) == 2
+
+
+CORE = ["critical", "weakkam", "barrier", "aubry", "quotient", "dimension", "regularize"]
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("critical", ["critical"]),
+    ("weakkam", ["critical", "weakkam"]),
+    ("barrier", ["critical", "barrier"]),
+    ("aubry", ["critical", "barrier", "aubry"]),
+    ("quotient", ["critical", "barrier", "aubry", "quotient"]),
+    ("dimension", ["critical", "barrier", "aubry", "quotient", "dimension"]),
+    ("regularize", ["critical", "weakkam", "barrier", "aubry", "regularize"]),
+    ("chains", ["chains"]),
+    ("mane-compare", ["critical", "barrier", "aubry", "chains", "comparison"]),
+    ("ferry", ["ferry"]),
+    ("all", CORE + ["chains", "comparison", "ferry"]),
+])
+def test_cli_runs_the_stage_graph(tmp_path, capsys, monkeypatch, command, stages):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("\n".join(f"{k / 8},{k % 2 / 4}" for k in range(9)) + "\n")
+    path = write_config(tmp_path, grid={"n": 32}, ferry={"points": str(pts)},
+                        model={"family": "mane", "field": {"name": "sin_gradient"}})
+    if "critical" not in stages:
+        # chains and ferry build no Lagrangian and no kernel
+        def refuse(*args):
+            raise AssertionError("built a Lagrangian")
+        monkeypatch.setattr(config, "make_lagrangian", refuse)
+    assert main([command, "--config", path]) == 0
+    # the summary line lists the stages in run order
+    assert capsys.readouterr().out.strip().endswith(f"for stages [{', '.join(stages)}]")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert sorted(manifest["stages"]) == sorted(stages)
+    files = [f for s in manifest["stages"].values() for f in s["files"]]
+    assert sorted(files) == sorted(manifest["checksums"])
+
+
+@pytest.mark.parametrize("command, stage", [("mane-compare", "comparison"), ("ferry", "ferry")])
+def test_cli_inapplicable_stage_fails_before_any_stage(tmp_path, capsys, command, stage):
+    path = write_config(tmp_path)  # kinetic, no ferry points
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"]["stage"] == stage
+    assert manifest["error"]["type"] == "ConfigError"
+    assert manifest["stages"] == {} and manifest["checksums"] == {}

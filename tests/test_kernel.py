@@ -9,9 +9,7 @@ from weakkam import (
     build_grid,
     build_kernel,
     cosine_potential,
-    dump_kernel,
     kinetic_lagrangian,
-    load_kernel,
     mane_lagrangian,
     mechanical_lagrangian,
     minplus_apply,
@@ -177,16 +175,3 @@ def test_invariant_axes_detection():
     g1 = build_grid(1, 16)
     Ks = build_kernel(g1, mane_lagrangian(sin_gradient_field(1)))
     assert invariant_axes(Ks) == []
-
-
-def test_dump_load_roundtrip(tmp_path):
-    g = build_grid(1, 12)
-    K = build_kernel(g, mechanical_lagrangian(cosine_potential(1, [1])))
-    csv = tmp_path / "kernel.csv"
-    meta = tmp_path / "kernel.json"
-    dump_kernel(K, csv, meta)
-    K2 = load_kernel(csv, meta)
-    assert K2.tau == K.tau
-    assert K2.grid.dim == 1 and K2.grid.n_per_axis == 12
-    np.testing.assert_array_equal(K2.offsets, K.offsets)
-    np.testing.assert_allclose(K2.weights, K.weights, rtol=1e-10)

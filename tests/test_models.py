@@ -5,8 +5,6 @@ import pytest
 
 from weakkam import (
     ConfigError,
-    HamiltonianProbe,
-    check_tonelli,
     constant_field,
     cosine_potential,
     build_grid,
@@ -20,10 +18,11 @@ from weakkam import (
     neg_grad_field,
     sin_gradient_field,
     table_field,
-    tilde_h,
     zero_field,
 )
 from weakkam.models import Lagrangian
+
+from oracles import dense_legendre
 
 X0 = np.array([[0.0]])
 
@@ -39,12 +38,27 @@ def test_legendre_kinetic_unit_momentum():
 
 
 def test_legendre_dense_scan_matches_closed_form():
-    # strip the analytic Hamiltonian to force the v-grid search
+    # every maximizing velocity p + X(x) lies on the probe's v-grid (spacing
+    # 1/16), so the dense search must reproduce each closed form
+    g = build_grid(2, 4)
+    xs = g.coords()
+    ps = np.array([[0.0, 0.0], [1.0, -0.5], [-1.5, 0.25], [0.5, 1.0]])
+    for model in ({"family": "kinetic"},
+                  {"family": "mechanical", "potential": {"name": "cosine", "k": [1, 1]}},
+                  {"family": "mane", "field": {"name": "sin_gradient"}},
+                  {"family": "mane", "field": {"name": "constant", "components": [1.0, -0.5]}}):
+        L = make_lagrangian(model, g)
+        for p in ps:
+            np.testing.assert_allclose(dense_legendre(L, xs, p),
+                                       legendre_hamiltonian(L, xs, p), atol=1e-12)
+
+
+def test_legendre_needs_a_closed_form():
     kin = kinetic_lagrangian(1)
-    bare = Lagrangian(name=kin.name, dim=1, eval=kin.eval, params={},
-                      analytic_hamiltonian=None)
-    H = legendre_hamiltonian(bare, X0, np.array([1.0]), HamiltonianProbe())
-    assert H == pytest.approx(0.5, abs=1e-9)
+    bare = Lagrangian(name="bare", dim=1, eval=kin.eval, params={})
+    with pytest.raises(ConfigError) as e:
+        legendre_hamiltonian(bare, X0, np.array([1.0]))
+    assert "bare" in str(e.value)
 
 
 def test_legendre_mane_constant_field():
@@ -76,44 +90,6 @@ def test_mechanical_lagrangian_values():
     assert L(X0, np.array([0.0]))[0] == pytest.approx(-1.0)
     kin = mechanical_lagrangian(make_potential({"name": "zero"}, 1))
     assert kin(X0, np.array([1.0]))[0] == pytest.approx(0.5)
-
-
-def test_tilde_h_values():
-    V = cosine_potential(1, [1])
-    assert tilde_h(mechanical_lagrangian(V), X0) == pytest.approx(1.0)
-    assert tilde_h(mane_lagrangian(zero_field(1)), X0) == 0.0
-    X = constant_field([2.0], 1)
-    assert tilde_h(mane_lagrangian(X), X0) == pytest.approx(-2.0)
-
-
-def test_tilde_h_mane_nonpositive():
-    L = mane_lagrangian(sin_gradient_field(1))
-    g = build_grid(1, 64)
-    vals = tilde_h(L, g.coords())
-    assert np.all(vals <= 1e-15)
-    assert vals[0] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_tonelli_kinetic_clean():
-    rep = check_tonelli(kinetic_lagrangian(1), build_grid(1, 16))
-    assert rep["convex"] and rep["superlinear"] and rep["finite"]
-    # quadratic L has exact second difference h^2 at h=0.25
-    assert rep["worst_second_difference"] == pytest.approx(0.0625, abs=1e-14)
-
-
-def test_tonelli_flags_norm_lagrangian():
-    L = Lagrangian(name="vnorm", dim=1,
-                   eval=lambda x, v: np.linalg.norm(np.atleast_2d(v), axis=-1),
-                   params={})
-    rep = check_tonelli(L, build_grid(1, 16))
-    assert rep["worst_second_difference"] == 0.0
-    assert not rep["convex"]
-
-
-def test_tonelli_pendulum_clean():
-    L = mechanical_lagrangian(cosine_potential(1, [1]))
-    rep = check_tonelli(L, build_grid(1, 16))
-    assert rep["convex"] and rep["superlinear"] and rep["finite"]
 
 
 def test_fenchel_inequality_sampled():

@@ -246,6 +246,8 @@ def semimetric_cases(draw):
 # subnormal delta: the scales are subnormal and 1/r overflows
 @example(case=(np.array([[0.0, 2.22507386e-309], [2.22507386e-309, 0.0]]), np.arange(2), 1),
          radius=1.0)
+# the smallest subnormal: halving it for the lowest scale underflows to 0
+@example(case=(np.array([[0.0, 5e-324], [5e-324, 0.0]]), np.arange(2), 1), radius=1.0)
 def test_block_consumers_match_copying_oracles(case, radius):
     vals, indices, block = case
     # symmetric values take the row read of the coverings
