@@ -8,6 +8,11 @@ flat cycles, so one representative per class and two sparse Dijkstra
 runs on the nonnegative reduced costs from each give h exactly. When
 every cell is critical, h = SP, run from one slab of the
 translation-invariant axes and rolled.
+
+h is the one dense N x N array of a run: the representation check reads
+it first (representation_check(h, None, A) forms delta block by block),
+then the Mather distance delta = h + h.T overwrites it in place
+(mather_delta(h, out=h.values)).
 """
 
 import os
@@ -23,11 +28,12 @@ from .critical import CriticalValue, critical_graph
 from .errors import ConfigError, NumericalError
 from .kernel import ActionKernel, invariant_axes
 
-# N x N float arrays the barrier and quotient stages hold: h and delta
-DENSE_COPIES = 2
 # entries of each row block the A x A consumers of h and delta read
 BLOCK_ENTRIES = 1 << 20
-# columns of each tile a transposed row block is copied in
+# entries of each row block of the representation check
+CHECK_ENTRIES = 1 << 18
+# side of the tiles a transposed row block is copied in, and of the tile
+# pairs the Mather distance is summed in
 TILE = 64
 
 
@@ -129,14 +135,22 @@ class PeierlsBarrier(SemiMetric):
     invariant_axes: list = field(default_factory=list)  # slab path only
 
 
-def row_blocks(values: np.ndarray, pos: np.ndarray, entries: Optional[int] = None):
+def block_rows(entries: int, cols: int) -> int:
+    """Rows of a block of at most entries entries (at least one row)."""
+    return max(1, entries // max(1, cols))
+
+
+def row_blocks(values: np.ndarray, pos: np.ndarray, entries: Optional[int] = None,
+               out: Optional[np.ndarray] = None):
     """Yield (i0, values[pos[i0:i1]][:, pos]) in row blocks of at most
     entries entries, BLOCK_ENTRIES by default (at least one row). When pos
     lists every row in order a block is a view, or, when values is not
     C-contiguous (a transpose such as h.values.T), a copy made TILE
     columns at a time, so the strided source is read in cache-sized
-    tiles. Otherwise only that block is gathered."""
-    rows = max(1, (entries or BLOCK_ENTRIES) // max(1, pos.size))
+    tiles; the copy goes into the leading rows of out when it is given
+    (one buffer reused for every block), else into a new array.
+    Otherwise only that block is gathered."""
+    rows = block_rows(entries or BLOCK_ENTRIES, pos.size)
     whole = pos.size == values.shape[0] and np.array_equal(pos, np.arange(pos.size))
     for i0 in range(0, pos.size, rows):
         if not whole:
@@ -145,7 +159,8 @@ def row_blocks(values: np.ndarray, pos: np.ndarray, entries: Optional[int] = Non
             yield i0, values[i0:i0 + rows]
         else:
             src = values[i0:i0 + rows]
-            block = np.empty(src.shape, dtype=values.dtype)
+            block = (np.empty(src.shape, dtype=values.dtype) if out is None
+                     else out[:src.shape[0]])
             for j0 in range(0, pos.size, TILE):
                 block[:, j0:j0 + TILE] = src[:, j0:j0 + TILE]
             yield i0, block
@@ -162,15 +177,11 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
     h(y,z) = min over representatives a of F[y,a] + B[a,z] - x(y) + x(z),
     with F and B the reduced-cost shortest paths into and out of a and
     x = cv.bias. Raises NumericalError when cv.c is not critical, the
-    graph is not strongly connected, or h would not fit in free memory.
+    graph is not strongly connected, or h and the shortest-path tables it
+    is built from would not fit in free memory.
     """
     N = K.point_count
     G, critical, labels, edges = critical_graph(K, cv)
-    need, free = DENSE_COPIES * 8 * N * N, available_memory()
-    if need > free:
-        raise NumericalError(
-            f"the {N}x{N} barrier and Mather distance need {need / 2**20:.1f} MiB, "
-            f"but only {free / 2**20:.1f} MiB of memory is free")
     x = cv.bias
     _, first = np.unique(labels[critical], return_index=True)
     reps = np.sort(critical[first])
@@ -178,22 +189,37 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
     cells = np.stack(np.unravel_index(np.arange(N), K.grid.shape), axis=-1)
     axes = invariant_axes(K)
     slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
-    if critical.size == N and slab.size <= reps.size:
-        # every cell is critical, so h = SP: rows from the slab, rolled
+    # every cell is critical, so h = SP: rows from the slab, rolled
+    rolled = critical.size == N and slab.size <= reps.size
+    # h, the one N x N array of the run (delta overwrites it), and two
+    # k x N Dijkstra tables, k the slab cells or the representatives
+    k = slab.size if rolled else reps.size
+    need, free = 8 * N * (N + 2 * k), available_memory()
+    if need > free:
+        raise NumericalError(
+            f"the {N}x{N} barrier and its {k} shortest-path rows need {need / 2**20:.1f} MiB, "
+            f"but only {free / 2**20:.1f} MiB of memory is free")
+    if rolled:
         h = _translate_rows(K.grid.shape, axes, dijkstra(G, indices=slab) - x[slab, None] + x)
     else:
         axes = []
         # into[i, y] = SP(y, a) - x(a) and out[i, y] = SP(a, y) + x(a), a = reps[i]
         into = dijkstra(G.T, indices=reps) - x
         out = dijkstra(G, indices=reps) + x
-        h = into[0][:, None] + out[0]
-        for i in range(1, reps.size):
-            np.minimum(h, into[i][:, None] + out[i], out=h)
+        h = np.empty((N, N))
+        rows = block_rows(BLOCK_ENTRIES, N)
+        for y0 in range(0, N, rows):
+            hb = h[y0:y0 + rows]
+            np.add(into[0, y0:y0 + rows, None], out[0], out=hb)
+            for i in range(1, reps.size):
+                np.minimum(hb, into[i, y0:y0 + rows, None] + out[i], out=hb)
     # h(y, z) is finite exactly when some path leads from y to z
-    if not np.all(np.isfinite(h)):
-        stranded = np.unique(np.nonzero(~np.isfinite(h))[1])[:8]
-        raise NumericalError(
-            f"kernel graph is not strongly connected, e.g. cells {stranded.tolist()}")
+    stranded = np.zeros(N, dtype=bool)
+    for _, hb in row_blocks(h, np.arange(N)):
+        stranded |= ~np.all(np.isfinite(hb), axis=0)
+    if stranded.any():
+        raise NumericalError(f"kernel graph is not strongly connected, "
+                             f"e.g. cells {np.nonzero(stranded)[0][:8].tolist()}")
     return PeierlsBarrier(point_ids=np.arange(N), values=h, representatives=reps,
                           critical_edges=edges, invariant_axes=axes)
 
@@ -299,14 +325,24 @@ def classify_aubry(K: ActionKernel, h: SemiMetric, c: float, indices,
     return labels
 
 
-def mather_delta(h: SemiMetric) -> SemiMetric:
-    """delta(x,y) = h(x,y) + h(y,x), summed one row block at a time with
-    the transpose read in cache tiles (row_blocks); each entry is the same
-    single add as h + h.T."""
-    pos = np.arange(h.size)
-    values = np.empty(h.values.shape)
-    for (i0, Hb), (_, HTb) in zip(row_blocks(h.values, pos), row_blocks(h.values.T, pos)):
-        np.add(Hb, HTb, out=values[i0:i0 + Hb.shape[0]])
+def mather_delta(h: SemiMetric, out: Optional[np.ndarray] = None) -> SemiMetric:
+    """delta(x,y) = h(x,y) + h(y,x), bit for bit h + h.T.
+
+    Summed one pair of TILE x TILE tiles at a time: S = H[a,b] + H[b,a].T
+    fills tile (a,b) and S.T tile (b,a), and both tiles are read before
+    either is written, so out may be h.values itself (delta then
+    overwrites h); out=None writes a new array. IEEE addition commutes,
+    so the (b,a) entries are the single add of h + h.T as well.
+    """
+    H, n = h.values, h.size
+    values = np.empty(H.shape) if out is None else out
+    for a0 in range(0, n, TILE):
+        a = slice(a0, a0 + TILE)
+        for b0 in range(a0, n, TILE):
+            b = slice(b0, b0 + TILE)
+            S = H[a, b] + H[b, a].T
+            values[a, b] = S
+            values[b, a] = S.T
     return SemiMetric(point_ids=h.point_ids.copy(), values=values, symmetric=True)
 
 
@@ -336,22 +372,32 @@ class RepresentationReport:
     pairs_checked: int
 
 
-def representation_check(h: SemiMetric, delta: SemiMetric, A: AubrySet) -> RepresentationReport:
+def representation_check(h: SemiMetric, delta: Optional[SemiMetric],
+                         A: AubrySet) -> RepresentationReport:
     """Residual of delta(x,y) = (u1-u2)(y) - (u1-u2)(x) over Aubry pairs,
-    with u1 = h(x,.) and u2 = h(y,.) the barrier-column solutions."""
+    with u1 = h(x,.) and u2 = h(y,.) the barrier-column solutions.
+
+    delta=None stands for mather_delta(h): each of its blocks is the sum
+    of the blocks of h and h.T the check reads anyway, entry for entry
+    the stored delta, so the check can run before delta overwrites h.
+    """
     pos = h.positions_of(A.indices)
     diag = np.diagonal(h.values)[pos]
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly
     # worse, so the pair is the first maximum in row-major order. The
-    # blocks may be views of h and delta: only the block's own temporaries
-    # are written in place
-    for (i0, Hb), (_, HTb), (_, Db) in zip(row_blocks(h.values, pos),
-                                           row_blocks(h.values.T, pos),
-                                           row_blocks(delta.values, pos)):
-        rhs = Hb - diag
-        rhs -= diag[i0:i0 + Hb.shape[0], None] - HTb
-        res = np.abs(np.subtract(Db, rhs, out=rhs), out=rhs)
+    # blocks may be views of h and delta: only the three buffers below,
+    # allocated once, are written
+    shape = (min(pos.size, block_rows(CHECK_ENTRIES, pos.size)), pos.size)
+    HT, rhs, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    deltas = None if delta is None else row_blocks(delta.values, pos, CHECK_ENTRIES)
+    for (i0, Hb), (_, HTb) in zip(row_blocks(h.values, pos, CHECK_ENTRIES),
+                                  row_blocks(h.values.T, pos, CHECK_ENTRIES, out=HT)):
+        r = Hb.shape[0]
+        res = np.subtract(Hb, diag, out=rhs[:r])
+        res -= np.subtract(diag[i0:i0 + r, None], HTb, out=tmp[:r])
+        Db = np.add(Hb, HTb, out=tmp[:r]) if deltas is None else next(deltas)[1]
+        np.abs(np.subtract(Db, res, out=res), out=res)
         i, j = np.unravel_index(int(np.argmax(res)), res.shape)
         if res[i, j] > worst:
             worst, pair = float(res[i, j]), (int(A.indices[i0 + i]), int(A.indices[j]))

@@ -46,12 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_file(args.config)
+        # run_pipeline validates the config, so a bad value gets a manifest
+        cfg = ExperimentConfig.read(args.config)
         # ferry --points/--p stand in for the config's ferry.points/ferry.p
-        flags = {k: v for k, v in vars(args).items() if k in ("points", "p") and v is not None}
-        if flags:
-            cfg.raw["ferry"].update(flags)
-            cfg.validate()
+        cfg.raw["ferry"].update(
+            {k: v for k, v in vars(args).items() if k in ("points", "p") and v is not None})
         manifest = run_pipeline(cfg, _COMMANDS[args.command], out_dir=args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

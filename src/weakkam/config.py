@@ -1,8 +1,9 @@
 """Experiment configuration: JSON file -> validated ExperimentConfig.
 
 The schema is a fixed key tree; unknown keys are rejected so typos fail
-fast instead of silently falling back to defaults. Numeric fields accept
-the string "auto" where a resolution-dependent default exists.
+fast instead of silently falling back to defaults. Numeric fields are
+finite numbers, or the string "auto" where a resolution-dependent default
+exists.
 """
 
 import copy
@@ -54,12 +55,23 @@ def _merged(user: dict) -> dict:
     return cfg
 
 
+# the largest finite float; a larger JSON integer overflows float()
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+def _finite(val) -> bool:
+    """A number a float holds: not NaN, not infinite, not an integer
+    beyond the float range (JSON admits all three)."""
+    return (not isinstance(val, bool) and isinstance(val, (int, float))
+            and -_FLOAT_MAX <= val <= _FLOAT_MAX)
+
+
 def _numeric(section: dict, key: str, where: str, minimum=None, auto_ok=False):
     val = section[key]
-    if auto_ok and (val == "auto" or val is None):
+    if auto_ok and val == "auto":
         return "auto"
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
+    if not _finite(val):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {val}")
     return val
@@ -79,6 +91,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        cfg = cls.read(path)
+        cfg.validate()
+        return cfg
+
+    @classmethod
+    def read(cls, path) -> "ExperimentConfig":
+        """The config in a JSON file, merged with the defaults but not yet
+        validated: run_pipeline validates it, so that a bad value is
+        recorded in the run's manifest."""
         try:
             with open(path) as f:
                 text = f.read()
@@ -90,10 +111,11 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        return cls.from_dict(user)
+        return cls(raw=_merged(user))
 
     def validate(self):
         r = self.raw
+        self.outputs()
         g = r["grid"]
         if g.get("dim") not in (1, 2):
             raise ConfigError(f"grid.dim must be 1 or 2, got {g.get('dim')!r}")
@@ -110,16 +132,10 @@ class ExperimentConfig:
         _numeric(r["dynamics"], "substeps", "dynamics", minimum=1)
         _numeric(r["regularizer"], "stages", "regularizer", minimum=1)
         seed = r["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        formats = r["outputs"].get("formats")
-        if (not isinstance(formats, list) or not formats
-                or any(f not in ("csv", "json") for f in formats)):
-            raise ConfigError(f"outputs.formats must be a nonempty subset of ['csv','json']")
-        if not isinstance(r["outputs"].get("directory"), str):
-            raise ConfigError("outputs.directory must be a string path")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
         p = r["ferry"].get("p", 2.0)
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or p <= 0:
+        if not _finite(p) or not p > 0:
             raise ConfigError(f"ferry.p must be a positive number, got {p!r}")
 
     # -- resolved accessors ---------------------------------------------------
@@ -171,7 +187,15 @@ class ExperimentConfig:
         return int(self.raw["seed"])
 
     def outputs(self) -> dict:
-        return dict(self.raw["outputs"])
+        """The outputs section; ConfigError when it names no place to write."""
+        outputs = self.raw["outputs"]
+        formats = outputs.get("formats")
+        if (not isinstance(formats, list) or not formats
+                or any(f not in ("csv", "json") for f in formats)):
+            raise ConfigError(f"outputs.formats must be a nonempty subset of ['csv','json']")
+        if not isinstance(outputs.get("directory"), str):
+            raise ConfigError("outputs.directory must be a string path")
+        return dict(outputs)
 
     def echo(self) -> dict:
         """Deep copy of the resolved raw tree for manifest embedding."""

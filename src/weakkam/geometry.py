@@ -203,8 +203,8 @@ def ferry_delta_p(points, p: float, metric: Optional[Callable] = None) -> SemiMe
     k = pts.shape[0]
     if k < 2:
         raise ConfigError("ferry_delta_p needs at least two points")
-    if p <= 0:
-        raise ConfigError(f"exponent p must be positive, got {p}")
+    if not 0 < p < np.inf:
+        raise ConfigError(f"exponent p must be a positive finite number, got {p}")
     if metric is None:
         diff = pts[:, None, :] - pts[None, :, :]
         d = np.linalg.norm(diff, axis=-1)

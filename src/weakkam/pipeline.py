@@ -191,12 +191,15 @@ def _stage_aubry(cfg, state, out, formats):
 
 def _stage_quotient(cfg, state, out, formats):
     grid = state["grid"]
-    delta = mather_delta(state["h"])
+    # no later stage reads h: check the representation on it, then let
+    # delta overwrite it, so one N x N array serves both
+    h = state.pop("h")
+    rep = representation_check(h, None, state["A"])
+    delta = mather_delta(h, out=h.values)
     state["delta"] = delta
     Q = quotient(delta, state["A"], cfg.merge_threshold(grid))
     state["Q"] = Q
     state.setdefault("stage_stats", {})["quotient"] = {"class_count": Q.class_count}
-    rep = representation_check(state["h"], delta, state["A"])
     class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
     label = np.array([class_of[i] for i in state["A"].indices.tolist()])
     diam = 0.0
@@ -416,15 +419,17 @@ def _finish_manifest(out, manifest, files) -> dict:
 def run_pipeline(cfg: ExperimentConfig, stages, out_dir=None) -> dict:
     """Execute the requested stages (plus prerequisites) and write artifacts.
 
-    A requested stage that is unknown or does not apply to the config
-    fails before any stage runs. Every failure raises the stage's error
-    after writing a partial manifest with an error record, so CLI exit
-    codes can reflect the failure class.
+    The config is validated, and a requested stage that is unknown or
+    does not apply to it fails, before any stage runs. Every failure but
+    an unusable outputs section raises the error after writing a partial
+    manifest with an error record, so CLI exit codes can reflect the
+    failure class.
     """
     out, formats = _prepare_out(cfg, out_dir)
     manifest = {"config": cfg.echo(), "stages": {}, "status": "ok"}
-    state, files = {}, []
+    state, files, name = {}, [], None
     try:
+        cfg.validate()
         for name in stages:
             reason = _why_not(cfg, name)
             if reason:

@@ -13,6 +13,8 @@ the same barrier from reduced costs and sparse Dijkstra runs instead.
 `translate_rows` expands the slab rows of a translation-invariant kernel
 to every source row with one np.roll per row; the library copies them
 from a strided window view of the doubled slab rows in one step.
+`representative_barrier` adds one dense N x N matrix per critical class
+representative; the library fills the same minimum in row blocks.
 
 `value_iteration_weak_kam` is the damped value iteration for the weak KAM
 solution u = T- u + c*tau; the library computes the same Lax-Oleinik
@@ -34,9 +36,10 @@ from typing import Optional
 
 import networkx as nx
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from weakkam.aubry import AubrySet, QuotientPartition, SemiMetric
-from weakkam.critical import WeakKamSolution, as_value_array
+from weakkam.critical import CriticalValue, WeakKamSolution, as_value_array, critical_graph
 from weakkam.errors import ConfigError, NumericalError
 from weakkam.grid import ValueFunction
 from weakkam.kernel import ActionKernel, backward_sources, invariant_axes
@@ -229,6 +232,20 @@ def closure_barrier(K: ActionKernel, c: float) -> SemiMetric:
         for a in critical:
             np.minimum(h, sp_mat[:, a][:, None] + sp_mat[a, :][None, :], out=h)
     return SemiMetric(point_ids=np.arange(N), values=h, symmetric=False)
+
+
+def representative_barrier(K: ActionKernel, cv: CriticalValue) -> np.ndarray:
+    """h = min over class representatives a of into[a][:, None] + out[a],
+    one dense N x N sum per representative, non-finite entries kept."""
+    G, critical, labels, _ = critical_graph(K, cv)
+    _, first = np.unique(labels[critical], return_index=True)
+    reps = np.sort(critical[first])
+    into = dijkstra(G.T, indices=reps) - cv.bias
+    out = dijkstra(G, indices=reps) + cv.bias
+    h = into[0][:, None] + out[0]
+    for i in range(1, reps.size):
+        np.minimum(h, into[i][:, None] + out[i], out=h)
+    return h
 
 
 def value_iteration_weak_kam(K: ActionKernel, c: float, u0: Optional[np.ndarray] = None,

@@ -29,7 +29,8 @@ from weakkam import aubry, geometry, pipeline
 from weakkam.aubry import SemiMetric
 
 from oracles import (_auto_scales, _greedy_centers, closure_barrier, kernel_closure,
-                     translate_rows, union_find_quotient, value_iteration_weak_kam)
+                     representative_barrier, translate_rows, union_find_quotient,
+                     value_iteration_weak_kam)
 from weakkam.kernel import invariant_axes
 
 
@@ -139,6 +140,38 @@ def test_translate_rows_matches_the_rolling_loop(case):
                                   translate_rows(K, cells, axes, slab, sp))
 
 
+# one row per block (1 and 7 entries), 7 rows (uneven on 64 and 576) and
+# one block for the whole matrix
+@pytest.mark.parametrize("block", [1, 7, 7 * 64, 1 << 20])
+@pytest.mark.parametrize("case", ["double-well-64", "sin-gradient-64", "sin-gradient-24x24"])
+def test_barrier_blocks_match_the_dense_representative_loop(monkeypatch, case, block):
+    build, reps, axes = ORACLE_CASES[case]
+    K = build()
+    cv = critical_value(K)
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    h = peierls_barrier(K, cv)
+    assert h.representatives.size == reps > 1 and h.invariant_axes == axes == []
+    assert np.array_equal(h.values, representative_barrier(K, cv))
+
+
+@pytest.mark.parametrize("block", [1, 5 * 16, 1 << 20])
+def test_barrier_names_the_unreachable_cells(monkeypatch, block):
+    # steps along axis 1 only: every row of the 16 x 16 grid is a cycle of
+    # its own, and no path leads from one row to another
+    g = build_grid(2, 16)
+    weights = np.random.default_rng(2).integers(0, 4, size=(1, g.point_count)).astype(float)
+    K = dataclasses.replace(ORACLE_CASES["sin-gradient-24x24"][0](), grid=g,
+                            offsets=np.array([[0, 1]]), weights=weights)
+    cv = critical_value(K)
+    ref = representative_barrier(K, cv)
+    stranded = np.unique(np.nonzero(~np.isfinite(ref))[1])[:8]
+    assert stranded.size == 8
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    with pytest.raises(NumericalError) as err:
+        peierls_barrier(K, cv)
+    assert str(err.value).endswith(f"not strongly connected, e.g. cells {stranded.tolist()}")
+
+
 def test_barrier_needs_the_bias(pendulum_state_64):
     K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
     with pytest.raises(ConfigError):
@@ -148,7 +181,10 @@ def test_barrier_needs_the_bias(pendulum_state_64):
 def test_barrier_refuses_more_memory_than_is_free(monkeypatch, pendulum_state_64):
     K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
     assert aubry.available_memory() > 0
-    need = aubry.DENSE_COPIES * 8 * K.point_count**2
+    # h and the into/out Dijkstra tables of its one representative
+    N, k = K.point_count, pendulum_state_64["h"].representatives.size
+    assert k == 1
+    need = 8 * N * (N + 2 * k)
     monkeypatch.setattr(aubry, "available_memory", lambda: need - 1)
     with pytest.raises(NumericalError, match="MiB"):
         peierls_barrier(K, cv)
@@ -243,7 +279,7 @@ def test_quotient_kinetic_merges_at_spacing_squared(mane_zero_kernel_16):
 
 
 # 1 row, 5 rows (uneven on |A| = 36) and one block per check
-@pytest.mark.parametrize("block", [1, 180, aubry.BLOCK_ENTRIES])
+@pytest.mark.parametrize("block", [1, 180, 1 << 20])
 @pytest.mark.parametrize("noise", [0, 1])
 @pytest.mark.parametrize("case", ["kinetic-6x6", "double-well-64"])
 def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
@@ -261,7 +297,7 @@ def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
     px, py = pos[:, None], pos[None, :]
     res = np.abs(D[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
     i, j = np.unravel_index(int(np.argmax(res)), res.shape)
-    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(aubry, "CHECK_ENTRIES", block)
     rep = representation_check(h, delta, A)
     assert rep.max_residual == float(res[i, j])
     assert rep.worst_pair == (int(A.indices[i]), int(A.indices[j]))
@@ -274,6 +310,7 @@ def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
 @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4], [4, 0, 2]], ids=["full", "partial"])
 def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(aubry, "CHECK_ENTRIES", block)
     pos = np.array(ids)
     # distinct entries: a dropped or repeated row cannot match
     vals = np.arange(25.0).reshape(5, 5)
@@ -285,6 +322,11 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
         np.testing.assert_array_equal(np.concatenate(blocks), src[np.ix_(pos, pos)])
         assert list(starts) == np.cumsum([0] + [b.shape[0] for b in blocks[:-1]]).tolist()
         assert max(b.size for b in blocks) <= max(block, pos.size)
+        # a copied block goes into the leading rows of a reused buffer
+        buf = np.full((5, pos.size), np.nan)
+        for i0, b in aubry.row_blocks(src, pos, out=buf):
+            np.testing.assert_array_equal(b, src[np.ix_(pos[i0:i0 + b.shape[0]], pos)])
+            assert (b.base is buf) == (not src.flags.c_contiguous and len(ids) == 5)
     # every consumer of the blocks agrees with its copying oracle
     vals = np.random.default_rng(7).integers(0, 4, (5, 5)) / 4
     np.fill_diagonal(vals, 0.0)
@@ -303,20 +345,57 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     i, j = np.unravel_index(int(np.argmax(res)), res.shape)
     rep = representation_check(SemiMetric(point_ids=np.arange(5), values=H), delta, A)
     assert (rep.max_residual, rep.worst_pair) == (res[i, j], (ids[i], ids[j]))
+    # delta=None is H + H.T, which the random vals are not
+    own = representation_check(SemiMetric(point_ids=np.arange(5), values=H), None, A)
+    rep = representation_check(SemiMetric(point_ids=np.arange(5), values=H),
+                               SemiMetric(point_ids=np.arange(5), values=H + H.T), A)
+    assert (own.max_residual, own.worst_pair) == (rep.max_residual, rep.worst_pair)
 
 
-# 70 points: one full tile of 64 columns and an uneven one; blocks of 1
-# and 7 entries (one row each) and one block for the whole matrix
-@pytest.mark.parametrize("block", [1, 7, 1 << 20])
-def test_mather_delta_is_the_sum_with_the_transpose(monkeypatch, block):
-    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+# 70 points: tiles of 1, 3 (uneven on 70) and 7, one full tile of 64 and
+# an uneven one, and one tile for the whole matrix
+@pytest.mark.parametrize("tile", [1, 3, 7, 64, 1 << 20])
+def test_mather_delta_is_the_sum_with_the_transpose(monkeypatch, tile):
+    monkeypatch.setattr(aubry, "TILE", tile)
     H = np.random.default_rng(5).normal(size=(70, 70))
-    # a C-contiguous h (its transpose tiled) and a transposed one (h tiled)
+    # a C-contiguous h and a transposed one
     for values in (H, H.T):
-        h = SemiMetric(point_ids=np.arange(70), values=values)
+        want = values + values.T
+        h = SemiMetric(point_ids=np.arange(70), values=values.copy(order="K"))
         d = mather_delta(h)
         assert d.symmetric
-        assert np.array_equal(d.values, h.values + h.values.T)
+        assert np.array_equal(d.values, want)
+        assert np.array_equal(h.values, values)
+        # in place: delta is h's own buffer, overwritten
+        buf = h.values
+        d = mather_delta(h, out=h.values)
+        assert d.symmetric and d.values is buf and h.values is buf
+        assert np.array_equal(d.values, want)
+
+
+# one row per block, 180 entries (uneven row blocks on the sets of 36, 18
+# and 32 cells) and one block; every Aubry cell, and every other cell in
+# descending order
+@pytest.mark.parametrize("block", [1, 180, 1 << 20])
+@pytest.mark.parametrize("part", ["full", "partial"])
+@pytest.mark.parametrize("case", ["kinetic-6x6", "double-well-64"])
+def test_representation_check_forms_delta_itself(monkeypatch, case, part, block):
+    K = ORACLE_CASES[case][0]()
+    cv = critical_value(K)
+    h = peierls_barrier(K, cv)
+    A = aubry_set(h, None, K, cv.c)
+    if part == "partial":
+        ids = np.arange(K.point_count)[::-2]
+        A = dataclasses.replace(A, indices=ids)
+    monkeypatch.setattr(aubry, "CHECK_ENTRIES", block)
+    # perturb h so the residual has one largest entry
+    h = SemiMetric(point_ids=h.point_ids,
+                   values=h.values + np.random.default_rng(4).random(h.values.shape))
+    want = representation_check(h, mather_delta(h), A)
+    got = representation_check(h, None, A)
+    assert (got.max_residual, got.worst_pair, got.pairs_checked) == (
+        want.max_residual, want.worst_pair, want.pairs_checked)
+    assert want.max_residual > 0
 
 
 def test_representation_check_leaves_a_one_cell_barrier_unchanged():

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from weakkam import (ConfigError, ArtifactError, NumericalError, aubry, config, critical_value,
-                     geometry, pipeline)
+                     geometry, pipeline, representation_check)
 from weakkam.cli import main
 from weakkam.config import ExperimentConfig
 from weakkam.pipeline import load_points_csv, run_pipeline
@@ -55,6 +56,21 @@ def test_validation_errors():
         ExperimentConfig.from_dict({"seed": "zero"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"outputs": {"formats": ["yaml"]}})
+    # only the string "auto" stands for a default; JSON's null, NaN and
+    # infinities are no numbers here
+    for section, key in [("kernel", "tau"), ("kernel", "stencil_radius"),
+                         ("aubry", "merge_threshold"), ("dynamics", "dt"),
+                         ("dynamics", "eps"), ("solver", "tol"), ("aubry", "eta_mode")]:
+        for bad in (None, float("nan"), float("inf"), -float("inf"), 10**400):
+            with pytest.raises(ConfigError, match=f"{section}.{key} must be a finite number"):
+                ExperimentConfig.from_dict({section: {key: bad}})
+    for bad in (None, 0, -1.0, float("nan"), float("inf"), True):
+        with pytest.raises(ConfigError, match="ferry.p must be a positive number"):
+            ExperimentConfig.from_dict({"ferry": {"p": bad}})
+    # the seed feeds numpy's generator, which takes no negative integer
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        ExperimentConfig.from_dict({"seed": -1})
+    assert ExperimentConfig.from_dict({"seed": 2**70, "kernel": {"tau": 10**300}}).seed() == 2**70
 
 
 def test_from_file_errors(tmp_path):
@@ -132,6 +148,44 @@ def test_quotient_stage_class_diameter(tmp_path, monkeypatch, block):
     assert want == 0.375 < float(np.max(delta.values[np.ix_(ids, ids)]))
     data = json.loads((tmp_path / "quotient.json").read_text())
     assert data["max_class_diameter_delta"] == want
+
+
+def test_quotient_stage_checks_h_before_delta_overwrites_it(tmp_path):
+    cfg = ExperimentConfig.from_dict({"grid": {"dim": 1, "n": 8}})
+    # a nonzero diagonal: the check's residual on h is |h(x,x) + h(y,y)|,
+    # twice that if it read delta in place of h
+    vals = np.random.default_rng(6).random((8, 8))
+    h = aubry.SemiMetric(point_ids=np.arange(8), values=vals.copy())
+    A = aubry.AubrySet(indices=np.arange(8), self_barrier=np.diagonal(vals).copy(),
+                       labels=["other"] * 8, threshold=1.0)
+    want = representation_check(aubry.SemiMetric(point_ids=np.arange(8), values=vals),
+                                None, A).max_residual
+    state = {"grid": cfg.grid(), "h": h, "A": A}
+    pipeline._stage_quotient(cfg, state, str(tmp_path), ["json"])
+    data = json.loads((tmp_path / "quotient.json").read_text())
+    assert data["representation_max_residual"] == float(pipeline.FLOAT_FMT % want) > 0
+    # h is gone from the state; delta took over its buffer
+    assert "h" not in state and state["delta"].values is h.values
+    assert np.array_equal(state["delta"].values, vals + vals.T)
+
+
+def test_pipeline_holds_one_dense_matrix(tmp_path):
+    # every cell of the 2-d kinetic grid is Aubry, so the quotient and the
+    # coverings read all N x N entries of delta; delta overwrites h in
+    # place, so the run's traced peak stays below one and a half N x N
+    # float arrays (two, h and delta, would be 2 * 8 * N^2 bytes)
+    cfg = ExperimentConfig.from_dict({"model": {"family": "kinetic"},
+                                      "grid": {"dim": 2, "n": 48},
+                                      "outputs": {"directory": str(tmp_path)}})
+    N = 48 * 48
+    tracemalloc.start()
+    try:
+        manifest = run_pipeline(cfg, ["dimension"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest["stages"]["aubry"]["aubry_size"] == N
+    assert peak < 1.5 * 8 * N * N
 
 
 def test_matrix_rows_write_the_cell_by_cell_text(tmp_path):
@@ -344,6 +398,42 @@ def test_cli_ferry_flags(tmp_path, capsys):
     capsys.readouterr()
     assert main(["ferry", "--config", path, "--points", str(pts), "--p", "-1"]) == 2
     assert "ferry.p must be a positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("critical", {"kernel": {"tau": None}}),
+    ("critical", {"kernel": {"tau": float("nan")}}),
+    ("quotient", {"aubry": {"merge_threshold": None}}),
+    ("chains", {"model": {"family": "mane", "field": {"name": "sin_gradient"}},
+                "dynamics": {"dt": None}}),
+    ("ferry", {"ferry": {"p": float("nan")}}),
+])
+def test_cli_bad_number_is_exit_2_with_a_manifest(tmp_path, capsys, command, override):
+    pts = tmp_path / "seg.csv"
+    pts.write_text("0\n0.5\n")
+    override.setdefault("ferry", {})["points"] = str(pts)
+    path = write_config(tmp_path, **override)
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"]["type"] == "ConfigError" and manifest["error"]["stage"] is None
+    assert manifest["stages"] == {} and manifest["checksums"] == {}
+
+
+def test_cli_ferry_nan_exponent_is_exit_2(tmp_path, capsys):
+    pts = tmp_path / "seg.csv"
+    pts.write_text("0\n0.5\n")
+    path = write_config(tmp_path)
+    for p in ("nan", "inf", "0"):
+        assert main(["ferry", "--config", path, "--points", str(pts), "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert "ferry.p must be a positive number" in err and "Traceback" not in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and not (tmp_path / "out" / "ferry.json").exists()
+    with pytest.raises(ConfigError, match="positive finite"):
+        geometry.ferry_delta_p(np.array([[0.0], [0.5]]), float("nan"))
 
 
 def test_cli_mane_compare_wrong_family_is_exit_2(tmp_path, capsys):
