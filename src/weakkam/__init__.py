@@ -1,7 +1,7 @@
 """Numerical weak KAM / Aubry-Mather toolkit on discretized flat tori."""
 
 from .errors import WeakKamError, ConfigError, NumericalError, ArtifactError
-from .grid import GridTorus, ValueFunction, build_grid, wrap_displacement, wrap_cells
+from .grid import GridTorus, ValueFunction, build_grid, wrap_displacement
 from .models import (
     VectorField, Lagrangian, Potential, legendre_hamiltonian,
     zero_field, constant_field, sin_gradient_field, neg_grad_field, table_field,
@@ -14,7 +14,7 @@ from .kernel import (
 )
 from .critical import (
     CriticalValue, WeakKamSolution, DominationReport,
-    critical_value, lax_oleinik_minus, lax_oleinik_plus,
+    critical_value, lax_oleinik_plus,
     weak_kam_solution, check_dominated,
 )
 from .aubry import (
@@ -24,7 +24,7 @@ from .aubry import (
 )
 from .geometry import (
     CoveringReport, QuadraticBoundReport,
-    covering_number, hausdorff1_report, quadratic_bound_check,
+    hausdorff1_report, quadratic_bound_check,
     ferry_delta_p, segment_points, circle_points, interval_semimetric,
 )
 from .chains import (
@@ -35,7 +35,7 @@ from .chains import (
 from .regularize import (
     SmoothingSchedule, default_schedule, alternating_smooth,
     semiconvexity_constant, semiconcavity_constant, discrete_gradient,
-    subsolution_residual, subsolution_residual_field, aubry_drift, tent_function,
+    subsolution_residual_field, aubry_drift, tent_function,
 )
 from .config import ExperimentConfig
 from .pipeline import (

@@ -9,13 +9,14 @@ runs on the nonnegative reduced costs from each give h exactly. When
 every cell is critical, h = SP, run from one slab of the
 translation-invariant axes and rolled.
 
+Row i of h, and of delta, is grid cell i: Aubry cell indices address them directly.
+
 h is the one dense N x N array of a run: the representation check reads
 it first (representation_check(h, None, A) forms delta block by block),
 then the Mather distance delta = h + h.T overwrites it in place
 (mather_delta(h, out=h.values)).
 """
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +27,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .critical import CriticalValue, critical_graph
 from .errors import ConfigError, NumericalError
-from .kernel import ActionKernel, invariant_axes
+from .kernel import ActionKernel, available_memory, invariant_axes
 
 # entries of each row block the A x A consumers of h and delta read
 BLOCK_ENTRIES = 1 << 20
@@ -39,47 +40,33 @@ TILE = 64
 
 @dataclass
 class SemiMetric:
-    """Dense matrix of pairwise values over an indexed point set.
+    """Dense matrix of pairwise values over points 0..size-1: row and
+    column i belong to point i (the flat grid index i, or the i-th point
+    of a sampled set)."""
 
-    point_ids[i] is the flat grid index (or synthetic id) of row/col i.
-    """
-
-    point_ids: np.ndarray
     values: np.ndarray
     symmetric: bool = False
 
     def __post_init__(self):
-        self.point_ids = np.asarray(self.point_ids, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=float)
-        k = self.point_ids.shape[0]
-        if self.values.shape != (k, k):
-            raise ConfigError(
-                f"semimetric values shape {self.values.shape} does not match {k} point ids"
-            )
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
+            raise ConfigError(f"semimetric values of shape {self.values.shape} are not square")
 
     @property
     def size(self) -> int:
-        return self.point_ids.shape[0]
+        return self.values.shape[0]
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.values).copy()
 
-    def positions_of(self, ids) -> np.ndarray:
-        """Row positions of the given ids; raises if any id is absent."""
+    def check_ids(self, ids) -> np.ndarray:
+        """The ids as int64 rows; ConfigError unless 0 <= id < size, since
+        numpy indexing would wrap a negative id silently."""
         ids = np.asarray(ids, dtype=np.int64)
-        order = np.argsort(self.point_ids, kind="stable")
-        pos = np.searchsorted(self.point_ids, ids, sorter=order)
-        if np.any(pos >= self.point_ids.size) or np.any(
-                self.point_ids[order[np.minimum(pos, self.point_ids.size - 1)]] != ids):
-            missing = ids[self.point_ids[order[np.minimum(pos, self.point_ids.size - 1)]] != ids]
-            raise ConfigError(f"ids not present in semimetric: {missing[:8].tolist()}")
-        return order[pos]
-
-    def restrict(self, positions) -> "SemiMetric":
-        positions = np.asarray(positions, dtype=np.int64)
-        return SemiMetric(point_ids=self.point_ids[positions],
-                          values=self.values[np.ix_(positions, positions)],
-                          symmetric=self.symmetric)
+        bad = ids[(ids < 0) | (ids >= self.size)]
+        if bad.size:
+            raise ConfigError(f"ids outside the {self.size} points: {bad[:8].tolist()}")
+        return ids
 
     def triangle_violation(self, via_limit: int = 512, seed: int = 0) -> float:
         """max over pairs (x,z) and midpoints y of v[x,z] - v[x,y] - v[y,z].
@@ -97,9 +84,6 @@ class SemiMetric:
             detour = self.values[:, y][:, None] + self.values[y, :][None, :]
             worst = max(worst, float(np.max(self.values - detour)))
         return worst
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T)))
 
 
 @dataclass
@@ -119,11 +103,6 @@ class QuotientPartition:
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    def reduced_delta(self, delta: SemiMetric) -> np.ndarray:
-        """delta between class representatives, in class order."""
-        pos = delta.positions_of(np.asarray(self.representative, dtype=np.int64))
-        return delta.values[np.ix_(pos, pos)]
 
 
 @dataclass
@@ -164,11 +143,6 @@ def row_blocks(values: np.ndarray, pos: np.ndarray, entries: Optional[int] = Non
             for j0 in range(0, pos.size, TILE):
                 block[:, j0:j0 + TILE] = src[:, j0:j0 + TILE]
             yield i0, block
-
-
-def available_memory() -> int:
-    """Free physical memory in bytes, as the operating system reports it."""
-    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
@@ -220,7 +194,7 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
     if stranded.any():
         raise NumericalError(f"kernel graph is not strongly connected, "
                              f"e.g. cells {np.nonzero(stranded)[0][:8].tolist()}")
-    return PeierlsBarrier(point_ids=np.arange(N), values=h, representatives=reps,
+    return PeierlsBarrier(values=h, representatives=reps,
                           critical_edges=edges, invariant_axes=axes)
 
 
@@ -269,9 +243,8 @@ def aubry_set(h: SemiMetric, eta: Optional[float], K: ActionKernel, c: float) ->
             f"empty Aubry set at eta={eta:.3e} (min self-barrier {diag.min():.3e}); "
             "raise eta or refine the grid - the continuous Aubry set is nonempty."
         )
-    indices = h.point_ids[sel]
-    labels = classify_aubry(K, h, c, indices)
-    return AubrySet(indices=indices, self_barrier=diag[sel], labels=labels,
+    labels = classify_aubry(K, h, c, sel)
+    return AubrySet(indices=sel, self_barrier=diag[sel], labels=labels,
                     threshold=float(eta))
 
 
@@ -343,12 +316,12 @@ def mather_delta(h: SemiMetric, out: Optional[np.ndarray] = None) -> SemiMetric:
             S = H[a, b] + H[b, a].T
             values[a, b] = S
             values[b, a] = S.T
-    return SemiMetric(point_ids=h.point_ids.copy(), values=values, symmetric=True)
+    return SemiMetric(values=values, symmetric=True)
 
 
 def quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) -> QuotientPartition:
     """Classes of Aubry indices joined by chains of delta <= merge_threshold."""
-    pos = delta.positions_of(A.indices)
+    pos = delta.check_ids(A.indices)
     if all(np.all(b <= merge_threshold) for _, b in row_blocks(delta.values, pos)):
         members = sorted(int(i) for i in A.indices)
         return QuotientPartition(classes=[members], representative=[members[0]],
@@ -381,7 +354,7 @@ def representation_check(h: SemiMetric, delta: Optional[SemiMetric],
     of the blocks of h and h.T the check reads anyway, entry for entry
     the stored delta, so the check can run before delta overwrites h.
     """
-    pos = h.positions_of(A.indices)
+    pos = h.check_ids(A.indices)
     diag = np.diagonal(h.values)[pos]
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly

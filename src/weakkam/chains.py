@@ -68,7 +68,8 @@ def chain_graph(X: VectorField, grid: GridTorus, dt: float, eps: float,
             "the flow image could fall between cells and leave a node with no edge")
     images = integrate_flow(X, grid.coords(), dt, substeps)
     base = np.rint(images / grid.spacing).astype(np.int64)
-    reach = int(np.ceil(eps / grid.spacing)) + 1
+    # n // 2 cells each way reach every cell; more repeat them (or overflow int())
+    reach = int(min(np.ceil(eps / grid.spacing) + 1, grid.n_per_axis // 2))
     shifts = np.array(list(itertools.product(range(-reach, reach + 1), repeat=grid.dim)),
                       dtype=np.int64)
     rows, cols = [], []

@@ -14,7 +14,7 @@ from .chains import default_chain_parameters
 from .errors import ArtifactError, ConfigError
 from .grid import GridTorus, build_grid
 from .kernel import ActionKernel, build_kernel
-from .models import Lagrangian, VectorField, make_lagrangian, make_vector_field
+from .models import Lagrangian, VectorField, _finite, make_lagrangian, make_vector_field
 
 
 DEFAULTS = {
@@ -55,23 +55,16 @@ def _merged(user: dict) -> dict:
     return cfg
 
 
-# the largest finite float; a larger JSON integer overflows float()
-_FLOAT_MAX = 1.7976931348623157e308
-
-
-def _finite(val) -> bool:
-    """A number a float holds: not NaN, not infinite, not an integer
-    beyond the float range (JSON admits all three)."""
-    return (not isinstance(val, bool) and isinstance(val, (int, float))
-            and -_FLOAT_MAX <= val <= _FLOAT_MAX)
-
-
-def _numeric(section: dict, key: str, where: str, minimum=None, auto_ok=False):
+def _numeric(section: dict, key: str, where: str, minimum=None, auto_ok=False,
+             integer=False):
+    """section[key], a finite number (an integer, when integer is set: a
+    bool or an integral float such as 16.0 is none), or "auto" when auto_ok."""
     val = section[key]
     if auto_ok and val == "auto":
         return "auto"
-    if not _finite(val):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {val!r}")
+    if not _finite(val) or integer and not isinstance(val, int):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where}.{key} must be {kind}, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {val}")
     return val
@@ -117,9 +110,9 @@ class ExperimentConfig:
         r = self.raw
         self.outputs()
         g = r["grid"]
-        if g.get("dim") not in (1, 2):
-            raise ConfigError(f"grid.dim must be 1 or 2, got {g.get('dim')!r}")
-        _numeric(g, "n", "grid", minimum=4)
+        if isinstance(g["dim"], (bool, float)) or g["dim"] not in (1, 2):
+            raise ConfigError(f"grid.dim must be 1 or 2, got {g['dim']!r}")
+        _numeric(g, "n", "grid", minimum=4, integer=True)
         _numeric(r["kernel"], "tau", "kernel", minimum=1e-12, auto_ok=True)
         _numeric(r["kernel"], "stencil_radius", "kernel", minimum=1e-12, auto_ok=True)
         _numeric(r["solver"], "tol", "solver", minimum=0.0)
@@ -129,8 +122,8 @@ class ExperimentConfig:
         _numeric(r["aubry"], "merge_threshold", "aubry", minimum=0.0, auto_ok=True)
         _numeric(r["dynamics"], "dt", "dynamics", minimum=1e-12, auto_ok=True)
         _numeric(r["dynamics"], "eps", "dynamics", minimum=1e-12, auto_ok=True)
-        _numeric(r["dynamics"], "substeps", "dynamics", minimum=1)
-        _numeric(r["regularizer"], "stages", "regularizer", minimum=1)
+        _numeric(r["dynamics"], "substeps", "dynamics", minimum=1, integer=True)
+        _numeric(r["regularizer"], "stages", "regularizer", minimum=1, integer=True)
         seed = r["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")

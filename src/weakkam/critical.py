@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ConfigError, NumericalError
 from .grid import ValueFunction
-from .kernel import ActionKernel, backward_sources, minplus_apply, stencil_graph
+from .kernel import ActionKernel, backward_sources, stencil_graph
 
 # reduced costs at most ZERO_TOL * scale are critical edges; below
 # -NEGATIVE_TOL * scale the bias is no subsolution, so c is too low
@@ -190,11 +190,6 @@ def _policy_values(succ: np.ndarray, cost: np.ndarray):
             x[u] = w[u] - eta[u] + x[nxt[u]]
             state[u] = 2
     return np.array(eta), np.array(x), cycles
-
-
-def lax_oleinik_minus(K: ActionKernel, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """One backward step: (T- u)(x) = min_y [ u(y) + cost[y][x] ] + shift."""
-    return minplus_apply(K, as_value_array(u), shift)
 
 
 def lax_oleinik_plus(K: ActionKernel, u: np.ndarray, shift: float = 0.0) -> np.ndarray:

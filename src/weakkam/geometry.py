@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .grid import GridTorus, wrap_displacement
-from .aubry import AubrySet, SemiMetric, available_memory, row_blocks
+from .aubry import AubrySet, SemiMetric, row_blocks
+from .kernel import available_memory
 
 # entries of each row block of delta: 1 MiB of float64, compared with every
 # scale while it is in cache
@@ -111,23 +112,6 @@ def _greedy_coverings(values: np.ndarray, pos: np.ndarray, scales: np.ndarray,
     return [_cover(L, t, float(r), pos, symmetric) for t, r in enumerate(scales)]
 
 
-def _greedy_centers(values: np.ndarray, pos: np.ndarray, r: float,
-                    symmetric: bool = False) -> list:
-    """The greedy covering at the single radius r (_greedy_coverings)."""
-    return _greedy_coverings(values, pos, np.array([r], dtype=float), symmetric)[0]
-
-
-def _positions(delta: SemiMetric, indices) -> np.ndarray:
-    return np.arange(delta.size) if indices is None else delta.positions_of(indices)
-
-
-def covering_number(delta: SemiMetric, indices, r: float) -> int:
-    """Size of the greedy covering of the given ids by delta-balls of radius r."""
-    if not r > 0:
-        raise ConfigError(f"covering radius must be positive, got {r}")
-    return len(_greedy_centers(delta.values, _positions(delta, indices), r, delta.symmetric))
-
-
 def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:
     """Covering counts and 1-d measure surrogates across scales.
 
@@ -139,8 +123,8 @@ def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:
     if scales.size == 0 or not np.all(scales > 0):
         raise ConfigError("scale_grid must be nonempty positive radii")
     scales = np.sort(scales)[::-1].copy()
-    coverings = _greedy_coverings(delta.values, _positions(delta, indices), scales,
-                                  delta.symmetric)
+    ids = np.arange(delta.size) if indices is None else delta.check_ids(indices)
+    coverings = _greedy_coverings(delta.values, ids, scales, delta.symmetric)
     counts = np.array([len(c) for c in coverings])
     h1 = counts * 2.0 * scales
     if scales.size >= 2 and counts.max() > counts.min():
@@ -171,8 +155,9 @@ def quadratic_bound_check(delta: SemiMetric, A: AubrySet, grid: GridTorus,
     if window <= 2 * grid.spacing:
         raise ConfigError(
             f"window {window} leaves no pairs above the 2*spacing={2*grid.spacing} cutoff")
-    pos = delta.positions_of(A.indices)
-    all_pos = delta.positions_of(np.arange(grid.point_count))
+    if delta.size != grid.point_count:
+        raise ConfigError(f"delta has {delta.size} points, the grid {grid.point_count}")
+    pos = delta.check_ids(A.indices)
     xs = grid.coords(A.indices)
     ys = grid.coords()
     disp = wrap_displacement(xs[:, None, :], ys[None, :, :])
@@ -180,7 +165,7 @@ def quadratic_bound_check(delta: SemiMetric, A: AubrySet, grid: GridTorus,
     mask = (d >= 2 * grid.spacing) & (d <= window)
     if not np.any(mask):
         raise ConfigError("no Aubry/grid pairs inside the window")
-    vals = delta.values[np.ix_(pos, all_pos)]
+    vals = delta.values[pos]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mask, vals / d**2, -np.inf)
     flat = int(np.argmax(ratio))
@@ -220,7 +205,7 @@ def ferry_delta_p(points, p: float, metric: Optional[Callable] = None) -> SemiMe
     for m in range(k):
         np.minimum(D, D[:, m][:, None] + D[m, :][None, :], out=D)
     # a metric callable need not be symmetric
-    return SemiMetric(point_ids=np.arange(k), values=D, symmetric=bool(np.array_equal(D, D.T)))
+    return SemiMetric(values=D, symmetric=bool(np.array_equal(D, D.T)))
 
 
 def segment_points(n_intervals: int) -> np.ndarray:
@@ -247,5 +232,4 @@ def interval_semimetric(samples: int) -> SemiMetric:
     if samples < 2:
         raise ConfigError("need at least two samples")
     s = np.linspace(0.0, 1.0, samples)
-    return SemiMetric(point_ids=np.arange(samples),
-                      values=np.abs(s[:, None] - s[None, :]), symmetric=True)
+    return SemiMetric(values=np.abs(s[:, None] - s[None, :]), symmetric=True)

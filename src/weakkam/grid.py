@@ -79,17 +79,6 @@ def wrap_displacement(x, y) -> np.ndarray:
     return np.mod(d + 0.5, 1.0) - 0.5
 
 
-def wrap_cells(offsets, n: int) -> np.ndarray:
-    """Integer minimal-image cell offsets in [-n//2, n//2), ties toward negative.
-
-    Exact integer arithmetic; used when building kernels so that grid
-    displacements carry no rounding error.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    half = n // 2
-    return np.mod(offsets + half, n) - half
-
-
 @dataclass
 class ValueFunction:
     """Scalar field sampled on a GridTorus, in flat index order."""
@@ -107,6 +96,3 @@ class ValueFunction:
 
     def as_mesh(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
-
-    def oscillation(self) -> float:
-        return float(self.values.max() - self.values.min())

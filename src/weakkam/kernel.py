@@ -12,6 +12,7 @@ along offset s. Dense matrices are materialized on demand for small
 grids.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,11 @@ from .grid import GridTorus
 from .models import Lagrangian
 
 DENSE_LIMIT = 4096  # dense matrices allowed up to this many grid points
+
+
+def available_memory() -> int:
+    """Free physical memory in bytes, as the operating system reports it."""
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass
@@ -130,7 +136,8 @@ class ActionKernel:
 def stencil_offsets(grid: GridTorus, stencil_radius: float) -> np.ndarray:
     """Integer cell offsets with Euclidean reach <= stencil_radius."""
     sp = grid.spacing
-    max_cells = int(np.floor(stencil_radius / sp + 1e-9))
+    # bounded before int(), which a radius near the float range overflows
+    max_cells = int(min(np.floor(stencil_radius / sp + 1e-9), grid.n_per_axis))
     if max_cells < 1:
         raise ConfigError("stencil radius must reach the neighboring cell")
     if 2 * max_cells + 1 > grid.n_per_axis:
@@ -154,7 +161,8 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
     """Evaluate the one-step action on the stencil.
 
     tau defaults to the grid spacing (unit velocities advance one cell);
-    stencil_radius defaults to 4 cells.
+    stencil_radius defaults to 4 cells. Raises NumericalError when the
+    kernel's arrays would not fit in free memory.
     """
     if L.dim != grid.dim:
         raise ConfigError(f"Lagrangian dim {L.dim} != grid dim {grid.dim}")
@@ -165,8 +173,15 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
         raise ConfigError("tau must be positive")
 
     offsets = stencil_offsets(grid, stencil_radius)
+    # the coordinates, the (S, N) weights and the int64 forward targets
+    N, S = grid.point_count, offsets.shape[0]
+    need, free = 8 * N * (grid.dim + 2 * S), available_memory()
+    if need > free:
+        raise NumericalError(
+            f"the kernel on {N} points and {S} stencil offsets needs {need / 2**20:.1f} MiB, "
+            f"but only {free / 2**20:.1f} MiB of memory is free")
     coords = grid.coords()
-    weights = np.empty((offsets.shape[0], grid.point_count))
+    weights = np.empty((S, N))
     for s, o in enumerate(offsets):
         disp = o * sp
         # midpoint of the hop into z along offset o, wrapped to [0,1)

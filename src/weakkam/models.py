@@ -21,6 +21,16 @@ from .grid import GridTorus
 
 Array = np.ndarray
 
+# the largest finite float; a larger JSON integer overflows float()
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+def _finite(val) -> bool:
+    """A number a float holds: not NaN, not infinite, not an integer
+    beyond the float range (JSON admits all three)."""
+    return (not isinstance(val, bool) and isinstance(val, (int, float))
+            and -_FLOAT_MAX <= val <= _FLOAT_MAX)
+
 
 @dataclass
 class VectorField:
@@ -121,9 +131,10 @@ class Potential:
 
 def cosine_potential(dim: int, k, amp: float = 1.0) -> Potential:
     """V(x) = amp * cos(2 pi k . x) for an integer wave vector k."""
-    kvec = np.asarray(k, dtype=float).reshape(-1)
-    if kvec.shape[0] != dim:
-        raise ConfigError(f"cosine potential needs a {dim}-vector k, got {kvec.shape[0]}")
+    kvec = np.asarray(k).reshape(-1)
+    if kvec.dtype.kind not in "iu" or kvec.shape[0] != dim:
+        raise ConfigError(f"potential.k must be {dim} integers, got {k!r}")
+    kvec = kvec.astype(float)
 
     def ev(x):
         return amp * np.cos(2.0 * np.pi * (x @ kvec))
@@ -136,9 +147,14 @@ def cosine_potential(dim: int, k, amp: float = 1.0) -> Potential:
 
 
 def make_potential(spec: dict, dim: int) -> Potential:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"potential must be a mapping, got {spec!r}")
     name = spec.get("name", "cosine")
     if name == "cosine":
-        return cosine_potential(dim, spec.get("k", [1] * dim), float(spec.get("amp", 1.0)))
+        amp = spec.get("amp", 1.0)
+        if not _finite(amp):
+            raise ConfigError(f"potential.amp must be a finite number, got {amp!r}")
+        return cosine_potential(dim, spec.get("k", [1] * dim), float(amp))
     if name == "zero":
         zero = cosine_potential(dim, [0] * dim, 0.0)
         zero.name = "zero"
@@ -168,18 +184,26 @@ def table_field(grid: GridTorus, table: Array) -> VectorField:
 
 
 def make_vector_field(spec: dict, grid: GridTorus) -> VectorField:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"field must be a mapping, got {spec!r}")
     name = spec.get("name")
     if name == "zero":
         return zero_field(grid.dim)
     if name == "constant":
-        return constant_field(spec.get("components", [1.0] * grid.dim), grid.dim)
+        components = spec.get("components", [1.0] * grid.dim)
+        if not isinstance(components, list) or not all(map(_finite, components)):
+            raise ConfigError(f"field.components must be finite numbers, got {components!r}")
+        return constant_field(components, grid.dim)
     if name == "sin_gradient":
-        return sin_gradient_field(grid.dim, int(spec.get("k", 1)))
+        k = spec.get("k", 1)
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ConfigError(f"field.k must be an integer, got {k!r}")
+        return sin_gradient_field(grid.dim, k)
     if name == "neg_grad":
         return neg_grad_field(make_potential(spec.get("potential", {}), grid.dim))
     if name == "table":
         path = spec.get("path")
-        if path is None:
+        if not isinstance(path, str):
             raise ConfigError("table field needs a 'path' to a CSV of cell samples")
         try:
             raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -188,9 +212,8 @@ def make_vector_field(spec: dict, grid: GridTorus) -> VectorField:
         except ValueError as exc:
             raise ConfigError(f"field table {path} is not numeric CSV: {exc}") from exc
         return table_field(grid, raw[:, -grid.dim:])
-    raise ConfigError(
-        f"unknown vector field {name!r}; builtins are 'zero', 'constant', "
-        "'sin_gradient', 'neg_grad', 'table'")
+    raise ConfigError(f"field.name must be one of 'zero', 'constant', 'sin_gradient', "
+                      f"'neg_grad', 'table', got {name!r}")
 
 
 def mane_lagrangian(X: VectorField) -> Lagrangian:

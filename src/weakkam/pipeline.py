@@ -203,7 +203,7 @@ def _stage_quotient(cfg, state, out, formats):
     class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
     label = np.array([class_of[i] for i in state["A"].indices.tolist()])
     diam = 0.0
-    for i0, block in row_blocks(delta.values, delta.positions_of(state["A"].indices)):
+    for i0, block in row_blocks(delta.values, state["A"].indices):
         same = label[i0:i0 + block.shape[0], None] == label
         diam = max(diam, float(np.max(block, where=same, initial=0.0)))
     files = []
@@ -224,9 +224,8 @@ def _stage_quotient(cfg, state, out, formats):
 
 def _auto_scales(delta, indices) -> np.ndarray:
     """Geometric scale grid spanning the positive delta range of the set."""
-    pos = delta.positions_of(np.asarray(indices, dtype=np.int64))
     lo, hi = np.inf, 0.0
-    for _, block in row_blocks(delta.values, pos):
+    for _, block in row_blocks(delta.values, indices):
         lo = min(lo, float(np.min(block, where=block > 0, initial=np.inf)))
         hi = max(hi, float(np.max(block, where=block > 0, initial=0.0)))
     if hi == 0.0:

@@ -28,10 +28,6 @@ class SmoothingSchedule:
         if min(self.t_plus) <= 0 or min(self.t_minus) <= 0:
             raise ConfigError("all smoothing times must be positive")
 
-    @property
-    def stages(self) -> int:
-        return len(self.t_plus)
-
     def step_counts(self, tau: float):
         """Whole numbers of one-step operator applications per stage."""
         plus = [max(1, int(round(t / tau))) for t in self.t_plus]
@@ -103,13 +99,6 @@ def discrete_gradient(u: ValueFunction) -> np.ndarray:
     for ax in range(u.grid.dim):
         comps.append((np.roll(mesh, -1, axis=ax) - np.roll(mesh, 1, axis=ax)) / (2 * sp))
     return np.stack([g.ravel() for g in comps], axis=1)
-
-
-def subsolution_residual(u: ValueFunction, L: Lagrangian, grid: GridTorus,
-                         c: float) -> float:
-    """max over the grid of H(x, Du(x)) - c for the discrete gradient."""
-    field = subsolution_residual_field(u, L, grid)
-    return float(np.max(field) - c)
 
 
 def subsolution_residual_field(u: ValueFunction, L: Lagrangian,

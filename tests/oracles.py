@@ -231,7 +231,7 @@ def closure_barrier(K: ActionKernel, c: float) -> SemiMetric:
         h = np.full((N, N), np.inf)
         for a in critical:
             np.minimum(h, sp_mat[:, a][:, None] + sp_mat[a, :][None, :], out=h)
-    return SemiMetric(point_ids=np.arange(N), values=h, symmetric=False)
+    return SemiMetric(values=h, symmetric=False)
 
 
 def representative_barrier(K: ActionKernel, cv: CriticalValue) -> np.ndarray:
@@ -351,9 +351,8 @@ def _greedy_centers(values: np.ndarray, r: float) -> list:
 
 def union_find_quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) -> QuotientPartition:
     """Union-find merge of Aubry indices at delta <= merge_threshold."""
-    pos = delta.positions_of(A.indices)
-    sub = delta.values[np.ix_(pos, pos)]
-    k = pos.size
+    sub = delta.values[np.ix_(A.indices, A.indices)]
+    k = A.indices.size
     if np.all(sub <= merge_threshold):
         members = sorted(int(i) for i in A.indices)
         return QuotientPartition(classes=[members], representative=[members[0]],
@@ -384,8 +383,7 @@ def union_find_quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) 
 
 def _auto_scales(delta, indices) -> np.ndarray:
     """Geometric scale grid spanning the positive delta range of the set."""
-    pos = delta.positions_of(np.asarray(indices, dtype=np.int64))
-    sub = delta.values[np.ix_(pos, pos)]
+    sub = delta.values[np.ix_(indices, indices)]
     off = sub[sub > 0]
     if off.size == 0:
         return np.geomspace(1e-4, 1e-1, 6)

@@ -232,7 +232,7 @@ def test_aubry_empty_at_negative_eta(pendulum_state_64):
 def test_mather_delta_symmetric_and_zero_on_aubry(pendulum_state_64):
     h = pendulum_state_64["h"]
     d = mather_delta(h)
-    assert d.symmetry_defect() == 0.0
+    assert np.max(np.abs(d.values - d.values.T)) == 0.0
     np.testing.assert_allclose(d.diagonal(), 2.0 * h.diagonal(), atol=1e-15)
     assert d.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -262,8 +262,7 @@ def test_quotient_doublewell_two_classes(doublewell_state_64):
     q = quotient(d, A, 8 * K.grid.spacing**2)
     assert q.class_count == 2
     assert q.representative == [0, 32]
-    red = q.reduced_delta(d)
-    assert red[0, 1] > 10 * q.merge_threshold
+    assert d.values[0, 32] > 10 * q.merge_threshold
 
 
 def test_quotient_kinetic_merges_at_spacing_squared(mane_zero_kernel_16):
@@ -288,11 +287,10 @@ def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
     h = peierls_barrier(K, cv)
     # exact delta: every residual ties at 0; noisy delta: one largest residual
     rng = np.random.default_rng(3)
-    delta = SemiMetric(point_ids=h.point_ids,
-                       values=mather_delta(h).values + noise * rng.random(h.values.shape))
+    delta = SemiMetric(values=mather_delta(h).values + noise * rng.random(h.values.shape))
     A = aubry_set(h, None, K, cv.c)
     # the whole |A| x |A| residual at once, first maximum in row-major order
-    pos = h.positions_of(A.indices)
+    pos = A.indices
     H, D = h.values, delta.values
     px, py = pos[:, None], pos[None, :]
     res = np.abs(D[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
@@ -330,12 +328,12 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     # every consumer of the blocks agrees with its copying oracle
     vals = np.random.default_rng(7).integers(0, 4, (5, 5)) / 4
     np.fill_diagonal(vals, 0.0)
-    delta = SemiMetric(point_ids=np.arange(5), values=vals)
+    delta = SemiMetric(values=vals)
     sub = vals[np.ix_(pos, pos)]
     A = aubry.AubrySet(indices=pos, self_barrier=np.zeros(pos.size),
                        labels=["other"] * pos.size, threshold=0.0)
     for r in (0.25, 0.5, 0.75):
-        assert geometry._greedy_centers(vals, pos, r) == _greedy_centers(sub, r)
+        assert geometry._greedy_coverings(vals, pos, np.array([r]))[0] == _greedy_centers(sub, r)
         got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
         assert (got.classes, got.representative) == (want.classes, want.representative)
     np.testing.assert_array_equal(pipeline._auto_scales(delta, pos), _auto_scales(delta, pos))
@@ -343,12 +341,11 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     px, py = pos[:, None], pos[None, :]
     res = np.abs(vals[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
     i, j = np.unravel_index(int(np.argmax(res)), res.shape)
-    rep = representation_check(SemiMetric(point_ids=np.arange(5), values=H), delta, A)
+    rep = representation_check(SemiMetric(values=H), delta, A)
     assert (rep.max_residual, rep.worst_pair) == (res[i, j], (ids[i], ids[j]))
     # delta=None is H + H.T, which the random vals are not
-    own = representation_check(SemiMetric(point_ids=np.arange(5), values=H), None, A)
-    rep = representation_check(SemiMetric(point_ids=np.arange(5), values=H),
-                               SemiMetric(point_ids=np.arange(5), values=H + H.T), A)
+    own = representation_check(SemiMetric(values=H), None, A)
+    rep = representation_check(SemiMetric(values=H), SemiMetric(values=H + H.T), A)
     assert (own.max_residual, own.worst_pair) == (rep.max_residual, rep.worst_pair)
 
 
@@ -361,7 +358,7 @@ def test_mather_delta_is_the_sum_with_the_transpose(monkeypatch, tile):
     # a C-contiguous h and a transposed one
     for values in (H, H.T):
         want = values + values.T
-        h = SemiMetric(point_ids=np.arange(70), values=values.copy(order="K"))
+        h = SemiMetric(values=values.copy(order="K"))
         d = mather_delta(h)
         assert d.symmetric
         assert np.array_equal(d.values, want)
@@ -389,8 +386,7 @@ def test_representation_check_forms_delta_itself(monkeypatch, case, part, block)
         A = dataclasses.replace(A, indices=ids)
     monkeypatch.setattr(aubry, "CHECK_ENTRIES", block)
     # perturb h so the residual has one largest entry
-    h = SemiMetric(point_ids=h.point_ids,
-                   values=h.values + np.random.default_rng(4).random(h.values.shape))
+    h = SemiMetric(values=h.values + np.random.default_rng(4).random(h.values.shape))
     want = representation_check(h, mather_delta(h), A)
     got = representation_check(h, None, A)
     assert (got.max_residual, got.worst_pair, got.pairs_checked) == (
@@ -401,7 +397,7 @@ def test_representation_check_forms_delta_itself(monkeypatch, case, part, block)
 def test_representation_check_leaves_a_one_cell_barrier_unchanged():
     # on one cell h.values.T is C-contiguous, so every block is a view; a
     # negative self-barrier makes every intermediate differ from h and delta
-    h = SemiMetric(point_ids=[0], values=[[-0.25]])
+    h = SemiMetric(values=[[-0.25]])
     delta = mather_delta(h)
     A = aubry.AubrySet(indices=np.array([0]), self_barrier=np.array([-0.25]),
                        labels=["stationary"], threshold=1.0)
@@ -435,13 +431,27 @@ def test_classify_constant_field_periodic_label():
 
 
 def test_semimetric_helpers():
-    ids = np.array([3, 7, 9])
     vals = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
-    m = SemiMetric(point_ids=ids, values=vals, symmetric=True)
+    m = SemiMetric(values=vals, symmetric=True)
     assert m.size == 3
-    np.testing.assert_array_equal(m.positions_of([9, 3]), [2, 0])
-    sub = m.restrict([0, 2])
-    np.testing.assert_array_equal(sub.point_ids, [3, 9])
-    assert sub.values[0, 1] == 2.0
-    with pytest.raises(ConfigError):
-        m.positions_of([4])
+    ids = m.check_ids([2, 0])
+    assert ids.dtype == np.int64 and ids.tolist() == [2, 0]
+    # numpy would read -1 as the last row; size is one past it
+    for bad in ([-1], [0, 3]):
+        with pytest.raises(ConfigError, match="outside the 3 points"):
+            m.check_ids(bad)
+        A = aubry.AubrySet(indices=np.array(bad), self_barrier=np.zeros(len(bad)),
+                           labels=["other"] * len(bad), threshold=0.0)
+        for consumer in (lambda: quotient(m, A, 0.5),
+                         lambda: representation_check(m, None, A),
+                         lambda: geometry.hausdorff1_report(m, A.indices, [0.5]),
+                         lambda: geometry.quadratic_bound_check(m, A, build_grid(1, 3), 0.9)):
+            with pytest.raises(ConfigError, match="outside the 3 points"):
+                consumer()
+    # the quadratic bound reads delta between the Aubry set and every cell
+    A = aubry.AubrySet(indices=np.array([0]), self_barrier=np.zeros(1),
+                       labels=["other"], threshold=0.0)
+    with pytest.raises(ConfigError, match="delta has 3 points, the grid 4"):
+        geometry.quadratic_bound_check(m, A, build_grid(1, 4), 0.9)
+    with pytest.raises(ConfigError, match="not square"):
+        SemiMetric(values=np.zeros((2, 3)))

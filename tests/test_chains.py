@@ -59,6 +59,17 @@ def test_chain_graph_constant_field_advances_cells():
     np.testing.assert_array_equal(cols[np.argsort(rows)], (np.arange(16) + 3) % 16)
 
 
+@pytest.mark.parametrize("eps", [0.4, 0.6, 1.0, 1e308])
+def test_chain_graph_lists_every_cell_within_eps(eps):
+    # past half the torus (eps > 0.5 on n=6) the candidate cells wrap around
+    g = build_grid(2, 6)
+    X = constant_field([0.3, 0.1], 2)
+    cg = chain_graph(X, g, dt=0.5, eps=eps)
+    images = integrate_flow(X, g.coords(), 0.5)
+    d = np.array([g.torus_distance(np.broadcast_to(img, (36, 2)), g.coords()) for img in images])
+    np.testing.assert_array_equal(cg.edges.toarray(), d <= eps)
+
+
 def test_chain_graph_eps_floor():
     g = build_grid(1, 16)
     with pytest.raises(ConfigError):

@@ -67,6 +67,14 @@ def test_validation_errors():
     for bad in (None, 0, -1.0, float("nan"), float("inf"), True):
         with pytest.raises(ConfigError, match="ferry.p must be a positive number"):
             ExperimentConfig.from_dict({"ferry": {"p": bad}})
+    # counts are integers: no bool, no integral float, none beyond the float range
+    for section, key in [("grid", "n"), ("dynamics", "substeps"), ("regularizer", "stages")]:
+        for bad in (16.5, 16.0, True, "8", None, 10**400):
+            with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+                ExperimentConfig.from_dict({section: {key: bad}})
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ConfigError, match="grid.dim must be 1 or 2"):
+            ExperimentConfig.from_dict({"grid": {"dim": bad}})
     # the seed feeds numpy's generator, which takes no negative integer
     with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
         ExperimentConfig.from_dict({"seed": -1})
@@ -136,7 +144,7 @@ def test_quotient_stage_class_diameter(tmp_path, monkeypatch, block):
     vals = np.random.default_rng(3).integers(0, 4, (8, 8)) / 8
     np.fill_diagonal(vals, 0.0)
     ids = np.array([6, 1, 3, 0, 4])
-    state = {"grid": cfg.grid(), "h": aubry.SemiMetric(point_ids=np.arange(8), values=vals),
+    state = {"grid": cfg.grid(), "h": aubry.SemiMetric(values=vals),
              "A": aubry.AubrySet(indices=ids, self_barrier=np.zeros(5),
                                  labels=["other"] * 5, threshold=0.0)}
     pipeline._stage_quotient(cfg, state, str(tmp_path), ["json"])
@@ -155,11 +163,10 @@ def test_quotient_stage_checks_h_before_delta_overwrites_it(tmp_path):
     # a nonzero diagonal: the check's residual on h is |h(x,x) + h(y,y)|,
     # twice that if it read delta in place of h
     vals = np.random.default_rng(6).random((8, 8))
-    h = aubry.SemiMetric(point_ids=np.arange(8), values=vals.copy())
+    h = aubry.SemiMetric(values=vals.copy())
     A = aubry.AubrySet(indices=np.arange(8), self_barrier=np.diagonal(vals).copy(),
                        labels=["other"] * 8, threshold=1.0)
-    want = representation_check(aubry.SemiMetric(point_ids=np.arange(8), values=vals),
-                                None, A).max_residual
+    want = representation_check(aubry.SemiMetric(values=vals), None, A).max_residual
     state = {"grid": cfg.grid(), "h": h, "A": A}
     pipeline._stage_quotient(cfg, state, str(tmp_path), ["json"])
     data = json.loads((tmp_path / "quotient.json").read_text())

@@ -8,7 +8,6 @@ from weakkam import (
     GridTorus,
     ValueFunction,
     build_grid,
-    wrap_cells,
     wrap_displacement,
 )
 
@@ -60,13 +59,6 @@ def test_wrap_displacement_range():
     assert np.all(d >= -0.5) and np.all(d < 0.5)
 
 
-def test_wrap_cells_range_and_congruence():
-    offs = np.arange(-20, 21)[:, None]
-    w = wrap_cells(offs, 8)
-    assert np.all(w >= -4) and np.all(w < 4)
-    assert np.all((w - offs) % 8 == 0)
-
-
 def test_index_of_cell_wraps():
     g = build_grid(1, 8)
     assert g.index_of_cell(np.array([[9]]))[0] == 1
@@ -97,12 +89,12 @@ def test_coords_subset():
     np.testing.assert_allclose(g.coords([2, 5])[:, 0], [0.25, 0.625])
 
 
-def test_value_function_mesh_and_oscillation():
+def test_value_function_mesh():
     g = build_grid(2, 4)
     vals = np.arange(16, dtype=float)
     u = ValueFunction(grid=g, values=vals)
     assert u.as_mesh().shape == (4, 4)
-    assert u.oscillation() == 15.0
+    assert u.as_mesh()[1, 2] == 6.0
 
 
 def test_value_function_length_mismatch():

@@ -16,6 +16,7 @@ from weakkam import (
     sin_gradient_field,
     stencil_offsets,
 )
+from weakkam import NumericalError, kernel
 from weakkam.kernel import invariant_axes
 
 from conftest import toy_kernel
@@ -67,6 +68,29 @@ def test_default_radius_needs_room():
     import weakkam
     with pytest.raises(weakkam.ConfigError):
         build_kernel(build_grid(1, 8), kinetic_lagrangian(1))  # 4-cell default
+
+
+def test_radius_past_the_float_range_is_a_config_error():
+    import weakkam
+    # radius / spacing overflows to inf, which int() cannot take
+    with pytest.raises(weakkam.ConfigError, match="spans more than the torus period"):
+        stencil_offsets(build_grid(1, 8), 1.7e308)
+
+
+def test_kernel_refuses_more_memory_than_is_free(monkeypatch):
+    # 2-d n=8 at a one-cell radius: N = 64 points, S = 5 offsets; the
+    # coordinates, the weights and the forward targets need 8 * N * (2 + 2 * S)
+    g = build_grid(2, 8)
+    need = 8 * 64 * (2 + 2 * 5)
+    monkeypatch.setattr(kernel, "available_memory", lambda: need - 1)
+    with pytest.raises(NumericalError, match="memory is free"):
+        build_kernel(g, kinetic_lagrangian(2), stencil_radius=g.spacing)
+    monkeypatch.setattr(kernel, "available_memory", lambda: need)
+    K = build_kernel(g, kinetic_lagrangian(2), stencil_radius=g.spacing)
+    assert K.weights.shape == (5, 64)
+    # a 10^6 x 10^6 grid is refused before its coordinates are made
+    with pytest.raises(NumericalError, match="1000000000000 points"):
+        build_kernel(build_grid(2, 10**6), kinetic_lagrangian(2))
 
 
 def test_row_finiteness_at_two_cell_radius():

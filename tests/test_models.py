@@ -1,5 +1,7 @@
 """Model layer: Lagrangian families, Legendre transform, field factories."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,30 @@ def test_make_vector_field_unknown_name_lists_builtins():
         make_vector_field({"name": "whirl"}, g)
     for name in ("zero", "constant", "sin"):
         assert name in str(e.value)
+
+
+@pytest.mark.parametrize("model, key", [
+    ({"family": "mechanical", "potential": {"k": "ab"}}, "potential.k"),
+    ({"family": "mechanical", "potential": {"k": [1.5]}}, "potential.k"),
+    ({"family": "mechanical", "potential": {"k": [True]}}, "potential.k"),
+    ({"family": "mechanical", "potential": {"k": [1, 0]}}, "potential.k"),
+    ({"family": "mechanical", "potential": {"amp": "x"}}, "potential.amp"),
+    ({"family": "mechanical", "potential": {"amp": float("nan")}}, "potential.amp"),
+    ({"family": "mechanical", "potential": [1]}, "potential must be a mapping"),
+    ({"family": "mane", "field": {"name": "sin_gradient", "k": "z"}}, "field.k"),
+    ({"family": "mane", "field": {"name": "sin_gradient", "k": 1.5}}, "field.k"),
+    ({"family": "mane", "field": {"name": "constant", "components": ["a"]}},
+     "field.components"),
+    ({"family": "mane", "field": {"name": "neg_grad", "potential": {"k": [0.5]}}},
+     "potential.k"),
+    ({"family": "mane", "field": {"name": "table", "path": 5}}, "'path'"),
+    ({"family": "mane", "field": {"k": 1}}, "field.name must be one of"),
+    ({"family": "mane"}, "field.name must be one of"),
+    ({"family": "mane", "field": 5}, "field must be a mapping"),
+])
+def test_builders_name_the_bad_key(model, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        make_lagrangian(model, build_grid(1, 8))
 
 
 def test_make_lagrangian_families():

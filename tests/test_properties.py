@@ -13,12 +13,10 @@ from weakkam import (
     chain_recurrent_set,
     check_dominated,
     cosine_potential,
-    covering_number,
     critical_value,
     ferry_delta_p,
     hausdorff1_report,
     kinetic_lagrangian,
-    lax_oleinik_minus,
     lax_oleinik_plus,
     mechanical_lagrangian,
     minplus_apply,
@@ -26,7 +24,6 @@ from weakkam import (
     quotient,
     sin_gradient_field,
     weak_kam_solution,
-    wrap_cells,
     wrap_displacement,
 )
 
@@ -50,15 +47,6 @@ def test_wrap_displacement_is_min_image(xs, ys):
     assert np.all(d >= -0.5) and np.all(d < 0.5)
     gap = np.abs((x + d) % 1.0 - y % 1.0)
     assert np.all(np.minimum(gap, 1.0 - gap) <= 1e-12)
-
-
-@given(st.integers(min_value=2, max_value=64),
-       st.lists(st.integers(min_value=-200, max_value=200), min_size=1, max_size=16))
-def test_wrap_cells_congruent(n, offs):
-    arr = np.array(offs)[:, None]
-    w = wrap_cells(arr, n)
-    assert np.all(w >= -(n // 2)) and np.all(w < (n + 1) // 2)
-    assert np.all((w - arr) % n == 0)
 
 
 _kernel16 = None
@@ -99,8 +87,8 @@ def test_backward_forward_galois(us):
     # T+ and T- are adjoint: T+(T- u) <= u and T-(T+ u) >= u
     u = np.array(us)
     K = kernel16()
-    assert np.all(lax_oleinik_plus(K, lax_oleinik_minus(K, u)) <= u + 1e-12)
-    assert np.all(lax_oleinik_minus(K, lax_oleinik_plus(K, u)) >= u - 1e-12)
+    assert np.all(lax_oleinik_plus(K, minplus_apply(K, u)) <= u + 1e-12)
+    assert np.all(minplus_apply(K, lax_oleinik_plus(K, u)) >= u - 1e-12)
 
 
 _pend = None
@@ -125,7 +113,7 @@ def test_shifted_steps_preserve_domination(seed, steps):
     assert check_dominated(K, u, c, tol=1e-9).dominated
     shift = c * K.tau
     for _ in range(steps):
-        u = lax_oleinik_minus(K, u, shift)
+        u = minplus_apply(K, u, shift)
         assert check_dominated(K, u, c, tol=1e-9).dominated
     for _ in range(steps):
         u = lax_oleinik_plus(K, u, shift)
@@ -251,8 +239,7 @@ def semimetric_cases(draw):
 def test_block_consumers_match_copying_oracles(case, radius):
     vals, indices, block = case
     # symmetric values take the row read of the coverings
-    delta = SemiMetric(point_ids=np.arange(vals.shape[0]), values=vals,
-                       symmetric=bool(np.array_equal(vals, vals.T)))
+    delta = SemiMetric(values=vals, symmetric=bool(np.array_equal(vals, vals.T)))
     sub = vals[np.ix_(indices, indices)]
     radii = [radius] + [float(v) for v in np.unique(sub) if v > 0]
     A = AubrySet(indices=indices, self_barrier=np.zeros(indices.size),
@@ -261,10 +248,11 @@ def test_block_consumers_match_copying_oracles(case, radius):
         m.setattr(aubry, "BLOCK_ENTRIES", block)
         m.setattr(geometry, "LEVEL_ENTRIES", block)
         for r in radii:
-            assert geometry._greedy_centers(vals, indices, r) == oracle_centers(sub, r)
-            assert (geometry._greedy_centers(vals, indices, r, delta.symmetric)
-                    == oracle_centers(sub, r))
-            assert covering_number(delta, indices, r) == len(oracle_centers(sub, r))
+            want = oracle_centers(sub, r)
+            assert geometry._greedy_coverings(vals, indices, np.array([r]))[0] == want
+            assert geometry._greedy_coverings(vals, indices, np.array([r]),
+                                              delta.symmetric)[0] == want
+            assert hausdorff1_report(delta, indices, [r]).covering_counts[0] == len(want)
             got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
             assert (got.classes, got.representative) == (want.classes, want.representative)
         scales = pipeline._auto_scales(delta, indices)
@@ -278,8 +266,7 @@ def test_block_consumers_match_copying_oracles(case, radius):
        st.integers(min_value=1, max_value=3))
 def test_multiscale_coverings_match_per_scale_oracle(case, extra, copies):
     vals, indices, block = case
-    delta = SemiMetric(point_ids=np.arange(vals.shape[0]), values=vals,
-                       symmetric=bool(np.array_equal(vals, vals.T)))
+    delta = SemiMetric(values=vals, symmetric=bool(np.array_equal(vals, vals.T)))
     sub = vals[np.ix_(indices, indices)]
     # every distinct delta value is a scale, so ties sit exactly at r, and
     # each is repeated `copies` times
@@ -304,7 +291,7 @@ def test_coverings_count_levels_past_255_scales():
     vals = rng.integers(1, 301, (5, 5)) / 300
     np.fill_diagonal(vals, 0.0)
     scales = np.arange(1, 301) / 300
-    delta = SemiMetric(point_ids=np.arange(5), values=vals)
+    delta = SemiMetric(values=vals)
     desc = scales[::-1]
     assert geometry._levels(vals, np.arange(5), desc).max() == 300
     counts = hausdorff1_report(delta, None, scales).covering_counts

@@ -13,10 +13,10 @@ from weakkam import (
     cosine_potential,
     critical_value,
     kinetic_lagrangian,
-    lax_oleinik_minus,
     lax_oleinik_plus,
     mane_lagrangian,
     mechanical_lagrangian,
+    minplus_apply,
     weak_kam_solution,
     zero_field,
 )
@@ -28,7 +28,7 @@ from weakkam.regularize import (
     discrete_gradient,
     semiconcavity_constant,
     semiconvexity_constant,
-    subsolution_residual,
+    subsolution_residual_field,
     tent_function,
 )
 
@@ -58,7 +58,6 @@ def test_default_schedule_halves_then_clamps():
     s = default_schedule(0.125)
     np.testing.assert_allclose(s.t_plus, [0.5, 0.25, 0.125, 0.125])
     np.testing.assert_allclose(s.t_minus, s.t_plus)
-    assert s.stages == 4
 
 
 def test_step_counts_round_to_whole_steps():
@@ -111,7 +110,7 @@ def test_smooth_output_near_fixed_point():
     cv = critical_value(K)
     sol = weak_kam_solution(K, cv)
     v = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau))
-    res = np.max(np.abs(lax_oleinik_minus(K, v.values, cv.c * K.tau) - v.values))
+    res = np.max(np.abs(minplus_apply(K, v.values, cv.c * K.tau) - v.values))
     assert res <= 2e-9
 
 
@@ -158,13 +157,13 @@ def test_subsolution_residual_zero_for_constants_on_mane():
     g = build_grid(1, 64)
     L = mane_lagrangian(zero_field(1))
     u = ValueFunction(grid=g, values=np.zeros(64))
-    assert subsolution_residual(u, L, g, 0.0) == 0.0
+    assert np.max(subsolution_residual_field(u, L, g)) == 0.0
 
 
 def test_subsolution_residual_flags_steep_functions():
     g = build_grid(1, 64)
     u = ValueFunction(grid=g, values=10.0 * tent_function(g).values)
-    assert subsolution_residual(u, PEND, g, 1.0) > 10.0
+    assert np.max(subsolution_residual_field(u, PEND, g)) - 1.0 > 10.0
 
 
 def test_subsolution_residual_halves_under_refinement():
@@ -174,7 +173,7 @@ def test_subsolution_residual_halves_under_refinement():
         K = build_kernel(g, PEND, tau=0.0625, stencil_radius=0.3)
         cv = critical_value(K)
         sol = weak_kam_solution(K, cv)
-        res[n] = subsolution_residual(sol.u, L=PEND, grid=g, c=cv.c)
+        res[n] = np.max(subsolution_residual_field(sol.u, PEND, g)) - cv.c
     assert res[128] <= 10 * (1.0 / 128)
     assert 0.35 * res[128] <= res[256] <= 0.65 * res[128]
 
