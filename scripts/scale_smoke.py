@@ -1,0 +1,64 @@
+"""Scale smoke run: `weakkam all` on the two 2-d grids of 128 x 128 cells.
+
+    python3 scripts/scale_smoke.py
+
+Runs each case in a child process from `src/` and checks that it exits 0.
+On the kinetic case, where every cell is Aubry and the quotient and the
+coverings read all N x N pairs of the Mather distance, it also checks that
+the child's peak resident memory (`ru_maxrss`) stays below 700 MiB: no
+N x N float array may be held. Wall times are printed, never checked.
+Exits 1 when a check fails.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PEAK_LIMIT_MIB = 700
+
+CASES = [
+    # (name, model, peak limit in MiB or None)
+    ("kinetic-2d-128", {"family": "kinetic"}, PEAK_LIMIT_MIB),
+    ("mechanical-2d-128", {"family": "mechanical",
+                           "potential": {"name": "cosine", "k": [1, 0]}}, None),
+]
+
+
+def run(model: dict, out: str) -> tuple:
+    """Exit code, peak RSS in MiB and wall seconds of one child run."""
+    path = os.path.join(out, "config.json")
+    with open(path, "w") as f:
+        json.dump({"model": model, "grid": {"dim": 2, "n": 128},
+                   "outputs": {"directory": os.path.join(out, "run")}}, f)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "weakkam.cli", "all", "--config", path],
+                             env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KiB on Linux
+    return child.returncode, usage.ru_maxrss / 1024, wall
+
+
+def main() -> int:
+    failed = []
+    for name, model, limit in CASES:
+        with tempfile.TemporaryDirectory() as out:
+            code, peak, wall = run(model, out)
+        print(f"{name}: exit {code}, peak RSS {peak:.1f} MiB, {wall:.1f} s", flush=True)
+        if code != 0:
+            failed.append(f"{name} exited {code}")
+        if limit is not None and peak >= limit:
+            failed.append(f"{name} peaked at {peak:.1f} MiB, limit {limit} MiB")
+    for reason in failed:
+        print(f"FAIL: {reason}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

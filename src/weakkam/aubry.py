@@ -11,53 +11,41 @@ translation-invariant axes and rolled.
 
 Row i of h, and of delta, is grid cell i: Aubry cell indices address them directly.
 
-h is the one dense N x N array of a run: the representation check reads
-it first (representation_check(h, None, A) forms delta block by block),
-then the Mather distance delta = h + h.T overwrites it in place
-(mather_delta(h, out=h.values)).
+h is kept as those k x N factors, never as an N x N array. Its consumers
+read h, h.T and delta = h + h.T in row blocks (row_blocks), each entry
+computed with the same operations, in the same order, as a dense fill;
+.values builds the dense matrix only for a caller that asks for it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .critical import CriticalValue, critical_graph
 from .errors import ConfigError, NumericalError
-from .kernel import ActionKernel, available_memory, invariant_axes
+from .kernel import ActionKernel, available_memory, check_memory, invariant_axes
 
 # entries of each row block the A x A consumers of h and delta read
-BLOCK_ENTRIES = 1 << 20
-# entries of each row block of the representation check
-CHECK_ENTRIES = 1 << 18
-# side of the tiles a transposed row block is copied in, and of the tile
-# pairs the Mather distance is summed in
-TILE = 64
+BLOCK_ENTRIES = 1 << 18
 
 
-@dataclass
-class SemiMetric:
-    """Dense matrix of pairwise values over points 0..size-1: row and
-    column i belong to point i (the flat grid index i, or the i-th point
-    of a sampled set)."""
+class _Pairwise:
+    """Values over pairs of points 0..size-1, row and column i of point i (the
+    flat grid index i, or the i-th point of a sampled set). A subclass gives
+    size, at(y, z) (elementwise, y and z broadcast), block(rows, cols,
+    transpose) (values[rows][:, cols], or of values.T; rows and cols both
+    slices or both index arrays) and values, the dense matrix."""
 
-    values: np.ndarray
-    symmetric: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ConfigError(f"semimetric values of shape {self.values.shape} are not square")
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
+    symmetric = False
 
     def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.values).copy()
+        ids = np.arange(self.size)
+        return self.at(ids, ids)
 
     def check_ids(self, ids) -> np.ndarray:
         """The ids as int64 rows; ConfigError unless 0 <= id < size, since
@@ -74,16 +62,50 @@ class SemiMetric:
         Exhaustive in y for small sets; for large ones a deterministic
         random sample of via_limit midpoints is used.
         """
-        k = self.size
+        values, k = self.values, self.size
         if k <= via_limit:
             vias = np.arange(k)
         else:
             vias = np.random.default_rng(seed).choice(k, size=via_limit, replace=False)
         worst = -np.inf
         for y in vias:
-            detour = self.values[:, y][:, None] + self.values[y, :][None, :]
-            worst = max(worst, float(np.max(self.values - detour)))
+            detour = values[:, y][:, None] + values[y, :][None, :]
+            worst = max(worst, float(np.max(values - detour)))
         return worst
+
+
+@dataclass
+class SemiMetric(_Pairwise):
+    """Dense matrix of pairwise values."""
+
+    values: np.ndarray
+    symmetric: bool = False
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
+            raise ConfigError(f"semimetric values of shape {self.values.shape} are not square")
+
+    @property
+    def size(self) -> int:
+        return self.values.shape[0]
+
+    def at(self, y, z) -> np.ndarray:
+        return self.values[y, z]
+
+    def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
+        values = self.values.T if transpose else self.values
+        return values[rows, cols] if isinstance(rows, slice) else values[rows[:, None], cols]
+
+
+def _dense(m: _Pairwise) -> np.ndarray:
+    """The N x N matrix of m from its row blocks, if it fits in free memory."""
+    N = m.size
+    check_memory(8 * N * N, available_memory(), f"the {N}x{N} matrix needs")
+    values = np.empty((N, N))
+    for i0, block in row_blocks(m, np.arange(N)):
+        values[i0:i0 + block.shape[0]] = block
+    return values
 
 
 @dataclass
@@ -106,43 +128,97 @@ class QuotientPartition:
 
 
 @dataclass
-class PeierlsBarrier(SemiMetric):
-    """The barrier h and the critical graph it was built from."""
+class _MinPlus:
+    """M[y, z] = min over i = 0..k-1, in that order, of into[i, y] + out[i, z]."""
 
-    representatives: np.ndarray = None  # smallest cell of each critical class
-    critical_edges: int = 0
-    invariant_axes: list = field(default_factory=list)  # slab path only
+    into: np.ndarray
+    out: np.ndarray
+
+    def at(self, y, z) -> np.ndarray:
+        m = self.into[0][y] + self.out[0][z]
+        for i in range(1, self.into.shape[0]):
+            np.minimum(m, self.into[i][y] + self.out[i][z], out=m)
+        return m
+
+    def block(self, rows, cols) -> np.ndarray:
+        return self.at((rows, None), cols)
 
 
-def block_rows(entries: int, cols: int) -> int:
-    """Rows of a block of at most entries entries (at least one row)."""
-    return max(1, entries // max(1, cols))
+class _Rolled:
+    """M[y, z] = table[s, z - y], with s the row of y's slab cell (y with
+    zeros on the invariant axes; one table row per slab cell, in flat order)
+    and z - y taken along the invariant axes only, modulo the grid.
+
+    Doubled along the invariant axes, row y of M is the window of its slab
+    row starting n - y_a cells in along each invariant axis a: one strided
+    view holds every window, and a block of rows is one copy of it.
+    """
+
+    def __init__(self, table: np.ndarray, shape: tuple, axes: list):
+        rest = [a for a in range(len(shape)) if a not in axes]
+        lead = len(rest)
+        grid = table.reshape(tuple(shape[a] for a in rest) + shape)
+        for a in axes:
+            grid = np.concatenate([grid, grid], axis=lead + a)
+        grid = np.ascontiguousarray(grid)
+        step = np.array(grid.strides) // grid.itemsize
+        cells = np.stack(np.unravel_index(np.arange(table.shape[1]), shape), axis=-1)
+        # where the window of each source y starts, and where target z lies in it
+        self.base = (cells[:, rest] @ step[:lead]
+                     + (np.array(shape)[axes] - cells[:, axes]) @ step[lead:][axes])
+        self.off = cells @ step[lead:]
+        self.flat = grid.ravel()
+        self.windows = as_strided(self.flat, (self.flat.size - self.off[-1],) + shape,
+                                  (grid.itemsize,) + grid.strides[lead:], writeable=False)
+
+    def at(self, y, z) -> np.ndarray:
+        return self.flat[self.base[y] + self.off[z]]
+
+    def block(self, rows, cols) -> np.ndarray:
+        block = self.windows[self.base[rows]]
+        return block.reshape(block.shape[0], -1)[:, cols]
 
 
-def row_blocks(values: np.ndarray, pos: np.ndarray, entries: Optional[int] = None,
-               out: Optional[np.ndarray] = None):
-    """Yield (i0, values[pos[i0:i1]][:, pos]) in row blocks of at most
-    entries entries, BLOCK_ENTRIES by default (at least one row). When pos
-    lists every row in order a block is a view, or, when values is not
-    C-contiguous (a transpose such as h.values.T), a copy made TILE
-    columns at a time, so the strided source is read in cache-sized
-    tiles; the copy goes into the leading rows of out when it is given
-    (one buffer reused for every block), else into a new array.
-    Otherwise only that block is gathered."""
-    rows = block_rows(entries or BLOCK_ENTRIES, pos.size)
-    whole = pos.size == values.shape[0] and np.array_equal(pos, np.arange(pos.size))
+@dataclass
+class PeierlsBarrier(_Pairwise):
+    """The barrier h as its factors, and the critical graph it was built from.
+
+    h_rows reads h and ht_rows h.T: each a _MinPlus of the shortest-path
+    tables into and out of the representatives, or a _Rolled of the slab
+    rows g(r, .) or of their index-permuted copy gt(r, .) = h(., r). When
+    every axis is invariant, delta_rows reads delta = h + h.T from the one
+    table D = g + gt, entry for entry the same add.
+    """
+
+    size: int
+    representatives: np.ndarray  # smallest cell of each critical class
+    critical_edges: int
+    invariant_axes: list         # slab path only
+    h_rows: object
+    ht_rows: object
+    delta_rows: Optional[_Rolled] = None
+
+    def at(self, y, z) -> np.ndarray:
+        return self.h_rows.at(y, z)
+
+    def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
+        return (self.ht_rows if transpose else self.h_rows).block(rows, cols)
+
+    values = cached_property(_dense)
+
+
+def row_blocks(m: _Pairwise, pos: np.ndarray, entries: Optional[int] = None,
+               transpose: bool = False):
+    """Yield (i0, m[pos[i0:i1]][:, pos]), or of m.T when transpose, in row
+    blocks of at most entries (BLOCK_ENTRIES) entries and at least one row,
+    read with slices (views of a dense m) when pos is every point in order."""
+    rows = max(1, (entries or BLOCK_ENTRIES) // max(1, pos.size))
+    whole = pos.size == m.size and np.array_equal(pos, np.arange(pos.size))
     for i0 in range(0, pos.size, rows):
-        if not whole:
-            yield i0, values[pos[i0:i0 + rows, None], pos]
-        elif values.flags.c_contiguous:
-            yield i0, values[i0:i0 + rows]
+        if whole:
+            yield i0, m.block(slice(i0, i0 + rows), slice(None), transpose)
         else:
-            src = values[i0:i0 + rows]
-            block = (np.empty(src.shape, dtype=values.dtype) if out is None
-                     else out[:src.shape[0]])
-            for j0 in range(0, pos.size, TILE):
-                block[:, j0:j0 + TILE] = src[:, j0:j0 + TILE]
-            yield i0, block
+            yield i0, m.block(pos[i0:i0 + rows], pos, transpose)
 
 
 def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
@@ -151,83 +227,54 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
     h(y,z) = min over representatives a of F[y,a] + B[a,z] - x(y) + x(z),
     with F and B the reduced-cost shortest paths into and out of a and
     x = cv.bias. Raises NumericalError when cv.c is not critical, the
-    graph is not strongly connected, or h and the shortest-path tables it
-    is built from would not fit in free memory.
+    graph is not strongly connected, or the shortest-path tables h is
+    kept as would not fit in free memory.
     """
-    N = K.point_count
+    N, shape = K.point_count, K.grid.shape
     G, critical, labels, edges = critical_graph(K, cv)
     x = cv.bias
     _, first = np.unique(labels[critical], return_index=True)
     reps = np.sort(critical[first])
 
-    cells = np.stack(np.unravel_index(np.arange(N), K.grid.shape), axis=-1)
+    cells = np.stack(np.unravel_index(np.arange(N), shape), axis=-1)
     axes = invariant_axes(K)
     slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
     # every cell is critical, so h = SP: rows from the slab, rolled
     rolled = critical.size == N and slab.size <= reps.size
-    # h, the one N x N array of the run (delta overwrites it), and two
-    # k x N Dijkstra tables, k the slab cells or the representatives
+    axes = axes if rolled else []
+    # two k x N tables, k the slab cells or the representatives, each
+    # doubled along every invariant axis
     k = slab.size if rolled else reps.size
-    need, free = 8 * N * (N + 2 * k), available_memory()
-    if need > free:
-        raise NumericalError(
-            f"the {N}x{N} barrier and its {k} shortest-path rows need {need / 2**20:.1f} MiB, "
-            f"but only {free / 2**20:.1f} MiB of memory is free")
+    check_memory(16 * k * N * 2**len(axes), available_memory(),
+                 f"the barrier's {k} shortest-path rows over {N} cells need")
     if rolled:
-        h = _translate_rows(K.grid.shape, axes, dijkstra(G, indices=slab) - x[slab, None] + x)
+        sp = dijkstra(G, indices=slab) - x[slab, None] + x
+        tables, h_rows = [sp], _Rolled(sp, shape, axes)
+        # h.T's rows are rolls of h's columns at the slab cells, as h's
+        # rows are of its rows there
+        spt = h_rows.at(np.arange(N), slab[:, None])
+        ht_rows = _Rolled(spt, shape, axes)
+        delta_rows = _Rolled(sp + spt, shape, axes) if slab.size == 1 else None
     else:
-        axes = []
         # into[i, y] = SP(y, a) - x(a) and out[i, y] = SP(a, y) + x(a), a = reps[i]
         into = dijkstra(G.T, indices=reps) - x
         out = dijkstra(G, indices=reps) + x
-        h = np.empty((N, N))
-        rows = block_rows(BLOCK_ENTRIES, N)
-        for y0 in range(0, N, rows):
-            hb = h[y0:y0 + rows]
-            np.add(into[0, y0:y0 + rows, None], out[0], out=hb)
-            for i in range(1, reps.size):
-                np.minimum(hb, into[i, y0:y0 + rows, None] + out[i], out=hb)
-    # h(y, z) is finite exactly when some path leads from y to z
-    stranded = np.zeros(N, dtype=bool)
-    for _, hb in row_blocks(h, np.arange(N)):
-        stranded |= ~np.all(np.isfinite(hb), axis=0)
-    if stranded.any():
+        tables, delta_rows = [into, out], None
+        h_rows, ht_rows = _MinPlus(into, out), _MinPlus(out, into)
+    h = PeierlsBarrier(size=N, representatives=reps, critical_edges=edges, invariant_axes=axes,
+                       h_rows=h_rows, ht_rows=ht_rows, delta_rows=delta_rows)
+    # h(y, z) is finite exactly when some path leads from y to z, and every
+    # h(y, z) is finite exactly when every table entry is
+    if not all(np.isfinite(t).all() for t in tables):
+        stranded = np.zeros(N, dtype=bool)
+        for _, hb in row_blocks(h, np.arange(N)):
+            stranded |= ~np.all(np.isfinite(hb), axis=0)
         raise NumericalError(f"kernel graph is not strongly connected, "
                              f"e.g. cells {np.nonzero(stranded)[0][:8].tolist()}")
-    return PeierlsBarrier(values=h, representatives=reps,
-                          critical_edges=edges, invariant_axes=axes)
+    return h
 
 
-def _translate_rows(shape: tuple, axes: list, sp: np.ndarray) -> np.ndarray:
-    """Every source row of sp, each the row of its slab projection rolled
-    along the invariant axes by the source's coordinates.
-
-    sp holds one row per slab cell (zero coordinates on the invariant
-    axes) in flat order. Doubled along the invariant axes, the window
-    starting at n - s of a slab row is that row rolled by s, so every row
-    is a window of a strided view and the N x N result is one copy of it.
-    """
-    if not axes:
-        return sp
-    d = len(shape)
-    rest = [a for a in range(d) if a not in axes]
-    # source axes off the invariant ones, then the target grid axes
-    base = sp.reshape(tuple(shape[a] for a in rest) + shape)
-    lead = len(rest)
-    for a in axes:
-        base = np.concatenate([base, base], axis=lead + a)
-    win = sliding_window_view(base, [shape[a] for a in axes], axis=[lead + a for a in axes])
-    win = win[(slice(None),) * lead + tuple(slice(shape[a], 0, -1) if a in axes else slice(None)
-                                            for a in range(d))]
-    # win axes: rest sources, window starts (invariant sources) or targets, window targets
-    source = [lead + a if a in axes else rest.index(a) for a in range(d)]
-    target = [lead + d + axes.index(a) if a in axes else lead + a for a in range(d)]
-    full = np.empty(shape * 2)
-    full[...] = win.transpose(source + target)
-    return full.reshape(sp.shape[1], sp.shape[1])
-
-
-def aubry_set(h: SemiMetric, eta: Optional[float], K: ActionKernel, c: float) -> AubrySet:
+def aubry_set(h: _Pairwise, eta: Optional[float], K: ActionKernel, c: float) -> AubrySet:
     """Cells whose self-barrier vanishes up to eta, with orbit labels.
 
     eta=None picks max(1e-8, 4x the worst negative float residue on the
@@ -248,27 +295,7 @@ def aubry_set(h: SemiMetric, eta: Optional[float], K: ActionKernel, c: float) ->
                     threshold=float(eta))
 
 
-def _successors(K: ActionKernel, h: SemiMetric, c: float, tie_tol: float):
-    """Minimizing one-step successor of every cell along zero-mean cycles.
-
-    Returns (succ, stationary) arrays; stationary marks cells whose own
-    self-loop ties the minimum within tie_tol.
-    """
-    fwd = K.forward_targets()
-    cols = np.arange(K.point_count)
-    shift = c * K.tau
-    scores = np.empty((K.stencil_size, K.point_count))
-    for s in range(K.stencil_size):
-        tgt = fwd[s]
-        scores[s] = K.weights[s, tgt] + shift + h.values[tgt, cols]
-    best = np.min(scores, axis=0)
-    s_best = np.argmin(scores, axis=0)
-    succ = fwd[s_best, cols]
-    stationary = scores[K.zero_offset] <= best + tie_tol
-    return succ, stationary
-
-
-def classify_aubry(K: ActionKernel, h: SemiMetric, c: float, indices,
+def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices,
                    tie_tol: float = 1e-12) -> list:
     """Label Aubry cells stationary / periodic / other.
 
@@ -277,57 +304,75 @@ def classify_aubry(K: ActionKernel, h: SemiMetric, c: float, indices,
     cells within point_count steps.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    succ, stationary = _successors(K, h, c, tie_tol)
+    succ, stationary = {}, {}
+
+    def learn(cells):
+        # each cell's minimizing successor, and whether its self-loop ties the
+        # minimum within tie_tol: for the indices, then for cells orbits reach
+        fwd = K.forward_targets()[:, cells]
+        scores = np.take_along_axis(K.weights, fwd, axis=1) + c * K.tau + h.at(fwd, cells)
+        best, s = np.min(scores, axis=0), np.argmin(scores, axis=0)
+        succ.update(zip(cells.tolist(), fwd[s, np.arange(cells.size)].tolist()))
+        stationary.update(zip(cells.tolist(), (scores[K.zero_offset] <= best + tie_tol).tolist()))
+
+    learn(indices)
     labels = []
-    for x in indices:
+    for x in indices.tolist():
         if stationary[x]:
             labels.append("stationary")
             continue
-        seen = {int(x)}
-        v = int(succ[x])
+        seen = {x}
+        v = succ[x]
         label = "other"
         for _ in range(K.point_count):
             if v == x:
                 label = "periodic"
                 break
+            if v not in succ:
+                learn(np.array([v]))
             if v in seen or stationary[v]:
                 break  # closed onto a different orbit
             seen.add(v)
-            v = int(succ[v])
+            v = succ[v]
         labels.append(label)
     return labels
 
 
-def mather_delta(h: SemiMetric, out: Optional[np.ndarray] = None) -> SemiMetric:
-    """delta(x,y) = h(x,y) + h(y,x), bit for bit h + h.T.
+@dataclass
+class MatherDelta(_Pairwise):
+    """delta(x,y) = h(x,y) + h(y,x), each entry the one IEEE add of h + h.T
+    (a barrier whose every axis is invariant reads it from its own table)."""
 
-    Summed one pair of TILE x TILE tiles at a time: S = H[a,b] + H[b,a].T
-    fills tile (a,b) and S.T tile (b,a), and both tiles are read before
-    either is written, so out may be h.values itself (delta then
-    overwrites h); out=None writes a new array. IEEE addition commutes,
-    so the (b,a) entries are the single add of h + h.T as well.
-    """
-    H, n = h.values, h.size
-    values = np.empty(H.shape) if out is None else out
-    for a0 in range(0, n, TILE):
-        a = slice(a0, a0 + TILE)
-        for b0 in range(a0, n, TILE):
-            b = slice(b0, b0 + TILE)
-            S = H[a, b] + H[b, a].T
-            values[a, b] = S
-            values[b, a] = S.T
-    return SemiMetric(values=values, symmetric=True)
+    h: _Pairwise
+    symmetric = True
+    size = property(lambda self: self.h.size)
+
+    def at(self, y, z) -> np.ndarray:
+        return self.h.at(y, z) + self.h.at(z, y)
+
+    def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
+        own = getattr(self.h, "delta_rows", None)
+        if own is not None:
+            return own.block(rows, cols)
+        return self.h.block(rows, cols) + self.h.block(rows, cols, transpose=True)
+
+    values = cached_property(_dense)
 
 
-def quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) -> QuotientPartition:
+def mather_delta(h: _Pairwise) -> MatherDelta:
+    """delta(x,y) = h(x,y) + h(y,x), bit for bit h + h.T, read from h."""
+    return MatherDelta(h)
+
+
+def quotient(delta: _Pairwise, A: AubrySet, merge_threshold: float) -> QuotientPartition:
     """Classes of Aubry indices joined by chains of delta <= merge_threshold."""
     pos = delta.check_ids(A.indices)
-    if all(np.all(b <= merge_threshold) for _, b in row_blocks(delta.values, pos)):
+    if all(np.all(b <= merge_threshold) for _, b in row_blocks(delta, pos)):
         members = sorted(int(i) for i in A.indices)
         return QuotientPartition(classes=[members], representative=[members[0]],
                                  merge_threshold=float(merge_threshold))
     graph = sparse.vstack([sparse.csr_matrix(b <= merge_threshold)
-                           for _, b in row_blocks(delta.values, pos)])
+                           for _, b in row_blocks(delta, pos)])
     groups = {}
     for label, i in zip(connected_components(graph, directed=False)[1].tolist(),
                         A.indices.tolist()):
@@ -345,31 +390,25 @@ class RepresentationReport:
     pairs_checked: int
 
 
-def representation_check(h: SemiMetric, delta: Optional[SemiMetric],
+def representation_check(h: _Pairwise, delta: Optional[_Pairwise],
                          A: AubrySet) -> RepresentationReport:
     """Residual of delta(x,y) = (u1-u2)(y) - (u1-u2)(x) over Aubry pairs,
     with u1 = h(x,.) and u2 = h(y,.) the barrier-column solutions.
 
     delta=None stands for mather_delta(h): each of its blocks is the sum
-    of the blocks of h and h.T the check reads anyway, entry for entry
-    the stored delta, so the check can run before delta overwrites h.
+    of the blocks of h and h.T the check reads anyway.
     """
     pos = h.check_ids(A.indices)
-    diag = np.diagonal(h.values)[pos]
+    diag = h.at(pos, pos)
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly
     # worse, so the pair is the first maximum in row-major order. The
-    # blocks may be views of h and delta: only the three buffers below,
-    # allocated once, are written
-    shape = (min(pos.size, block_rows(CHECK_ENTRIES, pos.size)), pos.size)
-    HT, rhs, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    deltas = None if delta is None else row_blocks(delta.values, pos, CHECK_ENTRIES)
-    for (i0, Hb), (_, HTb) in zip(row_blocks(h.values, pos, CHECK_ENTRIES),
-                                  row_blocks(h.values.T, pos, CHECK_ENTRIES, out=HT)):
-        r = Hb.shape[0]
-        res = np.subtract(Hb, diag, out=rhs[:r])
-        res -= np.subtract(diag[i0:i0 + r, None], HTb, out=tmp[:r])
-        Db = np.add(Hb, HTb, out=tmp[:r]) if deltas is None else next(deltas)[1]
+    # blocks may be views of dense matrices: only new arrays are written
+    deltas = None if delta is None else row_blocks(delta, pos)
+    for (i0, Hb), (_, HTb) in zip(row_blocks(h, pos), row_blocks(h, pos, transpose=True)):
+        res = Hb - diag
+        res -= diag[i0:i0 + Hb.shape[0], None] - HTb
+        Db = Hb + HTb if deltas is None else next(deltas)[1]
         np.abs(np.subtract(Db, res, out=res), out=res)
         i, j = np.unravel_index(int(np.argmax(res)), res.shape)
         if res[i, j] > worst:

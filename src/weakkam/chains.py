@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
 from .grid import GridTorus, wrap_displacement
+from .kernel import available_memory, check_memory
 from .models import VectorField
 
 
@@ -58,9 +59,17 @@ def integrate_flow(X: VectorField, x, dt: float, substeps: int = 4) -> np.ndarra
     return y
 
 
+def _check_memory(grid: GridTorus):
+    """NumericalError unless every cell's coordinates and flow image fit in free memory."""
+    check_memory(16 * grid.point_count * grid.dim, available_memory(),
+                 f"the {grid.point_count} cell coordinates and flow images need")
+
+
 def chain_graph(X: VectorField, grid: GridTorus, dt: float, eps: float,
                 substeps: int = 4) -> ChainGraph:
-    """Edges x -> y for every cell y within eps of the flow image of x."""
+    """Edges x -> y for every cell y within eps of the flow image of x;
+    NumericalError when the cells and their images would not fit in memory."""
+    _check_memory(grid)
     half_diag = 0.5 * grid.spacing * np.sqrt(grid.dim)
     if eps < half_diag:
         raise ConfigError(
@@ -150,8 +159,9 @@ def default_chain_parameters(grid: GridTorus, X: VectorField) -> dict:
     eps just above the half-cell diagonal keeps the graph well formed
     while only near-stationary cells self-loop; dt stretches the flow
     image of unit-speed motion across many cells so transient cells do
-    not look recurrent.
+    not look recurrent. The speed is read on every cell, under chain_graph's memory check.
     """
+    _check_memory(grid)
     eps = 0.75 * grid.spacing
     speed = X.max_norm_on(grid)
     dt = 16.0 * grid.spacing / max(1.0, speed)

@@ -56,9 +56,10 @@ def _merged(user: dict) -> dict:
 
 
 def _numeric(section: dict, key: str, where: str, minimum=None, auto_ok=False,
-             integer=False):
+             integer=False, maximum=None):
     """section[key], a finite number (an integer, when integer is set: a
-    bool or an integral float such as 16.0 is none), or "auto" when auto_ok."""
+    bool or an integral float such as 16.0 is none) within [minimum,
+    maximum], or "auto" when auto_ok."""
     val = section[key]
     if auto_ok and val == "auto":
         return "auto"
@@ -67,6 +68,8 @@ def _numeric(section: dict, key: str, where: str, minimum=None, auto_ok=False,
         raise ConfigError(f"{where}.{key} must be {kind}, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{where}.{key} must be <= {maximum}, got {val}")
     return val
 
 
@@ -122,8 +125,9 @@ class ExperimentConfig:
         _numeric(r["aubry"], "merge_threshold", "aubry", minimum=0.0, auto_ok=True)
         _numeric(r["dynamics"], "dt", "dynamics", minimum=1e-12, auto_ok=True)
         _numeric(r["dynamics"], "eps", "dynamics", minimum=1e-12, auto_ok=True)
-        _numeric(r["dynamics"], "substeps", "dynamics", minimum=1, integer=True)
-        _numeric(r["regularizer"], "stages", "regularizer", minimum=1, integer=True)
+        # work grows linearly with both, and past a few repeats the same step
+        _numeric(r["dynamics"], "substeps", "dynamics", minimum=1, maximum=1000, integer=True)
+        _numeric(r["regularizer"], "stages", "regularizer", minimum=1, maximum=1000, integer=True)
         seed = r["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .grid import GridTorus, wrap_displacement
-from .aubry import AubrySet, SemiMetric, row_blocks
-from .kernel import available_memory
+from .aubry import AubrySet, SemiMetric, _Pairwise, row_blocks
+from .kernel import available_memory, check_memory
 
 # entries of each row block of delta: 1 MiB of float64, compared with every
 # scale while it is in cache
@@ -36,8 +36,8 @@ class CoveringReport:
     dim_slope: float           # least-squares slope of log N vs log(1/r)
 
 
-def _levels(values: np.ndarray, pos: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """L[i, j] = the number of scales r with values[pos[i], pos[j]] <= r.
+def _levels(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """L[i, j] = the number of scales r with delta(pos[i], pos[j]) <= r.
 
     With the scales in decreasing order the ball matrix of radius
     scales[t] is L > t, duplicates included. delta is read once, in row
@@ -48,13 +48,10 @@ def _levels(values: np.ndarray, pos: np.ndarray, scales: np.ndarray) -> np.ndarr
     """
     k = pos.size
     dtype = np.min_scalar_type(scales.size)
-    need, free = 2 * dtype.itemsize * k * k, available_memory()
-    if need > free:
-        raise NumericalError(
-            f"the {k}x{k} covering balls need {need / 2**20:.1f} MiB, "
-            f"but only {free / 2**20:.1f} MiB of memory is free")
+    check_memory(2 * dtype.itemsize * k * k, available_memory(),
+                 f"the {k}x{k} covering balls need")
     L = np.zeros((k, k), dtype=dtype)
-    for i0, block in row_blocks(values, pos, LEVEL_ENTRIES):
+    for i0, block in row_blocks(delta, pos, LEVEL_ENTRIES):
         level = L[i0:i0 + block.shape[0]]
         for r in scales:
             level += block <= r
@@ -93,9 +90,9 @@ def _cover(L: np.ndarray, t: int, r: float, pos: np.ndarray, symmetric: bool) ->
         w[p:][L[q, p:] > t] = covered
 
 
-def _greedy_coverings(values: np.ndarray, pos: np.ndarray, scales: np.ndarray,
+def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray,
                       symmetric: bool = False) -> list:
-    """Greedy ball coverings of values[pos][:, pos] at each of the scales,
+    """Greedy ball coverings of delta on the points pos at each of the scales,
     given in decreasing order; one list of centers per scale.
 
     Each covering is anchored at the first uncovered point. The center
@@ -108,11 +105,11 @@ def _greedy_coverings(values: np.ndarray, pos: np.ndarray, scales: np.ndarray,
     its row when symmetric. Raises NumericalError when the level matrix
     would not fit in free memory or a point lies in no ball.
     """
-    L = _levels(values, pos, scales)
+    L = _levels(delta, pos, scales)
     return [_cover(L, t, float(r), pos, symmetric) for t, r in enumerate(scales)]
 
 
-def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:
+def hausdorff1_report(delta: _Pairwise, indices, scale_grid) -> CoveringReport:
     """Covering counts and 1-d measure surrogates across scales.
 
     Every scale's covering runs on one level matrix of delta. No scale
@@ -124,7 +121,7 @@ def hausdorff1_report(delta: SemiMetric, indices, scale_grid) -> CoveringReport:
         raise ConfigError("scale_grid must be nonempty positive radii")
     scales = np.sort(scales)[::-1].copy()
     ids = np.arange(delta.size) if indices is None else delta.check_ids(indices)
-    coverings = _greedy_coverings(delta.values, ids, scales, delta.symmetric)
+    coverings = _greedy_coverings(delta, ids, scales, delta.symmetric)
     counts = np.array([len(c) for c in coverings])
     h1 = counts * 2.0 * scales
     if scales.size >= 2 and counts.max() > counts.min():
@@ -144,7 +141,7 @@ class QuadraticBoundReport:
     window: float
 
 
-def quadratic_bound_check(delta: SemiMetric, A: AubrySet, grid: GridTorus,
+def quadratic_bound_check(delta: _Pairwise, A: AubrySet, grid: GridTorus,
                           window: float) -> QuadraticBoundReport:
     """max of delta(x,y)/d(x,y)^2 over Aubry x and grid y with
     2*spacing <= d(x,y) <= window.
@@ -165,7 +162,7 @@ def quadratic_bound_check(delta: SemiMetric, A: AubrySet, grid: GridTorus,
     mask = (d >= 2 * grid.spacing) & (d <= window)
     if not np.any(mask):
         raise ConfigError("no Aubry/grid pairs inside the window")
-    vals = delta.values[pos]
+    vals = delta.block(pos, np.arange(delta.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mask, vals / d**2, -np.inf)
     flat = int(np.argmax(ratio))

@@ -30,6 +30,13 @@ def available_memory() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def check_memory(need: int, free: int, what: str):
+    """NumericalError, naming what needs the memory, when need bytes exceed free."""
+    if need > free:
+        raise NumericalError(f"{what} {need / 2**20:.1f} MiB, "
+                             f"but only {free / 2**20:.1f} MiB of memory is free")
+
+
 @dataclass
 class ActionKernel:
     """Discrete action costs keyed by stencil offset.
@@ -175,11 +182,8 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
     offsets = stencil_offsets(grid, stencil_radius)
     # the coordinates, the (S, N) weights and the int64 forward targets
     N, S = grid.point_count, offsets.shape[0]
-    need, free = 8 * N * (grid.dim + 2 * S), available_memory()
-    if need > free:
-        raise NumericalError(
-            f"the kernel on {N} points and {S} stencil offsets needs {need / 2**20:.1f} MiB, "
-            f"but only {free / 2**20:.1f} MiB of memory is free")
+    check_memory(8 * N * (grid.dim + 2 * S), available_memory(),
+                 f"the kernel on {N} points and {S} stencil offsets needs")
     coords = grid.coords()
     weights = np.empty((S, N))
     for s, o in enumerate(offsets):

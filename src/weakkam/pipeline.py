@@ -55,11 +55,12 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _matrix_rows(values: np.ndarray):
-    """CSV text of the rows i,j,values[i,j], one chunk per i."""
+def _matrix_rows(m):
+    """CSV text of the rows i,j,m[i,j], one chunk per i, read in row blocks."""
     line = "%d,%d," + FLOAT_FMT + "\n"
-    for i, row in enumerate(values):
-        yield "".join([line % (i, j, v) for j, v in enumerate(row.tolist())])
+    for i0, block in row_blocks(m, np.arange(m.size)):
+        for i, row in enumerate(block, start=i0):
+            yield "".join([line % (i, j, v) for j, v in enumerate(row.tolist())])
 
 
 def write_csv(path, header, rows) -> str:
@@ -166,7 +167,7 @@ def _stage_barrier(cfg, state, out, formats):
     n = h.size
     if "csv" in formats and n <= BARRIER_DUMP_LIMIT:
         files.append(write_csv(os.path.join(out, "barrier.csv"), ["i", "j", "h"],
-                               _matrix_rows(h.values)))
+                               _matrix_rows(h)))
     elif "csv" in formats:
         state.setdefault("notes", []).append(
             f"barrier.csv skipped: {n}x{n} matrix exceeds dump limit {BARRIER_DUMP_LIMIT}")
@@ -191,19 +192,15 @@ def _stage_aubry(cfg, state, out, formats):
 
 def _stage_quotient(cfg, state, out, formats):
     grid = state["grid"]
-    # no later stage reads h: check the representation on it, then let
-    # delta overwrite it, so one N x N array serves both
-    h = state.pop("h")
-    rep = representation_check(h, None, state["A"])
-    delta = mather_delta(h, out=h.values)
-    state["delta"] = delta
+    rep = representation_check(state["h"], None, state["A"])
+    delta = state["delta"] = mather_delta(state["h"])
     Q = quotient(delta, state["A"], cfg.merge_threshold(grid))
     state["Q"] = Q
     state.setdefault("stage_stats", {})["quotient"] = {"class_count": Q.class_count}
     class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
     label = np.array([class_of[i] for i in state["A"].indices.tolist()])
     diam = 0.0
-    for i0, block in row_blocks(delta.values, state["A"].indices):
+    for i0, block in row_blocks(delta, state["A"].indices):
         same = label[i0:i0 + block.shape[0], None] == label
         diam = max(diam, float(np.max(block, where=same, initial=0.0)))
     files = []
@@ -225,7 +222,7 @@ def _stage_quotient(cfg, state, out, formats):
 def _auto_scales(delta, indices) -> np.ndarray:
     """Geometric scale grid spanning the positive delta range of the set."""
     lo, hi = np.inf, 0.0
-    for _, block in row_blocks(delta.values, indices):
+    for _, block in row_blocks(delta, indices):
         lo = min(lo, float(np.min(block, where=block > 0, initial=np.inf)))
         hi = max(hi, float(np.max(block, where=block > 0, initial=0.0)))
     if hi == 0.0:
@@ -348,7 +345,7 @@ def _stage_ferry(cfg, state, out, formats):
     files = []
     if "csv" in formats:
         files.append(write_csv(os.path.join(out, "ferry.csv"), ["i", "j", "delta_p"],
-                               _matrix_rows(dp.values)))
+                               _matrix_rows(dp)))
     if "json" in formats:
         files.append(write_json(os.path.join(out, "ferry.json"), {
             "p": exponent, "point_count": k,

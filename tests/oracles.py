@@ -11,10 +11,12 @@ the cells whose best cycle (`cycle_values`) is flat. The library builds
 the same barrier from reduced costs and sparse Dijkstra runs instead.
 `minplus_power_min` is the elementwise min of the kernel's min-plus powers.
 `translate_rows` expands the slab rows of a translation-invariant kernel
-to every source row with one np.roll per row; the library copies them
-from a strided window view of the doubled slab rows in one step.
-`representative_barrier` adds one dense N x N matrix per critical class
-representative; the library fills the same minimum in row blocks.
+to every source row with one np.roll per row, and `slab_barrier` is the
+dense barrier it gives when every cell is critical; the library copies
+each row block it reads from a strided window view of the doubled slab
+rows. `representative_barrier` adds one dense N x N matrix per critical
+class representative; the library keeps the k x N shortest-path tables
+and takes the same minimum over them for each block it reads.
 
 `value_iteration_weak_kam` is the damped value iteration for the weak KAM
 solution u = T- u + c*tau; the library computes the same Lax-Oleinik
@@ -246,6 +248,18 @@ def representative_barrier(K: ActionKernel, cv: CriticalValue) -> np.ndarray:
     for i in range(1, reps.size):
         np.minimum(h, into[i][:, None] + out[i], out=h)
     return h
+
+
+def slab_barrier(K: ActionKernel, cv: CriticalValue) -> np.ndarray:
+    """h = SP when every cell is critical: the reduced-cost shortest paths
+    from each slab cell (zero coordinates on the invariant axes), rolled
+    to every source row by translate_rows."""
+    G = critical_graph(K, cv)[0]
+    axes = invariant_axes(K)
+    cells = np.stack(np.unravel_index(np.arange(K.point_count), K.grid.shape), axis=-1)
+    slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
+    sp = dijkstra(G, indices=slab) - cv.bias[slab, None] + cv.bias
+    return translate_rows(K, cells, axes, slab, sp)
 
 
 def value_iteration_weak_kam(K: ActionKernel, c: float, u0: Optional[np.ndarray] = None,

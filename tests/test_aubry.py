@@ -29,8 +29,8 @@ from weakkam import aubry, geometry, pipeline
 from weakkam.aubry import SemiMetric
 
 from oracles import (_auto_scales, _greedy_centers, closure_barrier, kernel_closure,
-                     representative_barrier, translate_rows, union_find_quotient,
-                     value_iteration_weak_kam)
+                     representative_barrier, slab_barrier, translate_rows,
+                     union_find_quotient, value_iteration_weak_kam)
 from weakkam.kernel import invariant_axes
 
 
@@ -91,6 +91,9 @@ ORACLE_CASES = {
     "constant-drift-64": (lambda: _kernel(1, 64, mane_lagrangian(constant_field([1.0], 1))),
                           1, [0]),
     "kinetic-6x6": (lambda: _kernel(2, 6, kinetic_lagrangian(2), cells=2), 36, [0, 1]),
+    # every cell critical and h not symmetric: h.T's rows differ from h's
+    "drift-6x6": (lambda: _kernel(2, 6, mane_lagrangian(constant_field([0.5, 0.25], 2)), cells=2),
+                  6, [0, 1]),
     # invariant along axis 1 only, and only the line x0 = 0 is critical
     "pendulum-x0-6x6": (lambda: _kernel(2, 6, mechanical_lagrangian(cosine_potential(2, [1, 0])),
                                         cells=2), 6, []),
@@ -136,8 +139,18 @@ def test_translate_rows_matches_the_rolling_loop(case):
     slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
     # distinct entries: a misplaced one cannot match
     sp = np.random.default_rng(3).standard_normal((slab.size, K.point_count))
-    np.testing.assert_array_equal(aubry._translate_rows(K.grid.shape, axes, sp),
-                                  translate_rows(K, cells, axes, slab, sp))
+    want = translate_rows(K, cells, axes, slab, sp)
+    ids = np.arange(K.point_count)
+    # every row, a row block, and a block of rows and columns out of order
+    rolled = aubry._Rolled(sp, K.grid.shape, axes)
+    for rows, cols in [(slice(None), slice(None)), (slice(5, 12), slice(None)),
+                       (ids[::-3], ids[1::2])]:
+        np.testing.assert_array_equal(rolled.block(rows, cols), want[rows][:, cols])
+    y, z = np.random.default_rng(4).integers(0, K.point_count, (2, 50))
+    np.testing.assert_array_equal(rolled.at(y, z), want[y, z])
+    # h.T's rows are rolls of the slab cells' columns
+    rolled_t = aubry._Rolled(rolled.at(ids, slab[:, None]), K.grid.shape, axes)
+    np.testing.assert_array_equal(rolled_t.block(ids[::-3], ids[1::2]), want.T[ids[::-3]][:, ids[1::2]])
 
 
 # one row per block (1 and 7 entries), 7 rows (uneven on 64 and 576) and
@@ -152,6 +165,65 @@ def test_barrier_blocks_match_the_dense_representative_loop(monkeypatch, case, b
     h = peierls_barrier(K, cv)
     assert h.representatives.size == reps > 1 and h.invariant_axes == axes == []
     assert np.array_equal(h.values, representative_barrier(K, cv))
+
+
+def _dense_oracle(K, cv, axes):
+    """The dense barrier: rolled slab rows, or the representative loop."""
+    return slab_barrier(K, cv) if axes else representative_barrier(K, cv)
+
+
+def _read(m, pos, transpose=False):
+    return np.concatenate([b for _, b in aubry.row_blocks(m, pos, transpose=transpose)])
+
+
+# one row per block, 7 rows a block on the full set (uneven on 64, 36 and
+# 576 cells; 21 and 14 rows on the others) and one block for each set
+@pytest.mark.parametrize("block", ["row", "uneven", "whole"])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_barrier_reader_matches_the_dense_oracle(monkeypatch, case, block):
+    build, _, axes = ORACLE_CASES[case]
+    K = build()
+    cv = critical_value(K)
+    h = peierls_barrier(K, cv)
+    want = _dense_oracle(K, cv, axes)
+    N = K.point_count
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", {"row": 1, "uneven": 7 * N, "whole": N * N}[block])
+    assert np.array_equal(aubry._dense(h), want)
+    assert np.array_equal(h.diagonal(), np.diagonal(want))
+    y, z = np.random.default_rng(8).integers(0, N, (2, 200))
+    assert np.array_equal(h.at(y, z), want[y, z])
+    delta = mather_delta(h)
+    assert np.array_equal(delta.diagonal(), np.diagonal(want + want.T))
+    assert np.array_equal(delta.at(y, z), (want + want.T)[y, z])
+    # every cell in order, every third one, and every other one descending
+    for pos in (np.arange(N), np.arange(0, N, 3), np.arange(N)[::-2]):
+        sub = np.ix_(pos, pos)
+        assert np.array_equal(_read(h, pos), want[sub])
+        assert np.array_equal(_read(h, pos, transpose=True), want.T[sub])
+        assert np.array_equal(_read(delta, pos), (want + want.T)[sub])
+
+
+# a representative table (one class, so the entry is in every minimum) and
+# a slab row, both from the Dijkstra runs
+@pytest.mark.parametrize("case", ["pendulum-64", "kinetic-6x6"])
+def test_barrier_reader_reads_its_factors(monkeypatch, case):
+    build, reps, axes = ORACLE_CASES[case]
+    K = build()
+    cv = critical_value(K)
+    want = _dense_oracle(K, cv, axes)
+
+    def corrupted(G, indices):
+        sp = aubry_dijkstra(G, indices=indices)
+        sp[0, 3] -= 1.0
+        return sp
+
+    aubry_dijkstra = aubry.dijkstra
+    monkeypatch.setattr(aubry, "dijkstra", corrupted)
+    h = peierls_barrier(K, cv)
+    pos = np.arange(K.point_count)
+    for got, ref in [(_read(h, pos), want), (_read(h, pos, transpose=True), want.T),
+                     (_read(mather_delta(h), pos), want + want.T)]:
+        assert not np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("block", [1, 5 * 16, 1 << 20])
@@ -181,15 +253,20 @@ def test_barrier_needs_the_bias(pendulum_state_64):
 def test_barrier_refuses_more_memory_than_is_free(monkeypatch, pendulum_state_64):
     K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
     assert aubry.available_memory() > 0
-    # h and the into/out Dijkstra tables of its one representative
+    # the into/out Dijkstra tables of its one representative
     N, k = K.point_count, pendulum_state_64["h"].representatives.size
     assert k == 1
-    need = 8 * N * (N + 2 * k)
+    need = 16 * N * k
     monkeypatch.setattr(aubry, "available_memory", lambda: need - 1)
     with pytest.raises(NumericalError, match="MiB"):
         peierls_barrier(K, cv)
     monkeypatch.setattr(aubry, "available_memory", lambda: need)
-    np.testing.assert_array_equal(peierls_barrier(K, cv).values, pendulum_state_64["h"].values)
+    h = peierls_barrier(K, cv)
+    # the dense matrix, asked for, is guarded on its own 8 N^2 bytes
+    with pytest.raises(NumericalError, match="memory is free"):
+        h.values
+    monkeypatch.setattr(aubry, "available_memory", lambda: 8 * N * N)
+    np.testing.assert_array_equal(h.values, pendulum_state_64["h"].values)
 
 
 def test_aubry_kinetic_everything_stationary(mane_zero_kernel_16):
@@ -295,7 +372,7 @@ def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
     px, py = pos[:, None], pos[None, :]
     res = np.abs(D[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
     i, j = np.unravel_index(int(np.argmax(res)), res.shape)
-    monkeypatch.setattr(aubry, "CHECK_ENTRIES", block)
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
     rep = representation_check(h, delta, A)
     assert rep.max_residual == float(res[i, j])
     assert rep.worst_pair == (int(A.indices[i]), int(A.indices[j]))
@@ -308,23 +385,14 @@ def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
 @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4], [4, 0, 2]], ids=["full", "partial"])
 def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
-    monkeypatch.setattr(aubry, "CHECK_ENTRIES", block)
     pos = np.array(ids)
     # distinct entries: a dropped or repeated row cannot match
     vals = np.arange(25.0).reshape(5, 5)
-    # the transpose is not C-contiguous: its full blocks are copied in
-    # tiles of 2 or 3 columns, uneven on 5
-    for src, tile in [(vals, aubry.TILE), (vals.T, 2), (vals.T, 3)]:
-        monkeypatch.setattr(aubry, "TILE", tile)
-        starts, blocks = zip(*aubry.row_blocks(src, pos))
+    for transpose, src in [(False, vals), (True, vals.T)]:
+        starts, blocks = zip(*aubry.row_blocks(SemiMetric(values=vals), pos, transpose=transpose))
         np.testing.assert_array_equal(np.concatenate(blocks), src[np.ix_(pos, pos)])
         assert list(starts) == np.cumsum([0] + [b.shape[0] for b in blocks[:-1]]).tolist()
         assert max(b.size for b in blocks) <= max(block, pos.size)
-        # a copied block goes into the leading rows of a reused buffer
-        buf = np.full((5, pos.size), np.nan)
-        for i0, b in aubry.row_blocks(src, pos, out=buf):
-            np.testing.assert_array_equal(b, src[np.ix_(pos[i0:i0 + b.shape[0]], pos)])
-            assert (b.base is buf) == (not src.flags.c_contiguous and len(ids) == 5)
     # every consumer of the blocks agrees with its copying oracle
     vals = np.random.default_rng(7).integers(0, 4, (5, 5)) / 4
     np.fill_diagonal(vals, 0.0)
@@ -333,7 +401,7 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     A = aubry.AubrySet(indices=pos, self_barrier=np.zeros(pos.size),
                        labels=["other"] * pos.size, threshold=0.0)
     for r in (0.25, 0.5, 0.75):
-        assert geometry._greedy_coverings(vals, pos, np.array([r]))[0] == _greedy_centers(sub, r)
+        assert geometry._greedy_coverings(delta, pos, np.array([r]))[0] == _greedy_centers(sub, r)
         got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
         assert (got.classes, got.representative) == (want.classes, want.representative)
     np.testing.assert_array_equal(pipeline._auto_scales(delta, pos), _auto_scales(delta, pos))
@@ -349,25 +417,25 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     assert (own.max_residual, own.worst_pair) == (rep.max_residual, rep.worst_pair)
 
 
-# 70 points: tiles of 1, 3 (uneven on 70) and 7, one full tile of 64 and
-# an uneven one, and one tile for the whole matrix
+# 70 points: row blocks of 1, 3 (uneven on 70) and 7 rows, one full block
+# of 64 rows and an uneven one, and one block for the whole matrix
 @pytest.mark.parametrize("tile", [1, 3, 7, 64, 1 << 20])
 def test_mather_delta_is_the_sum_with_the_transpose(monkeypatch, tile):
-    monkeypatch.setattr(aubry, "TILE", tile)
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", tile * 70)
     H = np.random.default_rng(5).normal(size=(70, 70))
     # a C-contiguous h and a transposed one
     for values in (H, H.T):
         want = values + values.T
         h = SemiMetric(values=values.copy(order="K"))
         d = mather_delta(h)
-        assert d.symmetric
+        assert d.symmetric and d.size == 70
         assert np.array_equal(d.values, want)
+        assert np.array_equal(d.diagonal(), np.diagonal(want))
+        # every point in order, every other one, and all in descending order
+        for pos in (np.arange(70), np.arange(0, 70, 2), np.arange(70)[::-1]):
+            got = np.concatenate([b for _, b in aubry.row_blocks(d, pos)])
+            assert np.array_equal(got, want[np.ix_(pos, pos)])
         assert np.array_equal(h.values, values)
-        # in place: delta is h's own buffer, overwritten
-        buf = h.values
-        d = mather_delta(h, out=h.values)
-        assert d.symmetric and d.values is buf and h.values is buf
-        assert np.array_equal(d.values, want)
 
 
 # one row per block, 180 entries (uneven row blocks on the sets of 36, 18
@@ -384,7 +452,7 @@ def test_representation_check_forms_delta_itself(monkeypatch, case, part, block)
     if part == "partial":
         ids = np.arange(K.point_count)[::-2]
         A = dataclasses.replace(A, indices=ids)
-    monkeypatch.setattr(aubry, "CHECK_ENTRIES", block)
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
     # perturb h so the residual has one largest entry
     h = SemiMetric(values=h.values + np.random.default_rng(4).random(h.values.shape))
     want = representation_check(h, mather_delta(h), A)
@@ -395,8 +463,8 @@ def test_representation_check_forms_delta_itself(monkeypatch, case, part, block)
 
 
 def test_representation_check_leaves_a_one_cell_barrier_unchanged():
-    # on one cell h.values.T is C-contiguous, so every block is a view; a
-    # negative self-barrier makes every intermediate differ from h and delta
+    # the blocks of a dense h are views of it; a negative self-barrier
+    # makes every intermediate differ from h and delta
     h = SemiMetric(values=[[-0.25]])
     delta = mather_delta(h)
     A = aubry.AubrySet(indices=np.array([0]), self_barrier=np.array([-0.25]),

@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weakkam import (ConfigError, ArtifactError, NumericalError, aubry, config, critical_value,
-                     geometry, pipeline, representation_check)
+from weakkam import (ConfigError, ArtifactError, NumericalError, aubry, build_grid, chains,
+                     config, critical_value, geometry, pipeline, representation_check,
+                     zero_field)
 from weakkam.cli import main
 from weakkam.config import ExperimentConfig
 from weakkam.pipeline import load_points_csv, run_pipeline
@@ -158,7 +159,7 @@ def test_quotient_stage_class_diameter(tmp_path, monkeypatch, block):
     assert data["max_class_diameter_delta"] == want
 
 
-def test_quotient_stage_checks_h_before_delta_overwrites_it(tmp_path):
+def test_quotient_stage_checks_the_representation_on_h(tmp_path):
     cfg = ExperimentConfig.from_dict({"grid": {"dim": 1, "n": 8}})
     # a nonzero diagonal: the check's residual on h is |h(x,x) + h(y,y)|,
     # twice that if it read delta in place of h
@@ -171,16 +172,17 @@ def test_quotient_stage_checks_h_before_delta_overwrites_it(tmp_path):
     pipeline._stage_quotient(cfg, state, str(tmp_path), ["json"])
     data = json.loads((tmp_path / "quotient.json").read_text())
     assert data["representation_max_residual"] == float(pipeline.FLOAT_FMT % want) > 0
-    # h is gone from the state; delta took over its buffer
-    assert "h" not in state and state["delta"].values is h.values
+    # delta is read from h, which stays as it was
     assert np.array_equal(state["delta"].values, vals + vals.T)
+    assert np.array_equal(h.values, vals)
 
 
-def test_pipeline_holds_one_dense_matrix(tmp_path):
+def test_pipeline_holds_no_dense_float_matrix(tmp_path):
     # every cell of the 2-d kinetic grid is Aubry, so the quotient and the
-    # coverings read all N x N entries of delta; delta overwrites h in
-    # place, so the run's traced peak stays below one and a half N x N
-    # float arrays (two, h and delta, would be 2 * 8 * N^2 bytes)
+    # coverings read all N x N entries of delta, in row blocks from the
+    # barrier's factors; the byte-wide level matrix of the coverings is
+    # the one N x N array, so the traced peak stays below half of one
+    # N x N float array
     cfg = ExperimentConfig.from_dict({"model": {"family": "kinetic"},
                                       "grid": {"dim": 2, "n": 48},
                                       "outputs": {"directory": str(tmp_path)}})
@@ -192,15 +194,38 @@ def test_pipeline_holds_one_dense_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert manifest["stages"]["aubry"]["aubry_size"] == N
-    assert peak < 1.5 * 8 * N * N
+    assert peak < 0.5 * 8 * N * N
 
 
-def test_matrix_rows_write_the_cell_by_cell_text(tmp_path):
+def test_pipeline_holds_no_dense_barrier_on_a_mechanical_slab(tmp_path):
+    # the paper's 2-d case: only the circle x0 = 0 is Aubry, one class
+    # representative per cell of it, so h is two n x N tables; a dense h
+    # would be one N x N float array on its own
+    cfg = ExperimentConfig.from_dict({
+        "model": {"family": "mechanical", "potential": {"name": "cosine", "k": [1, 0]}},
+        "grid": {"dim": 2, "n": 48}, "outputs": {"directory": str(tmp_path)}})
+    N = 48 * 48
+    tracemalloc.start()
+    try:
+        manifest = run_pipeline(cfg, ["dimension"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest["stages"]["barrier"]["representatives"] == 48
+    assert manifest["stages"]["aubry"]["aubry_size"] == 48
+    assert peak < 8 * N * N
+
+
+def test_matrix_rows_write_the_cell_by_cell_text(tmp_path, monkeypatch):
     vals = np.array([[0.0, -1.5e-300, np.inf], [1 / 3, 2.0**60, -0.0], [7.0, np.nan, 1e-12]])
     cells = ((i, j, vals[i, j]) for i in range(3) for j in range(3))
-    want = pipeline.write_csv(tmp_path / "cells.csv", ["i", "j", "h"], cells)
-    got = pipeline.write_csv(tmp_path / "rows.csv", ["i", "j", "h"], pipeline._matrix_rows(vals))
-    assert open(got, "rb").read() == open(want, "rb").read()
+    want = open(pipeline.write_csv(tmp_path / "cells.csv", ["i", "j", "h"], cells), "rb").read()
+    # one row per block, uneven blocks of 2 rows on 3, and one block
+    for block in (1, 6, 9):
+        monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+        got = pipeline.write_csv(tmp_path / "rows.csv", ["i", "j", "h"],
+                                 pipeline._matrix_rows(aubry.SemiMetric(values=vals)))
+        assert open(got, "rb").read() == want
 
 
 def test_manifest_checksums_match_files(tmp_path):
@@ -341,6 +366,34 @@ def test_cli_numerical_failure_is_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(aubry, "available_memory", lambda: 0)
     assert main(["barrier", "--config", write_config(tmp_path)]) == 3
     assert "memory is free" in capsys.readouterr().err
+
+
+def test_cli_chains_refuses_more_memory_than_is_free(tmp_path, capsys, monkeypatch):
+    # a million cells a side: the coordinates alone would be 7.28 TiB, and
+    # the stage builds no kernel whose guard would catch it first
+    path = write_config(tmp_path, model={"family": "mane", "field": {"name": "sin_gradient"}},
+                        grid={"dim": 2, "n": 1_000_000})
+    monkeypatch.setattr(chains, "available_memory", lambda: 1 << 30)
+    assert main(["chains", "--config", path]) == 3
+    assert "cell coordinates and flow images need" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"]["stage"] == "chains"
+    # the guard sits in chain_graph itself too
+    with pytest.raises(NumericalError, match="memory is free"):
+        chains.chain_graph(zero_field(2), build_grid(2, 1_000_000), dt=0.1, eps=1.0)
+
+
+def test_repeat_counts_are_capped(tmp_path, capsys):
+    # past a few, each substep or stage repeats the same step: 1,000 is
+    # the largest count accepted
+    for section, key in [("dynamics", "substeps"), ("regularizer", "stages")]:
+        assert ExperimentConfig.from_dict({section: {key: 1000}}).raw[section][key] == 1000
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be <= 1000, got 1001"):
+            ExperimentConfig.from_dict({section: {key: 1001}})
+    # from the command line, a config error before any stage runs
+    path = write_config(tmp_path, regularizer={"stages": 1001})
+    assert main(["regularize", "--config", path]) == 2
+    assert "regularizer.stages must be <= 1000" in capsys.readouterr().err
 
 
 def test_cli_output_collision_is_exit_4(tmp_path, capsys):

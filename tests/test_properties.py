@@ -249,8 +249,8 @@ def test_block_consumers_match_copying_oracles(case, radius):
         m.setattr(geometry, "LEVEL_ENTRIES", block)
         for r in radii:
             want = oracle_centers(sub, r)
-            assert geometry._greedy_coverings(vals, indices, np.array([r]))[0] == want
-            assert geometry._greedy_coverings(vals, indices, np.array([r]),
+            assert geometry._greedy_coverings(delta, indices, np.array([r]))[0] == want
+            assert geometry._greedy_coverings(delta, indices, np.array([r]),
                                               delta.symmetric)[0] == want
             assert hausdorff1_report(delta, indices, [r]).covering_counts[0] == len(want)
             got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
@@ -280,8 +280,8 @@ def test_multiscale_coverings_match_per_scale_oracle(case, extra, copies):
         counts = hausdorff1_report(delta, indices, scales).covering_counts
         assert counts.tolist() == [len(c) for c in want]
         # the column read, and the row read when delta is symmetric
-        assert geometry._greedy_coverings(vals, indices, desc) == want
-        assert geometry._greedy_coverings(vals, indices, desc, delta.symmetric) == want
+        assert geometry._greedy_coverings(delta, indices, desc) == want
+        assert geometry._greedy_coverings(delta, indices, desc, delta.symmetric) == want
 
 
 def test_coverings_count_levels_past_255_scales():
@@ -293,7 +293,7 @@ def test_coverings_count_levels_past_255_scales():
     scales = np.arange(1, 301) / 300
     delta = SemiMetric(values=vals)
     desc = scales[::-1]
-    assert geometry._levels(vals, np.arange(5), desc).max() == 300
+    assert geometry._levels(delta, np.arange(5), desc).max() == 300
     counts = hausdorff1_report(delta, None, scales).covering_counts
     assert counts.tolist() == [len(oracle_centers(vals, r)) for r in desc]
     assert counts[-1] == 5
