@@ -10,22 +10,10 @@ import sys
 
 from .config import ExperimentConfig
 from .errors import ArtifactError, ConfigError, NumericalError
-from .pipeline import run_pipeline
+from .pipeline import STAGES, run_pipeline
 
-# subcommand -> the stages it requests from the pipeline's stage graph
-_COMMANDS = {
-    "critical": ["critical"],
-    "weakkam": ["weakkam"],
-    "barrier": ["barrier"],
-    "aubry": ["aubry"],
-    "quotient": ["quotient"],
-    "dimension": ["dimension"],
-    "regularize": ["regularize"],
-    "mane-compare": ["comparison"],
-    "chains": ["chains"],
-    "ferry": ["ferry"],
-    "all": ["all"],
-}
+# one subcommand per stage, `mane-compare` for `comparison`, and `all`
+_COMMANDS = {{"comparison": "mane-compare"}.get(s, s): [s] for s in [*STAGES, "all"]}
 
 
 def build_parser() -> argparse.ArgumentParser:

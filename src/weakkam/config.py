@@ -131,6 +131,9 @@ class ExperimentConfig:
         seed = r["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        points = r["ferry"].get("points")
+        if points is not None and not isinstance(points, str):
+            raise ConfigError(f"ferry.points must be a string path or null, got {points!r}")
         p = r["ferry"].get("p", 2.0)
         if not _finite(p) or not p > 0:
             raise ConfigError(f"ferry.p must be a positive number, got {p!r}")

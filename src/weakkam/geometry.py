@@ -185,6 +185,8 @@ def ferry_delta_p(points, p: float, metric: Optional[Callable] = None) -> SemiMe
     k = pts.shape[0]
     if k < 2:
         raise ConfigError("ferry_delta_p needs at least two points")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError("ferry_delta_p needs finite point coordinates")
     if not 0 < p < np.inf:
         raise ConfigError(f"exponent p must be a positive finite number, got {p}")
     if metric is None:

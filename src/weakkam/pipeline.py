@@ -1,5 +1,13 @@
 """Pipeline wiring: config -> staged computations -> CSV/JSON artifacts.
 
+A stage is one row of `STAGES`: a body and the stages it needs. A body
+`(cfg, state) -> (stats, artifacts)` reads and extends the shared state
+and writes no files. `stats` is its manifest record; `artifacts` maps
+each file name, in write order, to a JSON object, to a CSV's
+`(header, rows)` with rows possibly a lazy generator, or to a str saying
+why that file is skipped. `run_pipeline` alone writes the artifacts
+whose extension is among `outputs.formats` and builds the manifest.
+
 Artifacts are deterministic for a fixed config and seed: floats are
 printed at 12 significant digits, row order follows flat grid indices,
 and the manifest records a sha256 per emitted file. Wall times live only
@@ -23,21 +31,6 @@ from .geometry import ferry_delta_p, hausdorff1_report
 from .regularize import (alternating_smooth, aubry_drift, default_schedule,
                          semiconcavity_constant, semiconvexity_constant,
                          subsolution_residual_field)
-
-STAGE_DEPS = {
-    "critical": [],
-    "weakkam": ["critical"],
-    "barrier": ["critical"],
-    "aubry": ["critical", "barrier"],
-    "quotient": ["critical", "barrier", "aubry"],
-    "dimension": ["critical", "barrier", "aubry", "quotient"],
-    "regularize": ["critical", "barrier", "aubry", "weakkam"],
-    "chains": [],
-    "comparison": ["critical", "barrier", "aubry", "chains"],
-    "ferry": [],
-}
-STAGE_ORDER = ["critical", "weakkam", "barrier", "aubry", "quotient",
-               "dimension", "regularize", "chains", "comparison", "ferry"]
 
 BARRIER_DUMP_LIMIT = 2048  # full matrix CSV only below this point count
 FLOAT_FMT = "%.11e"  # 12 significant digits
@@ -117,106 +110,75 @@ def _coord_header(dim: int) -> list:
 
 # -- stage bodies -------------------------------------------------------------
 
-def _stage_critical(cfg, state, out, formats):
+def _stage_critical(cfg, state):
     grid = state["grid"] = cfg.grid()
     L = state["L"] = cfg.lagrangian(grid)
     K = state["K"] = cfg.kernel(grid, L)
-    cv = critical_value(K)
-    state["cv"] = cv
-    state.setdefault("stage_stats", {})["critical"] = {"policy_iterations": cv.iterations}
-    files = []
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "critical.json"), {
-            "c": cv.c, "mean_cycle_weight": cv.mean_cycle_weight,
-            "witness_cycle": list(cv.witness_cycle), "tau": cv.tau,
-        }))
-    return files
+    cv = state["cv"] = critical_value(K)
+    return {"policy_iterations": cv.iterations}, {"critical.json": {
+        "c": cv.c, "mean_cycle_weight": cv.mean_cycle_weight,
+        "witness_cycle": list(cv.witness_cycle), "tau": cv.tau,
+    }}
 
 
-def _stage_weakkam(cfg, state, out, formats):
+def _stage_weakkam(cfg, state):
     grid, K = state["grid"], state["K"]
     rng = np.random.default_rng(cfg.seed())
     u0 = rng.standard_normal(grid.point_count)
-    sol = weak_kam_solution(K, state["cv"], u0=u0, tol=cfg.solver_tol())
-    state["sol"] = sol
-    state.setdefault("stage_stats", {})["weakkam"] = {
-        "critical_cells": sol.critical_cells, "residual": sol.residual}
-    files = []
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "weakkam.json"), {
-            "c": sol.c, "residual": sol.residual, "iterations": sol.iterations,
-            "seed": cfg.seed(),
-        }))
-    if "csv" in formats:
-        coords = grid.coords()
-        rows = ((i, *coords[i], sol.u.values[i]) for i in range(grid.point_count))
-        files.append(write_csv(os.path.join(out, "u.csv"),
-                               ["index", *_coord_header(grid.dim), "value"], rows))
-    return files
-
-
-def _stage_barrier(cfg, state, out, formats):
-    h = peierls_barrier(state["K"], state["cv"])
-    state["h"] = h
-    state.setdefault("stage_stats", {})["barrier"] = {
-        "representatives": int(h.representatives.size),
-        "critical_edges": h.critical_edges,
-        "invariant_axes": h.invariant_axes,
+    sol = state["sol"] = weak_kam_solution(K, state["cv"], u0=u0, tol=cfg.solver_tol())
+    coords = grid.coords()
+    rows = ((i, *coords[i], sol.u.values[i]) for i in range(grid.point_count))
+    return {"critical_cells": sol.critical_cells, "residual": sol.residual}, {
+        "weakkam.json": {"c": sol.c, "residual": sol.residual,
+                         "iterations": sol.iterations, "seed": cfg.seed()},
+        "u.csv": (["index", *_coord_header(grid.dim), "value"], rows),
     }
-    files = []
+
+
+def _stage_barrier(cfg, state):
+    h = state["h"] = peierls_barrier(state["K"], state["cv"])
     n = h.size
-    if "csv" in formats and n <= BARRIER_DUMP_LIMIT:
-        files.append(write_csv(os.path.join(out, "barrier.csv"), ["i", "j", "h"],
-                               _matrix_rows(h)))
-    elif "csv" in formats:
-        state.setdefault("notes", []).append(
-            f"barrier.csv skipped: {n}x{n} matrix exceeds dump limit {BARRIER_DUMP_LIMIT}")
-    return files
+    if n <= BARRIER_DUMP_LIMIT:
+        csv = (["i", "j", "h"], _matrix_rows(h))
+    else:
+        csv = f"barrier.csv skipped: {n}x{n} matrix exceeds dump limit {BARRIER_DUMP_LIMIT}"
+    return {"representatives": int(h.representatives.size),
+            "critical_edges": h.critical_edges,
+            "invariant_axes": h.invariant_axes}, {"barrier.csv": csv}
 
 
-def _stage_aubry(cfg, state, out, formats):
+def _stage_aubry(cfg, state):
     grid, K = state["grid"], state["K"]
-    A = aubry_set(state["h"], cfg.eta(), K, state["cv"].c)
-    state["A"] = A
-    state.setdefault("stage_stats", {})["aubry"] = {"aubry_size": int(A.indices.size)}
-    files = []
-    if "csv" in formats:
-        coords = grid.coords(A.indices)
-        rows = ((int(A.indices[k]), *coords[k], A.self_barrier[k], A.labels[k])
-                for k in range(A.indices.size))
-        files.append(write_csv(os.path.join(out, "aubry.csv"),
-                               ["index", *_coord_header(grid.dim), "self_barrier", "label"],
-                               rows))
-    return files
+    A = state["A"] = aubry_set(state["h"], cfg.eta(), K, state["cv"].c)
+    coords = grid.coords(A.indices)
+    rows = ((int(A.indices[k]), *coords[k], A.self_barrier[k], A.labels[k])
+            for k in range(A.indices.size))
+    return {"aubry_size": int(A.indices.size)}, {"aubry.csv": (
+        ["index", *_coord_header(grid.dim), "self_barrier", "label"], rows)}
 
 
-def _stage_quotient(cfg, state, out, formats):
+def _stage_quotient(cfg, state):
     grid = state["grid"]
     rep = representation_check(state["h"], None, state["A"])
     delta = state["delta"] = mather_delta(state["h"])
-    Q = quotient(delta, state["A"], cfg.merge_threshold(grid))
-    state["Q"] = Q
-    state.setdefault("stage_stats", {})["quotient"] = {"class_count": Q.class_count}
+    Q = state["Q"] = quotient(delta, state["A"], cfg.merge_threshold(grid))
     class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
     label = np.array([class_of[i] for i in state["A"].indices.tolist()])
     diam = 0.0
     for i0, block in row_blocks(delta, state["A"].indices):
         same = label[i0:i0 + block.shape[0], None] == label
         diam = max(diam, float(np.max(block, where=same, initial=0.0)))
-    files = []
-    if "csv" in formats:
-        rows = ((ci, m) for ci, members in enumerate(Q.classes) for m in members)
-        files.append(write_csv(os.path.join(out, "quotient.csv"),
-                               ["class_id", "member_index"], rows))
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "quotient.json"), {
+    rows = ((ci, m) for ci, members in enumerate(Q.classes) for m in members)
+    return {"class_count": Q.class_count}, {
+        "quotient.csv": (["class_id", "member_index"], rows),
+        "quotient.json": {
             "class_count": Q.class_count,
             "max_class_diameter_delta": diam,
             "eta": state["A"].threshold,
             "merge_threshold": Q.merge_threshold,
             "representation_max_residual": rep.max_residual,
-        }))
-    return files
+        },
+    }
 
 
 def _auto_scales(delta, indices) -> np.ndarray:
@@ -232,24 +194,17 @@ def _auto_scales(delta, indices) -> np.ndarray:
     return np.geomspace(lo, hi, 8)
 
 
-def _stage_dimension(cfg, state, out, formats):
+def _stage_dimension(cfg, state):
     delta, A = state["delta"], state["A"]
-    scales = _auto_scales(delta, A.indices)
-    report = hausdorff1_report(delta, A.indices, scales)
-    state.setdefault("stage_stats", {})["dimension"] = {
-        "covering_counts": report.covering_counts.tolist()}
-    files = []
-    if "csv" in formats:
-        rows = zip(report.scales, report.covering_counts, report.h1_estimates)
-        files.append(write_csv(os.path.join(out, "dimension.csv"),
-                               ["r", "covering_count", "h1_estimate"], rows))
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "dimension.json"),
-                                {"dim_slope": report.dim_slope}))
-    return files
+    report = hausdorff1_report(delta, A.indices, _auto_scales(delta, A.indices))
+    rows = zip(report.scales, report.covering_counts, report.h1_estimates)
+    return {"covering_counts": report.covering_counts.tolist()}, {
+        "dimension.csv": (["r", "covering_count", "h1_estimate"], rows),
+        "dimension.json": {"dim_slope": report.dim_slope},
+    }
 
 
-def _stage_regularize(cfg, state, out, formats):
+def _stage_regularize(cfg, state):
     grid, K, L = state["grid"], state["K"], state["L"]
     c = state["cv"].c
     u = state["sol"].u
@@ -257,59 +212,47 @@ def _stage_regularize(cfg, state, out, formats):
     tol = max(cfg.solver_tol(), 8 * state["sol"].residual)
     v = alternating_smooth(u, K, c, schedule, tol=tol)
     resid = subsolution_residual_field(v, L, grid)
-    files = []
-    if "csv" in formats:
-        rows = ((i, u.values[i], v.values[i], resid[i] - c)
-                for i in range(grid.point_count))
-        files.append(write_csv(os.path.join(out, "regularize.csv"),
-                               ["index", "u_in", "u_out", "H_residual"], rows))
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "regularize.json"), {
+    rows = ((i, u.values[i], v.values[i], resid[i] - c) for i in range(grid.point_count))
+    return {}, {
+        "regularize.csv": (["index", "u_in", "u_out", "H_residual"], rows),
+        "regularize.json": {
             "semiconvexity_before": semiconvexity_constant(u),
             "semiconvexity_after": semiconvexity_constant(v),
             "semiconcavity_before": semiconcavity_constant(u),
             "semiconcavity_after": semiconcavity_constant(v),
             "max_aubry_drift": aubry_drift(u, v, state["A"].indices),
-        }))
-    return files
+        },
+    }
 
 
-def _stage_chains(cfg, state, out, formats):
+def _stage_chains(cfg, state):
     # the grid and the vector field only: chains alone builds no kernel
     grid = state["grid"] if "grid" in state else cfg.grid()
     X = cfg.vector_field(grid)
     params = cfg.dynamics_params(grid, X)
-    chain = chain_recurrent_set(chain_graph(X, grid, **params))
-    state["chain"] = chain
-    files = []
-    if "csv" in formats:
-        coords = grid.coords(chain)
-        rows = ((int(chain[k]), *coords[k]) for k in range(chain.size))
-        files.append(write_csv(os.path.join(out, "chain_set.csv"),
-                               ["index", *_coord_header(grid.dim)], rows))
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "chains.json"), {
-            "size": int(chain.size), **params,
-        }))
-    return files
+    chain = state["chain"] = chain_recurrent_set(chain_graph(X, grid, **params))
+    coords = grid.coords(chain)
+    rows = ((int(chain[k]), *coords[k]) for k in range(chain.size))
+    return {}, {
+        "chain_set.csv": (["index", *_coord_header(grid.dim)], rows),
+        "chains.json": {"size": int(chain.size), **params},
+    }
 
 
-def _stage_comparison(cfg, state, out, formats):
+def _stage_comparison(cfg, state):
     cmp = compare_aubry_chain(state["A"].indices, state["chain"], state["grid"])
-    files = []
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "comparison.json"), {
-            "hausdorff_distance": cmp.hausdorff_distance,
-            "a_only_size": int(cmp.a_only.size),
-            "b_only_size": int(cmp.b_only.size),
-            "aubry_size": cmp.a_size,
-            "chain_size": cmp.b_size,
-        }))
-    return files
+    return {}, {"comparison.json": {
+        "hausdorff_distance": cmp.hausdorff_distance,
+        "a_only_size": int(cmp.a_only.size),
+        "b_only_size": int(cmp.b_only.size),
+        "aubry_size": cmp.a_size,
+        "chain_size": cmp.b_size,
+    }}
 
 
 def load_points_csv(path) -> np.ndarray:
-    """Points file: one row per point, comma-separated coordinates."""
+    """Points file: one row per point, comma-separated coordinates, after
+    an optional header line."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -321,11 +264,11 @@ def load_points_csv(path) -> np.ndarray:
         text = line.strip()
         if not text:
             continue
-        if ln == 1 and any(c.isalpha() for c in text):
-            continue  # header row
         try:
             vals = [float(tok) for tok in text.split(",")]
         except ValueError as e:
+            if ln == 1:
+                continue  # header row
             raise ConfigError(f"{path} line {ln}: not a numeric row ({text!r})") from e
         if width is None:
             width = len(vals)
@@ -338,41 +281,39 @@ def load_points_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _stage_ferry(cfg, state, out, formats):
+def _stage_ferry(cfg, state):
     exponent = float(cfg.raw["ferry"]["p"])
     dp = ferry_delta_p(load_points_csv(cfg.raw["ferry"]["points"]), exponent)
     k = dp.size
-    files = []
-    if "csv" in formats:
-        files.append(write_csv(os.path.join(out, "ferry.csv"), ["i", "j", "delta_p"],
-                               _matrix_rows(dp)))
-    if "json" in formats:
-        files.append(write_json(os.path.join(out, "ferry.json"), {
+    return {}, {
+        "ferry.csv": (["i", "j", "delta_p"], _matrix_rows(dp)),
+        "ferry.json": {
             "p": exponent, "point_count": k,
             "endpoint_value": float(dp.values[0, k - 1]),
             "max_value": float(np.max(dp.values)),
-        }))
-    return files
+        },
+    }
 
 
-_STAGE_FN = {
-    "critical": _stage_critical,
-    "weakkam": _stage_weakkam,
-    "barrier": _stage_barrier,
-    "aubry": _stage_aubry,
-    "quotient": _stage_quotient,
-    "dimension": _stage_dimension,
-    "regularize": _stage_regularize,
-    "chains": _stage_chains,
-    "comparison": _stage_comparison,
-    "ferry": _stage_ferry,
+# name -> (body, the stages it needs), in run order
+STAGES = {
+    "critical": (_stage_critical, []),
+    "weakkam": (_stage_weakkam, ["critical"]),
+    "barrier": (_stage_barrier, ["critical"]),
+    "aubry": (_stage_aubry, ["critical", "barrier"]),
+    "quotient": (_stage_quotient, ["critical", "barrier", "aubry"]),
+    "dimension": (_stage_dimension, ["critical", "barrier", "aubry", "quotient"]),
+    "regularize": (_stage_regularize, ["critical", "barrier", "aubry", "weakkam"]),
+    "chains": (_stage_chains, []),
+    "comparison": (_stage_comparison, ["critical", "barrier", "aubry", "chains"]),
+    "ferry": (_stage_ferry, []),
 }
 
 
 def _why_not(cfg: ExperimentConfig, name) -> str:
     """Why stage `name` cannot run on cfg; empty when it can."""
-    if name != "all" and name not in STAGE_DEPS:
-        return f"unknown stage {name!r}; known: {sorted(STAGE_DEPS)} and 'all'"
+    if name != "all" and name not in STAGES:
+        return f"unknown stage {name!r}; known: {sorted(STAGES)} and 'all'"
     family = cfg.raw["model"].get("family")
     if name in ("chains", "comparison") and family != "mane":
         return f"stage {name!r} needs model.family='mane', got {family!r}"
@@ -382,18 +323,18 @@ def _why_not(cfg: ExperimentConfig, name) -> str:
 
 
 def _expand_stages(cfg: ExperimentConfig, stages) -> list:
-    """The requested stages and their prerequisites, in STAGE_ORDER.
+    """The requested stages and their prerequisites, in STAGES order.
 
     "all" stands for every stage that applies to cfg.
     """
     want = set()
     for s in stages:
         if s == "all":
-            want.update(t for t in STAGE_ORDER if not _why_not(cfg, t))
+            want.update(t for t in STAGES if not _why_not(cfg, t))
         else:
             want.add(s)
-            want.update(STAGE_DEPS[s])
-    return [s for s in STAGE_ORDER if s in want]
+            want.update(STAGES[s][1])
+    return [s for s in STAGES if s in want]
 
 
 def _prepare_out(cfg: ExperimentConfig, out_dir) -> tuple:
@@ -406,8 +347,9 @@ def _prepare_out(cfg: ExperimentConfig, out_dir) -> tuple:
     return out, list(outputs["formats"])
 
 
-def _finish_manifest(out, manifest, files) -> dict:
-    manifest["checksums"] = {os.path.basename(p): _sha256(p) for p in sorted(files)}
+def _finish_manifest(out, manifest) -> dict:
+    files = sorted(f for stage in manifest["stages"].values() for f in stage["files"])
+    manifest["checksums"] = {f: _sha256(os.path.join(out, f)) for f in files}
     write_json(os.path.join(out, "manifest.json"), manifest)
     return manifest
 
@@ -416,14 +358,16 @@ def run_pipeline(cfg: ExperimentConfig, stages, out_dir=None) -> dict:
     """Execute the requested stages (plus prerequisites) and write artifacts.
 
     The config is validated, and a requested stage that is unknown or
-    does not apply to it fails, before any stage runs. Every failure but
-    an unusable outputs section raises the error after writing a partial
-    manifest with an error record, so CLI exit codes can reflect the
-    failure class.
+    does not apply to it fails, before any stage runs. Each stage's
+    artifacts whose extension is among `outputs.formats` are written in
+    the order the stage lists them; a skipped one in a requested format
+    leaves a manifest note. Every failure but an unusable outputs section
+    raises the error after writing a partial manifest with an error
+    record, so CLI exit codes can reflect the failure class.
     """
     out, formats = _prepare_out(cfg, out_dir)
     manifest = {"config": cfg.echo(), "stages": {}, "status": "ok"}
-    state, files, name = {}, [], None
+    state, name = {}, None
     try:
         cfg.validate()
         for name in stages:
@@ -432,21 +376,28 @@ def run_pipeline(cfg: ExperimentConfig, stages, out_dir=None) -> dict:
                 raise ConfigError(reason)
         for name in _expand_stages(cfg, stages):
             t0 = time.perf_counter()
-            stage_files = _STAGE_FN[name](cfg, state, out, formats)
-            files.extend(stage_files)
+            stats, artifacts = STAGES[name][0](cfg, state)
+            written = []
+            for fname, artifact in artifacts.items():
+                if fname.rpartition(".")[2] not in formats:
+                    continue
+                if isinstance(artifact, str):
+                    manifest.setdefault("notes", []).append(artifact)
+                    continue
+                path = os.path.join(out, fname)
+                if isinstance(artifact, tuple):
+                    write_csv(path, *artifact)
+                else:
+                    write_json(path, artifact)
+                written.append(fname)
             manifest["stages"][name] = {
-                "files": [os.path.basename(p) for p in stage_files],
-                "wall_time_s": time.perf_counter() - t0,
-                **state.get("stage_stats", {}).get(name, {}),
-            }
+                "files": written, "wall_time_s": time.perf_counter() - t0, **stats}
     except WeakKamError as e:
         manifest["status"] = "error"
         manifest["error"] = {"stage": name, "type": type(e).__name__, "message": str(e)}
-        _finish_manifest(out, manifest, files)
+        _finish_manifest(out, manifest)
         raise
-    if state.get("notes"):
-        manifest["notes"] = state["notes"]
-    return _finish_manifest(out, manifest, files)
+    return _finish_manifest(out, manifest)
 
 
 def run_all(cfg: ExperimentConfig, out_dir=None) -> dict:

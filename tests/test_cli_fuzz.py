@@ -49,6 +49,11 @@ PINNED = [
     # an eps past the whole torus joins every cell to every cell
     ("chains", {"model": {"family": "mane", "field": {"name": "zero"}},
                 "grid": {"dim": 1, "n": 8}, "dynamics": {"eps": 1e308}}, 0, ""),
+    # a points value that is no path: not opened, not taken for a file descriptor
+    ("ferry", {"ferry": {"points": ["a"]}}, 2, "ferry.points"),
+    ("ferry", {"ferry": {"points": {"x": 1}}}, 2, "ferry.points"),
+    ("ferry", {"ferry": {"points": 2}}, 2, "ferry.points"),
+    ("ferry", {"ferry": {"points": True}}, 2, "ferry.points"),
 ]
 
 junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
@@ -89,7 +94,7 @@ LEAVES = [("model", "family"), ("model", "potential"), ("model", "field"),
           ("grid", "dim"), ("grid", "n"), ("kernel", "tau"), ("kernel", "stencil_radius"),
           ("aubry", "eta_mode"), ("aubry", "merge_threshold"), ("dynamics", "dt"),
           ("dynamics", "eps"), ("dynamics", "substeps"), ("regularizer", "stages"),
-          ("ferry", "p"), ("outputs", "formats")]
+          ("ferry", "points"), ("ferry", "p"), ("outputs", "formats")]
 
 
 @st.composite

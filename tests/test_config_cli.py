@@ -138,7 +138,7 @@ def test_quotient_pipeline_pendulum(tmp_path):
 
 # one row per block, rows of 1 (7 entries on |A| = 5) and one block
 @pytest.mark.parametrize("block", [1, 7, 25])
-def test_quotient_stage_class_diameter(tmp_path, monkeypatch, block):
+def test_quotient_stage_class_diameter(monkeypatch, block):
     monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
     cfg = ExperimentConfig.from_dict({"grid": {"dim": 1, "n": 8},
                                       "aubry": {"merge_threshold": 0.25}})
@@ -148,18 +148,18 @@ def test_quotient_stage_class_diameter(tmp_path, monkeypatch, block):
     state = {"grid": cfg.grid(), "h": aubry.SemiMetric(values=vals),
              "A": aubry.AubrySet(indices=ids, self_barrier=np.zeros(5),
                                  labels=["other"] * 5, threshold=0.0)}
-    pipeline._stage_quotient(cfg, state, str(tmp_path), ["json"])
+    _, artifacts = pipeline._stage_quotient(cfg, state)
     Q, delta = state["Q"], state["delta"]
     # classes chained past the threshold: {0, 1, 3, 4} has diameter 0.375,
     # and the largest delta across classes is larger still
     assert Q.classes == [[0, 1, 3, 4], [6]]
     want = max(float(np.max(delta.values[np.ix_(m, m)])) for m in Q.classes)
     assert want == 0.375 < float(np.max(delta.values[np.ix_(ids, ids)]))
-    data = json.loads((tmp_path / "quotient.json").read_text())
+    data = pipeline._jsonify(artifacts["quotient.json"])
     assert data["max_class_diameter_delta"] == want
 
 
-def test_quotient_stage_checks_the_representation_on_h(tmp_path):
+def test_quotient_stage_checks_the_representation_on_h():
     cfg = ExperimentConfig.from_dict({"grid": {"dim": 1, "n": 8}})
     # a nonzero diagonal: the check's residual on h is |h(x,x) + h(y,y)|,
     # twice that if it read delta in place of h
@@ -169,8 +169,8 @@ def test_quotient_stage_checks_the_representation_on_h(tmp_path):
                        labels=["other"] * 8, threshold=1.0)
     want = representation_check(aubry.SemiMetric(values=vals), None, A).max_residual
     state = {"grid": cfg.grid(), "h": h, "A": A}
-    pipeline._stage_quotient(cfg, state, str(tmp_path), ["json"])
-    data = json.loads((tmp_path / "quotient.json").read_text())
+    _, artifacts = pipeline._stage_quotient(cfg, state)
+    data = pipeline._jsonify(artifacts["quotient.json"])
     assert data["representation_max_residual"] == float(pipeline.FLOAT_FMT % want) > 0
     # delta is read from h, which stays as it was
     assert np.array_equal(state["delta"].values, vals + vals.T)
@@ -307,6 +307,15 @@ def test_points_csv_error_reports_line(tmp_path):
         load_points_csv(g)
     with pytest.raises(ArtifactError):
         load_points_csv(tmp_path / "nope.csv")
+
+
+def test_points_csv_keeps_a_numeric_first_row(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_text("1e-3,0.5\n0.25,0.5\n0.5,0\n")
+    assert load_points_csv(f).tolist() == [[1e-3, 0.5], [0.25, 0.5], [0.5, 0.0]]
+    # a first row that is no numbers is a header
+    f.write_text("x,y\n0.25,0.5\n0.5,0\n")
+    assert load_points_csv(f).tolist() == [[0.25, 0.5], [0.5, 0.0]]
 
 
 def test_cli_success(tmp_path, capsys):
@@ -496,6 +505,20 @@ def test_cli_ferry_nan_exponent_is_exit_2(tmp_path, capsys):
         geometry.ferry_delta_p(np.array([[0.0], [0.5]]), float("nan"))
 
 
+def test_cli_ferry_nonfinite_point_is_exit_2(tmp_path, capsys):
+    pts = tmp_path / "seg.csv"
+    path = write_config(tmp_path)
+    for bad in ("nan", "inf", "-inf"):
+        pts.write_text(f"0,0\n0.5,{bad}\n1,0\n")
+        assert main(["ferry", "--config", path, "--points", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert "finite point coordinates" in err and "Traceback" not in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and not (tmp_path / "out" / "ferry.json").exists()
+    with pytest.raises(ConfigError, match="finite point"):
+        geometry.ferry_delta_p(np.array([[0.0], [np.nan]]), 2.0)
+
+
 def test_cli_mane_compare_wrong_family_is_exit_2(tmp_path, capsys):
     path = write_config(tmp_path)  # kinetic default
     assert main(["mane-compare", "--config", path]) == 2
@@ -548,3 +571,29 @@ def test_cli_inapplicable_stage_fails_before_any_stage(tmp_path, capsys, command
     assert manifest["error"]["stage"] == stage
     assert manifest["error"]["type"] == "ConfigError"
     assert manifest["stages"] == {} and manifest["checksums"] == {}
+
+
+# a dump limit past the grid writes barrier.csv; one below it skips it
+@pytest.mark.parametrize("limit", [pipeline.BARRIER_DUMP_LIMIT, 4])
+def test_formats_select_artifacts_by_extension(tmp_path, monkeypatch, limit):
+    monkeypatch.setattr(pipeline, "BARRIER_DUMP_LIMIT", limit)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0\n0.25,0.5\n0.5,0\n")
+    runs = {}
+    for formats in (["csv"], ["json"], ["csv", "json"]):
+        out = tmp_path / "+".join(formats)
+        cfg = ExperimentConfig.from_dict({
+            "model": {"family": "mane", "field": {"name": "sin_gradient"}},
+            "grid": {"dim": 1, "n": 16}, "ferry": {"points": str(pts)}, "seed": 7,
+            "outputs": {"directory": str(out), "formats": formats}})
+        manifest = run_pipeline(cfg, ["all"])
+        written = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+        listed = [f for stage in manifest["stages"].values() for f in stage["files"]]
+        assert sorted(listed) == sorted(manifest["checksums"]) == sorted(written)
+        skipped = [n for n in manifest.get("notes", []) if n.startswith("barrier.csv skipped")]
+        assert len(skipped) == ("csv" in formats and limit < 16)
+        runs[tuple(formats)] = written
+    both = runs[("csv", "json")]
+    assert ("barrier.csv" in both) == (limit >= 16)
+    for ext in ("csv", "json"):
+        assert runs[(ext,)] == {f: b for f, b in both.items() if f.endswith("." + ext)}
