@@ -2,12 +2,14 @@
 
     python3 scripts/scale_smoke.py
 
-Runs each case in a child process from `src/` and checks that it exits 0.
-On the kinetic case, where every cell is Aubry and the quotient and the
-coverings read all N x N pairs of the Mather distance, it also checks that
-the child's peak resident memory (`ru_maxrss`) stays below 700 MiB: no
-N x N float array may be held. Wall times are printed, never checked.
-Exits 1 when a check fails.
+Runs each case in a child process from `src/` and checks that it exits 0
+and that its `quotient.json` records a representation residual of at most
+1e-8. On the kinetic case, where every cell is Aubry and the quotient and
+the coverings read all N x N pairs of the Mather distance, it also checks
+that the child's peak resident memory (`ru_maxrss`) stays below 700 MiB: no
+N x N float array may be held. The run's wall time and each stage's
+`wall_time_s` from its manifest are printed, never checked. Exits 1 when a
+check fails.
 """
 
 import json
@@ -19,6 +21,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PEAK_LIMIT_MIB = 700
+# the benchmark gate's bound on quotient.json's representation_max_residual
+RESIDUAL_LIMIT = 1e-8
 
 CASES = [
     # (name, model, peak limit in MiB or None)
@@ -26,6 +30,15 @@ CASES = [
     ("mechanical-2d-128", {"family": "mechanical",
                            "potential": {"name": "cosine", "k": [1, 0]}}, None),
 ]
+
+
+def read_json(out: str, name: str):
+    """A JSON file of the child's run, or None if it wrote none."""
+    try:
+        with open(os.path.join(out, "run", name)) as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return None
 
 
 def run(model: dict, out: str) -> tuple:
@@ -50,9 +63,16 @@ def main() -> int:
     for name, model, limit in CASES:
         with tempfile.TemporaryDirectory() as out:
             code, peak, wall = run(model, out)
+            manifest = read_json(out, "manifest.json") or {}
+            residual = (read_json(out, "quotient.json") or {}).get("representation_max_residual")
         print(f"{name}: exit {code}, peak RSS {peak:.1f} MiB, {wall:.1f} s", flush=True)
+        for stage, record in manifest.get("stages", {}).items():
+            print(f"  {stage}: {record['wall_time_s']:.2f} s", flush=True)
         if code != 0:
             failed.append(f"{name} exited {code}")
+        if not (isinstance(residual, float) and residual <= RESIDUAL_LIMIT):
+            failed.append(f"{name} recorded representation residual {residual}, "
+                          f"limit {RESIDUAL_LIMIT}")
         if limit is not None and peak >= limit:
             failed.append(f"{name} peaked at {peak:.1f} MiB, limit {limit} MiB")
     for reason in failed:

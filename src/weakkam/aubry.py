@@ -396,10 +396,17 @@ def representation_check(h: _Pairwise, delta: Optional[_Pairwise],
     with u1 = h(x,.) and u2 = h(y,.) the barrier-column solutions.
 
     delta=None stands for mather_delta(h): each of its blocks is the sum
-    of the blocks of h and h.T the check reads anyway.
+    of the blocks of h and h.T the check reads anyway. If moreover h is
+    exactly +-0.0 on A's diagonal, no block is read: a - 0 = a and
+    0 - b = -b are exact and a - (-b) rounds like a + b, so every finite
+    entry is 0.0 and the first maximum is (A[0], A[0]).
     """
     pos = h.check_ids(A.indices)
     diag = h.at(pos, pos)
+    if delta is None and pos.size and not diag.any():
+        a = int(A.indices[0])
+        return RepresentationReport(max_residual=0.0, worst_pair=(a, a),
+                                    pairs_checked=pos.size**2)
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly
     # worse, so the pair is the first maximum in row-major order. The

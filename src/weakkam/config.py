@@ -30,25 +30,20 @@ DEFAULTS = {
     "seed": 0,
 }
 
-# sections whose sub-keys are fixed; "model" and "ferry" carry free-form
-# parameter maps validated by their builders
+# sections whose sub-keys are fixed; "model" carries free-form parameter
+# maps validated by their builders
 _STRICT_SECTIONS = ["grid", "kernel", "solver", "aubry", "dynamics",
-                    "regularizer", "outputs"]
+                    "regularizer", "ferry", "outputs"]
 
 
 def _merged(user: dict) -> dict:
+    """The defaults updated with user, unknown keys kept for validate to
+    reject, so that a run records them in its manifest."""
     cfg = copy.deepcopy(DEFAULTS)
     for key, val in user.items():
-        if key not in cfg:
-            raise ConfigError(f"unknown config key {key!r}; expected one of {sorted(cfg)}")
-        if isinstance(cfg[key], dict):
+        if isinstance(cfg.get(key), dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config section {key!r} must be a mapping")
-            if key in _STRICT_SECTIONS:
-                bad = set(val) - set(cfg[key])
-                if bad:
-                    raise ConfigError(
-                        f"unknown keys in config section {key!r}: {sorted(bad)}")
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -111,6 +106,13 @@ class ExperimentConfig:
 
     def validate(self):
         r = self.raw
+        for key, val in r.items():
+            if key not in DEFAULTS:
+                raise ConfigError(
+                    f"unknown config key {key!r}; expected one of {sorted(DEFAULTS)}")
+            bad = sorted(set(val) - set(DEFAULTS[key])) if key in _STRICT_SECTIONS else []
+            if bad:
+                raise ConfigError(f"unknown keys in config section {key!r}: {bad}")
         self.outputs()
         g = r["grid"]
         if isinstance(g["dim"], (bool, float)) or g["dim"] not in (1, 2):

@@ -366,17 +366,20 @@ def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
     rng = np.random.default_rng(3)
     delta = SemiMetric(values=mather_delta(h).values + noise * rng.random(h.values.shape))
     A = aubry_set(h, None, K, cv.c)
-    # the whole |A| x |A| residual at once, first maximum in row-major order
-    pos = A.indices
-    H, D = h.values, delta.values
+    want = _unblocked_residual(h.values, delta.values, A.indices)
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    rep = representation_check(h, delta, A)
+    assert (rep.max_residual, rep.worst_pair, rep.pairs_checked) == want
+
+
+def _unblocked_residual(H, D, ids):
+    """The whole |A| x |A| residual at once: its largest entry, the pair of
+    the first maximum in row-major order and the number of pairs."""
+    pos = np.asarray(ids)
     px, py = pos[:, None], pos[None, :]
     res = np.abs(D[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
     i, j = np.unravel_index(int(np.argmax(res)), res.shape)
-    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
-    rep = representation_check(h, delta, A)
-    assert rep.max_residual == float(res[i, j])
-    assert rep.worst_pair == (int(A.indices[i]), int(A.indices[j]))
-    assert rep.pairs_checked == res.size
+    return float(res[i, j]), (int(pos[i]), int(pos[j])), res.size
 
 
 # one row per block, uneven blocks (7 entries: rows of 1 on the full set of
@@ -460,6 +463,59 @@ def test_representation_check_forms_delta_itself(monkeypatch, case, part, block)
     assert (got.max_residual, got.worst_pair, got.pairs_checked) == (
         want.max_residual, want.worst_pair, want.pairs_checked)
     assert want.max_residual > 0
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_representation_check_without_delta_matches_the_full_pass(case):
+    # h is 0.0 on every Aubry diagonal here, so delta=None reads no block;
+    # an explicit delta always runs the pass
+    K = ORACLE_CASES[case][0]()
+    cv = critical_value(K)
+    h = peierls_barrier(K, cv)
+    A = aubry_set(h, None, K, cv.c)
+    got, want = representation_check(h, None, A), representation_check(h, mather_delta(h), A)
+    assert (got.max_residual, got.worst_pair, got.pairs_checked) == (
+        want.max_residual, want.worst_pair, want.pairs_checked)
+
+
+def _blocks_unread(*args, **kwargs):
+    raise AssertionError("row_blocks read")
+
+
+@pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4], [4, 0, 2]], ids=["full", "partial"])
+def test_representation_check_reads_no_block_on_a_zero_diagonal(monkeypatch, ids):
+    H = np.random.default_rng(8).random((5, 5))
+    # +0.0 and -0.0 on the diagonal: both make every residual entry 0.0
+    np.fill_diagonal(H, 0.0)
+    H[2, 2] = -0.0
+    h = SemiMetric(values=H)
+    A = aubry.AubrySet(indices=np.array(ids), self_barrier=np.zeros(len(ids)),
+                       labels=["other"] * len(ids), threshold=0.0)
+    want = _unblocked_residual(H, H + H.T, ids)
+    assert want == (0.0, (ids[0], ids[0]), len(ids) ** 2)
+    # an empty set has no first pair: both calls run the (empty) pass
+    empty = dataclasses.replace(A, indices=np.zeros(0, dtype=np.int64))
+    assert representation_check(h, None, empty) == representation_check(h, mather_delta(h), empty)
+    monkeypatch.setattr(aubry, "row_blocks", _blocks_unread)
+    rep = representation_check(h, None, A)
+    assert (rep.max_residual, rep.worst_pair, rep.pairs_checked) == want
+    with pytest.raises(AssertionError, match="row_blocks read"):
+        representation_check(h, mather_delta(h), A)
+
+
+@pytest.mark.parametrize("block", [1, 180, 1 << 20])
+def test_representation_check_takes_the_pass_on_a_nonzero_diagonal_entry(monkeypatch, block):
+    K = ORACLE_CASES["kinetic-6x6"][0]()
+    cv = critical_value(K)
+    H = peierls_barrier(K, cv).values
+    A = aubry_set(SemiMetric(values=H), None, K, cv.c)
+    # zero on A's diagonal but for the last entry
+    H[A.indices[-1], A.indices[-1]] = 0.25
+    want = _unblocked_residual(H, H + H.T, A.indices)
+    assert want[0] > 0
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    rep = representation_check(SemiMetric(values=H), None, A)
+    assert (rep.max_residual, rep.worst_pair, rep.pairs_checked) == want
 
 
 def test_representation_check_leaves_a_one_cell_barrier_unchanged():

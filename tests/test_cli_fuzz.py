@@ -54,6 +54,8 @@ PINNED = [
     ("ferry", {"ferry": {"points": {"x": 1}}}, 2, "ferry.points"),
     ("ferry", {"ferry": {"points": 2}}, 2, "ferry.points"),
     ("ferry", {"ferry": {"points": True}}, 2, "ferry.points"),
+    # a misspelt ferry key fails instead of leaving the ferry stage out
+    ("all", {"grid": {"dim": 1, "n": 16}, "ferry": {"pionts": "x.csv"}}, 2, "ferry"),
 ]
 
 junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),

@@ -44,6 +44,8 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict({"gird": {}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"grid": {"dims": 1}})
+    with pytest.raises(ConfigError, match="ferry"):
+        ExperimentConfig.from_dict({"grid": {"dim": 1, "n": 16}, "ferry": {"pionts": "x.csv"}})
 
 
 def test_validation_errors():
@@ -343,6 +345,9 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
         path = write_config(tmp_path, solver={retired: 5})
         assert main(["critical", "--config", path]) == 2
         assert "unknown keys in config section 'solver'" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        message = f"unknown keys in config section 'solver': {[retired]}"
+        assert manifest["error"]["message"] == message
 
 
 def test_cli_missing_config_is_exit_4(tmp_path, capsys):
