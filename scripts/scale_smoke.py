@@ -4,12 +4,13 @@
 
 Runs each case in a child process from `src/` and checks that it exits 0
 and that its `quotient.json` records a representation residual of at most
-1e-8. On the kinetic case, where every cell is Aubry and the quotient and
-the coverings read all N x N pairs of the Mather distance, it also checks
-that the child's peak resident memory (`ru_maxrss`) stays below 700 MiB: no
-N x N float array may be held. The run's wall time and each stage's
-`wall_time_s` from its manifest are printed, never checked. Exits 1 when a
-check fails.
+1e-8. It also checks the child's peak resident memory (`ru_maxrss`): no
+N x N float array may be held, and one would take 2,048 MiB. The kinetic
+case, where every cell is Aubry and the quotient and the coverings read
+all N x N pairs of the Mather distance, must stay below 700 MiB; the
+mechanical case, whose Aubry set is one circle of 128 cells, below
+300 MiB. The run's wall time and each stage's `wall_time_s` from its
+manifest are printed, never checked. Exits 1 when a check fails.
 """
 
 import json
@@ -20,15 +21,14 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PEAK_LIMIT_MIB = 700
 # the benchmark gate's bound on quotient.json's representation_max_residual
 RESIDUAL_LIMIT = 1e-8
 
 CASES = [
-    # (name, model, peak limit in MiB or None)
-    ("kinetic-2d-128", {"family": "kinetic"}, PEAK_LIMIT_MIB),
+    # (name, model, peak limit in MiB)
+    ("kinetic-2d-128", {"family": "kinetic"}, 700),
     ("mechanical-2d-128", {"family": "mechanical",
-                           "potential": {"name": "cosine", "k": [1, 0]}}, None),
+                           "potential": {"name": "cosine", "k": [1, 0]}}, 300),
 ]
 
 
@@ -73,7 +73,7 @@ def main() -> int:
         if not (isinstance(residual, float) and residual <= RESIDUAL_LIMIT):
             failed.append(f"{name} recorded representation residual {residual}, "
                           f"limit {RESIDUAL_LIMIT}")
-        if limit is not None and peak >= limit:
+        if peak >= limit:
             failed.append(f"{name} peaked at {peak:.1f} MiB, limit {limit} MiB")
     for reason in failed:
         print(f"FAIL: {reason}", file=sys.stderr)

@@ -56,17 +56,17 @@ class _Pairwise:
             raise ConfigError(f"ids outside the {self.size} points: {bad[:8].tolist()}")
         return ids
 
-    def triangle_violation(self, via_limit: int = 512, seed: int = 0) -> float:
+    def triangle_violation(self) -> float:
         """max over pairs (x,z) and midpoints y of v[x,z] - v[x,y] - v[y,z].
 
-        Exhaustive in y for small sets; for large ones a deterministic
-        random sample of via_limit midpoints is used.
+        Exhaustive in y up to 512 points; above, a deterministic random
+        sample of 512 midpoints is used.
         """
         values, k = self.values, self.size
-        if k <= via_limit:
+        if k <= 512:
             vias = np.arange(k)
         else:
-            vias = np.random.default_rng(seed).choice(k, size=via_limit, replace=False)
+            vias = np.random.default_rng(0).choice(k, size=512, replace=False)
         worst = -np.inf
         for y in vias:
             detour = values[:, y][:, None] + values[y, :][None, :]
@@ -295,8 +295,7 @@ def aubry_set(h: _Pairwise, eta: Optional[float], K: ActionKernel, c: float) -> 
                     threshold=float(eta))
 
 
-def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices,
-                   tie_tol: float = 1e-12) -> list:
+def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices) -> list:
     """Label Aubry cells stationary / periodic / other.
 
     stationary: the cell's own self-loop minimizes cost(x,y)+c*tau+h(y,x).
@@ -308,12 +307,12 @@ def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices,
 
     def learn(cells):
         # each cell's minimizing successor, and whether its self-loop ties the
-        # minimum within tie_tol: for the indices, then for cells orbits reach
+        # minimum within 1e-12: for the indices, then for cells orbits reach
         fwd = K.forward_targets()[:, cells]
         scores = np.take_along_axis(K.weights, fwd, axis=1) + c * K.tau + h.at(fwd, cells)
         best, s = np.min(scores, axis=0), np.argmin(scores, axis=0)
         succ.update(zip(cells.tolist(), fwd[s, np.arange(cells.size)].tolist()))
-        stationary.update(zip(cells.tolist(), (scores[K.zero_offset] <= best + tie_tol).tolist()))
+        stationary.update(zip(cells.tolist(), (scores[K.zero_offset] <= best + 1e-12).tolist()))
 
     learn(indices)
     labels = []
@@ -399,7 +398,9 @@ def representation_check(h: _Pairwise, delta: Optional[_Pairwise],
     of the blocks of h and h.T the check reads anyway. If moreover h is
     exactly +-0.0 on A's diagonal, no block is read: a - 0 = a and
     0 - b = -b are exact and a - (-b) rounds like a + b, so every finite
-    entry is 0.0 and the first maximum is (A[0], A[0]).
+    entry is 0.0 and the first maximum is (A[0], A[0]); that return
+    needs h finite on A x A, as every peierls_barrier result is. A NaN
+    residual is reported as the maximum, at its first pair.
     """
     pos = h.check_ids(A.indices)
     diag = h.at(pos, pos)
@@ -409,8 +410,9 @@ def representation_check(h: _Pairwise, delta: Optional[_Pairwise],
                                     pairs_checked=pos.size**2)
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly
-    # worse, so the pair is the first maximum in row-major order. The
-    # blocks may be views of dense matrices: only new arrays are written
+    # worse (or NaN), so the pair is the first maximum in row-major order;
+    # argmax takes a block's first NaN. Only new arrays are written: the
+    # blocks may be views of dense matrices
     deltas = None if delta is None else row_blocks(delta, pos)
     for (i0, Hb), (_, HTb) in zip(row_blocks(h, pos), row_blocks(h, pos, transpose=True)):
         res = Hb - diag
@@ -418,7 +420,9 @@ def representation_check(h: _Pairwise, delta: Optional[_Pairwise],
         Db = Hb + HTb if deltas is None else next(deltas)[1]
         np.abs(np.subtract(Db, res, out=res), out=res)
         i, j = np.unravel_index(int(np.argmax(res)), res.shape)
-        if res[i, j] > worst:
+        if res[i, j] > worst or np.isnan(res[i, j]):
             worst, pair = float(res[i, j]), (int(A.indices[i0 + i]), int(A.indices[j]))
+            if np.isnan(worst):
+                break
     return RepresentationReport(max_residual=worst, worst_pair=pair,
                                 pairs_checked=pos.size**2)

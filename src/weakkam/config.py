@@ -30,10 +30,11 @@ DEFAULTS = {
     "seed": 0,
 }
 
-# sections whose sub-keys are fixed; "model" carries free-form parameter
-# maps validated by their builders
-_STRICT_SECTIONS = ["grid", "kernel", "solver", "aubry", "dynamics",
-                    "regularizer", "ferry", "outputs"]
+# the keys of each section, and of the model's potential and field maps;
+# the model's are unions over the families, whose builders check the values
+_KEYS = {key: set(val) for key, val in DEFAULTS.items() if isinstance(val, dict)}
+_KEYS.update(model={"family", "potential", "field"}, potential={"name", "k", "amp"},
+             field={"name", "k", "components", "potential", "path"})
 
 
 def _merged(user: dict) -> dict:
@@ -106,13 +107,19 @@ class ExperimentConfig:
 
     def validate(self):
         r = self.raw
-        for key, val in r.items():
+        for key in r:
             if key not in DEFAULTS:
                 raise ConfigError(
                     f"unknown config key {key!r}; expected one of {sorted(DEFAULTS)}")
-            bad = sorted(set(val) - set(DEFAULTS[key])) if key in _STRICT_SECTIONS else []
+        model = r["model"]
+        field = model["field"] if isinstance(model.get("field"), dict) else {}
+        maps = {**r, "model.potential": model.get("potential"), "model.field": field,
+                "model.field.potential": field.get("potential")}
+        for where, val in maps.items():
+            # a model map that is no mapping is left to its builder's type check
+            bad = sorted(set(val) - _KEYS[where.split(".")[-1]]) if isinstance(val, dict) else []
             if bad:
-                raise ConfigError(f"unknown keys in config section {key!r}: {bad}")
+                raise ConfigError(f"unknown keys in config section {where!r}: {bad}")
         self.outputs()
         g = r["grid"]
         if isinstance(g["dim"], (bool, float)) or g["dim"] not in (1, 2):
@@ -155,17 +162,12 @@ class ExperimentConfig:
                 f"a vector field requires model.family='mane', got {model.get('family')!r}")
         return make_vector_field(model.get("field", {}), grid)
 
-    def tau(self, grid: GridTorus) -> float:
-        t = self.raw["kernel"]["tau"]
-        return grid.spacing if t == "auto" else float(t)
-
-    def stencil_radius(self, grid: GridTorus) -> float:
-        s = self.raw["kernel"]["stencil_radius"]
-        return 4.0 * grid.spacing if s == "auto" else float(s)
-
     def kernel(self, grid: GridTorus, L: Lagrangian) -> ActionKernel:
-        return build_kernel(grid, L, tau=self.tau(grid),
-                            stencil_radius=self.stencil_radius(grid))
+        """The action kernel; an "auto" value leaves build_kernel's default."""
+        k = self.raw["kernel"]
+        tau, radius = (None if k[key] == "auto" else float(k[key])
+                       for key in ("tau", "stencil_radius"))
+        return build_kernel(grid, L, tau=tau, stencil_radius=radius)
 
     def solver_tol(self) -> float:
         return float(self.raw["solver"]["tol"])

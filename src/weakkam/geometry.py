@@ -14,7 +14,6 @@ matrix; on a symmetric delta they are read as a row.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -90,8 +89,7 @@ def _cover(L: np.ndarray, t: int, r: float, pos: np.ndarray, symmetric: bool) ->
         w[p:][L[q, p:] > t] = covered
 
 
-def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray,
-                      symmetric: bool = False) -> list:
+def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> list:
     """Greedy ball coverings of delta on the points pos at each of the scales,
     given in decreasing order; one list of centers per scale.
 
@@ -102,11 +100,11 @@ def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray,
     point keeps the scan deterministic and the count within the usual
     greedy factor of the optimal covering. Balls are rows of the level
     matrix (_levels); the candidates are the anchor's column, read as
-    its row when symmetric. Raises NumericalError when the level matrix
-    would not fit in free memory or a point lies in no ball.
+    its row when delta.symmetric. Raises NumericalError when the level
+    matrix would not fit in free memory or a point lies in no ball.
     """
     L = _levels(delta, pos, scales)
-    return [_cover(L, t, float(r), pos, symmetric) for t, r in enumerate(scales)]
+    return [_cover(L, t, float(r), pos, delta.symmetric) for t, r in enumerate(scales)]
 
 
 def hausdorff1_report(delta: _Pairwise, indices, scale_grid) -> CoveringReport:
@@ -117,11 +115,11 @@ def hausdorff1_report(delta: _Pairwise, indices, scale_grid) -> CoveringReport:
     (r below the resolution of the point set) when the slope matters.
     """
     scales = np.asarray(scale_grid, dtype=float)
-    if scales.size == 0 or not np.all(scales > 0):
-        raise ConfigError("scale_grid must be nonempty positive radii")
+    if scales.size == 0 or not np.all((scales > 0) & (scales < np.inf)):
+        raise ConfigError("scale_grid must be nonempty finite positive radii")
     scales = np.sort(scales)[::-1].copy()
     ids = np.arange(delta.size) if indices is None else delta.check_ids(indices)
-    coverings = _greedy_coverings(delta, ids, scales, delta.symmetric)
+    coverings = _greedy_coverings(delta, ids, scales)
     counts = np.array([len(c) for c in coverings])
     h1 = counts * 2.0 * scales
     if scales.size >= 2 and counts.max() > counts.min():
@@ -173,7 +171,7 @@ def quadratic_bound_check(delta: _Pairwise, A: AubrySet, grid: GridTorus,
                                 window=float(window))
 
 
-def ferry_delta_p(points, p: float, metric: Optional[Callable] = None) -> SemiMetric:
+def ferry_delta_p(points, p: float) -> SemiMetric:
     """Chain semi-metric: infimum over finite chains of sum d(a_{i+1},a_i)^p.
 
     Computed as all-pairs shortest paths on the complete graph with edge
@@ -189,22 +187,16 @@ def ferry_delta_p(points, p: float, metric: Optional[Callable] = None) -> SemiMe
         raise ConfigError("ferry_delta_p needs finite point coordinates")
     if not 0 < p < np.inf:
         raise ConfigError(f"exponent p must be a positive finite number, got {p}")
-    if metric is None:
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.linalg.norm(diff, axis=-1)
-    else:
-        d = np.asarray(metric(pts), dtype=float)
-        if d.shape != (k, k):
-            raise ConfigError(f"metric returned shape {d.shape}, expected ({k},{k})")
-    D = d ** p
+    diff = pts[:, None, :] - pts[None, :, :]
+    D = np.linalg.norm(diff, axis=-1) ** p
     np.fill_diagonal(D, 0.0)
     # Floyd-Warshall; dense complete graphs stay small here and scipy's
     # csgraph treats zero entries as missing edges, which is wrong for
     # coincident points.
     for m in range(k):
         np.minimum(D, D[:, m][:, None] + D[m, :][None, :], out=D)
-    # a metric callable need not be symmetric
-    return SemiMetric(values=D, symmetric=bool(np.array_equal(D, D.T)))
+    # |x - y| = |y - x|, and each step adds the same two entries to D and D.T
+    return SemiMetric(values=D, symmetric=True)
 
 
 def segment_points(n_intervals: int) -> np.ndarray:

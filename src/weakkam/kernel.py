@@ -60,16 +60,12 @@ class ActionKernel:
     def stencil_size(self) -> int:
         return self.offsets.shape[0]
 
-    def offset_index(self, offset) -> int:
-        hit = np.all(self.offsets == np.asarray(offset, dtype=np.int64), axis=1)
-        idx = np.nonzero(hit)[0]
-        if idx.size == 0:
-            raise ConfigError(f"offset {offset} not in stencil")
-        return int(idx[0])
-
     @property
     def zero_offset(self) -> int:
-        return self.offset_index((0,) * self.grid.dim)
+        idx = np.nonzero(~self.offsets.any(axis=1))[0]
+        if idx.size == 0:
+            raise ConfigError(f"offset {(0,) * self.grid.dim} not in stencil")
+        return int(idx[0])
 
     def diagonal(self) -> np.ndarray:
         """Self-loop costs tau * L(x, 0) per cell."""

@@ -11,7 +11,7 @@ Two builtin families cover the experiments:
 closed-form conjugate, which the Legendre transform evaluates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ class VectorField:
     name: str
     dim: int
     eval: Callable[[Array], Array]
-    params: dict = field(default_factory=dict)
 
     def __call__(self, x) -> Array:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -64,7 +63,6 @@ class Lagrangian:
     name: str
     dim: int
     eval: Callable[[Array, Array], Array]
-    params: dict = field(default_factory=dict)
     analytic_hamiltonian: Optional[Callable[[Array, Array], Array]] = None
 
     def __call__(self, x, v) -> Array:
@@ -102,16 +100,14 @@ def constant_field(components, dim: int) -> VectorField:
     if c.shape[0] != dim:
         raise ConfigError(f"constant field needs {dim} components, got {c.shape[0]}")
 
-    return VectorField("constant", dim, lambda x: np.broadcast_to(c, x.shape).copy(),
-                       params={"components": c.tolist()})
+    return VectorField("constant", dim, lambda x: np.broadcast_to(c, x.shape).copy())
 
 
 def sin_gradient_field(dim: int, k: int = 1) -> VectorField:
     """X_i(x) = sin(2 pi k x_i) per axis; zeros at multiples of 1/(2k)."""
     kk = float(k)
 
-    return VectorField("sin_gradient", dim, lambda x: np.sin(2.0 * np.pi * kk * x),
-                       params={"k": k})
+    return VectorField("sin_gradient", dim, lambda x: np.sin(2.0 * np.pi * kk * x))
 
 
 @dataclass
@@ -122,7 +118,6 @@ class Potential:
     dim: int
     eval: Callable[[Array], Array]
     grad: Callable[[Array], Array]
-    params: dict = field(default_factory=dict)
 
     def __call__(self, x) -> Array:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -143,7 +138,7 @@ def cosine_potential(dim: int, k, amp: float = 1.0) -> Potential:
         s = -amp * 2.0 * np.pi * np.sin(2.0 * np.pi * (x @ kvec))
         return s[:, None] * kvec[None, :]
 
-    return Potential("cosine", dim, ev, gr, params={"k": kvec.tolist(), "amp": amp})
+    return Potential("cosine", dim, ev, gr)
 
 
 def make_potential(spec: dict, dim: int) -> Potential:
@@ -163,8 +158,7 @@ def make_potential(spec: dict, dim: int) -> Potential:
 
 
 def neg_grad_field(potential: Potential) -> VectorField:
-    return VectorField("neg_grad", potential.dim, lambda x: -potential.grad(np.atleast_2d(x)),
-                       params={"potential": potential.name, **potential.params})
+    return VectorField("neg_grad", potential.dim, lambda x: -potential.grad(np.atleast_2d(x)))
 
 
 def table_field(grid: GridTorus, table: Array) -> VectorField:
@@ -180,7 +174,38 @@ def table_field(grid: GridTorus, table: Array) -> VectorField:
     def ev(x):
         return table[grid.nearest_index(np.atleast_2d(x))]
 
-    return VectorField("table", grid.dim, ev, params={"cells": grid.point_count})
+    return VectorField("table", grid.dim, ev)
+
+
+def load_points_csv(path) -> np.ndarray:
+    """Numeric CSV (a points file or a field table): one row per point,
+    comma-separated values, after an optional header line."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        raise ArtifactError(f"cannot read {path}: {e}") from e
+    rows = []
+    width = None
+    for ln, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            vals = [float(tok) for tok in text.split(",")]
+        except ValueError as e:
+            if ln == 1:
+                continue  # header row
+            raise ConfigError(f"{path} line {ln}: not a numeric row ({text!r})") from e
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise ConfigError(
+                f"{path} line {ln}: expected {width} coordinates, got {len(vals)}")
+        rows.append(vals)
+    if len(rows) < 2:
+        raise ConfigError(f"{path}: need at least two points")
+    return np.asarray(rows, dtype=float)
 
 
 def make_vector_field(spec: dict, grid: GridTorus) -> VectorField:
@@ -205,13 +230,7 @@ def make_vector_field(spec: dict, grid: GridTorus) -> VectorField:
         path = spec.get("path")
         if not isinstance(path, str):
             raise ConfigError("table field needs a 'path' to a CSV of cell samples")
-        try:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except OSError as exc:
-            raise ArtifactError(f"cannot read field table {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"field table {path} is not numeric CSV: {exc}") from exc
-        return table_field(grid, raw[:, -grid.dim:])
+        return table_field(grid, load_points_csv(path)[:, -grid.dim:])
     raise ConfigError(f"field.name must be one of 'zero', 'constant', 'sin_gradient', "
                       f"'neg_grad', 'table', got {name!r}")
 
@@ -226,9 +245,7 @@ def mane_lagrangian(X: VectorField) -> Lagrangian:
     def ham(x, p):
         return 0.5 * np.sum(p * p, axis=-1) + np.sum(p * X(x), axis=-1)
 
-    return Lagrangian(f"mane[{X.name}]", X.dim, ev,
-                      params={"field": X.name, **X.params},
-                      analytic_hamiltonian=ham)
+    return Lagrangian(f"mane[{X.name}]", X.dim, ev, analytic_hamiltonian=ham)
 
 
 def mechanical_lagrangian(V: Potential) -> Lagrangian:
@@ -240,9 +257,7 @@ def mechanical_lagrangian(V: Potential) -> Lagrangian:
     def ham(x, p):
         return 0.5 * np.sum(p * p, axis=-1) + V(x)
 
-    return Lagrangian(f"mechanical[{V.name}]", V.dim, ev,
-                      params={"potential": V.name, **V.params},
-                      analytic_hamiltonian=ham)
+    return Lagrangian(f"mechanical[{V.name}]", V.dim, ev, analytic_hamiltonian=ham)
 
 
 def kinetic_lagrangian(dim: int) -> Lagrangian:

@@ -28,6 +28,7 @@ from .config import ExperimentConfig
 from .critical import critical_value, weak_kam_solution
 from .errors import ArtifactError, ConfigError, WeakKamError
 from .geometry import ferry_delta_p, hausdorff1_report
+from .models import load_points_csv
 from .regularize import (alternating_smooth, aubry_drift, default_schedule,
                          semiconcavity_constant, semiconvexity_constant,
                          subsolution_residual_field)
@@ -248,37 +249,6 @@ def _stage_comparison(cfg, state):
         "aubry_size": cmp.a_size,
         "chain_size": cmp.b_size,
     }}
-
-
-def load_points_csv(path) -> np.ndarray:
-    """Points file: one row per point, comma-separated coordinates, after
-    an optional header line."""
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise ArtifactError(f"cannot read points file {path}: {e}") from e
-    rows = []
-    width = None
-    for ln, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            vals = [float(tok) for tok in text.split(",")]
-        except ValueError as e:
-            if ln == 1:
-                continue  # header row
-            raise ConfigError(f"{path} line {ln}: not a numeric row ({text!r})") from e
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise ConfigError(
-                f"{path} line {ln}: expected {width} coordinates, got {len(vals)}")
-        rows.append(vals)
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: need at least two points")
-    return np.asarray(rows, dtype=float)
 
 
 def _stage_ferry(cfg, state):

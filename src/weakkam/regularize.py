@@ -77,18 +77,16 @@ def _second_differences(u: ValueFunction) -> np.ndarray:
     return np.stack(out)
 
 
-def semiconvexity_constant(u: ValueFunction, grid: GridTorus = None) -> float:
+def semiconvexity_constant(u: ValueFunction) -> float:
     """Smallest K with centered second differences >= -2K*spacing^2."""
-    grid = grid or u.grid
     d2 = _second_differences(u)
-    return max(0.0, float(np.max(-d2)) / (2.0 * grid.spacing**2))
+    return max(0.0, float(np.max(-d2)) / (2.0 * u.grid.spacing**2))
 
 
-def semiconcavity_constant(u: ValueFunction, grid: GridTorus = None) -> float:
+def semiconcavity_constant(u: ValueFunction) -> float:
     """Smallest K with centered second differences <= +2K*spacing^2."""
-    grid = grid or u.grid
     d2 = _second_differences(u)
-    return max(0.0, float(np.max(d2)) / (2.0 * grid.spacing**2))
+    return max(0.0, float(np.max(d2)) / (2.0 * u.grid.spacing**2))
 
 
 def discrete_gradient(u: ValueFunction) -> np.ndarray:

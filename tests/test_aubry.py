@@ -518,6 +518,27 @@ def test_representation_check_takes_the_pass_on_a_nonzero_diagonal_entry(monkeyp
     assert (rep.max_residual, rep.worst_pair, rep.pairs_checked) == want
 
 
+@pytest.mark.parametrize("block", [1, 1 << 20])
+@pytest.mark.parametrize("H", [[[0.5, np.inf], [1.0, 0.0]], [[0.0, np.nan], [1.0, 0.25]]],
+                         ids=["inf", "nan"])
+def test_representation_check_reports_a_nan_residual(monkeypatch, H, block):
+    # NaN residuals at (0, 1) and (1, 0), in two blocks when block = 1: the
+    # report is NaN at the first, which no `<= bound` gate passes
+    h = SemiMetric(values=H)
+    A = aubry.AubrySet(indices=np.array([0, 1]), self_barrier=np.zeros(2),
+                       labels=["other"] * 2, threshold=0.0)
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    for delta in (None, mather_delta(h)):
+        with np.errstate(invalid="ignore"):
+            rep = representation_check(h, delta, A)
+        assert np.isnan(rep.max_residual)
+        assert (rep.worst_pair, rep.pairs_checked) == ((0, 1), 4)
+    # an infinite residual is inf
+    rep = representation_check(SemiMetric(values=np.zeros((2, 2))),
+                               SemiMetric(values=[[0.0, np.inf], [np.inf, 0.0]]), A)
+    assert (rep.max_residual, rep.worst_pair) == (np.inf, (0, 1))
+
+
 def test_representation_check_leaves_a_one_cell_barrier_unchanged():
     # the blocks of a dense h are views of it; a negative self-barrier
     # makes every intermediate differ from h and delta

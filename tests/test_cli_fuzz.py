@@ -56,6 +56,9 @@ PINNED = [
     ("ferry", {"ferry": {"points": True}}, 2, "ferry.points"),
     # a misspelt ferry key fails instead of leaving the ferry stage out
     ("all", {"grid": {"dim": 1, "n": 16}, "ferry": {"pionts": "x.csv"}}, 2, "ferry"),
+    # so does a misspelt model parameter, instead of running another model
+    ("all", {"model": {"family": "mechanical", "potential": {"name": "cosine", "kk": 1}},
+             "grid": {"dim": 1, "n": 16}}, 2, "kk"),
 ]
 
 junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),

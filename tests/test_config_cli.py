@@ -35,8 +35,9 @@ def test_defaults_fill_in():
     assert cfg.raw["grid"] == {"dim": 1, "n": 256}
     assert cfg.raw["kernel"]["tau"] == "auto"
     g = cfg.grid()
-    assert cfg.tau(g) == g.spacing
-    assert cfg.stencil_radius(g) == pytest.approx(4 * g.spacing)
+    K = cfg.kernel(g, cfg.lagrangian(g))
+    assert K.tau == g.spacing
+    assert K.stencil_radius == pytest.approx(4 * g.spacing)
 
 
 def test_unknown_keys_rejected():
@@ -46,6 +47,14 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict({"grid": {"dims": 1}})
     with pytest.raises(ConfigError, match="ferry"):
         ExperimentConfig.from_dict({"grid": {"dim": 1, "n": 16}, "ferry": {"pionts": "x.csv"}})
+    # the model's maps too: a misspelt parameter would run another model
+    for model, key in [
+            ({"family": "mechanical", "potential": {"name": "cosine", "kk": 1}}, "kk"),
+            ({"family": "kinetic", "famly": 1}, "famly"),
+            ({"family": "mane", "field": {"name": "sin_gradient", "kk": 3}}, "kk"),
+            ({"family": "mane", "field": {"name": "neg_grad", "potential": {"amps": 2}}}, "amps")]:
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({"model": model})
 
 
 def test_validation_errors():

@@ -57,7 +57,7 @@ def test_legendre_dense_scan_matches_closed_form():
 
 def test_legendre_needs_a_closed_form():
     kin = kinetic_lagrangian(1)
-    bare = Lagrangian(name="bare", dim=1, eval=kin.eval, params={})
+    bare = Lagrangian(name="bare", dim=1, eval=kin.eval)
     with pytest.raises(ConfigError) as e:
         legendre_hamiltonian(bare, X0, np.array([1.0]))
     assert "bare" in str(e.value)
@@ -132,6 +132,16 @@ def test_table_field_snaps_to_nearest_cell():
     table = np.array([[1.0], [2.0], [3.0], [4.0]])
     X = table_field(g, table)
     np.testing.assert_allclose(X(np.array([[0.26], [0.74]]))[:, 0], [2.0, 4.0])
+
+
+def test_table_csv_keeps_a_numeric_first_row(tmp_path):
+    # the points-file rule: line 1 is a header only when it is no numbers
+    g = build_grid(1, 4)
+    f = tmp_path / "field.csv"
+    for text in ("x0,v0\n0,1\n0.25,2\n0.5,3\n0.75,4\n", "0,1\n0.25,2\n0.5,3\n0.75,4\n"):
+        f.write_text(text)
+        X = make_vector_field({"name": "table", "path": str(f)}, g)
+        np.testing.assert_array_equal(X(g.coords())[:, 0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_make_vector_field_unknown_name_lists_builtins():

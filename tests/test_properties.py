@@ -250,8 +250,6 @@ def test_block_consumers_match_copying_oracles(case, radius):
         for r in radii:
             want = oracle_centers(sub, r)
             assert geometry._greedy_coverings(delta, indices, np.array([r]))[0] == want
-            assert geometry._greedy_coverings(delta, indices, np.array([r]),
-                                              delta.symmetric)[0] == want
             assert hausdorff1_report(delta, indices, [r]).covering_counts[0] == len(want)
             got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
             assert (got.classes, got.representative) == (want.classes, want.representative)
@@ -279,9 +277,8 @@ def test_multiscale_coverings_match_per_scale_oracle(case, extra, copies):
         m.setattr(geometry, "LEVEL_ENTRIES", block)
         counts = hausdorff1_report(delta, indices, scales).covering_counts
         assert counts.tolist() == [len(c) for c in want]
-        # the column read, and the row read when delta is symmetric
+        # the column read, or the row read when delta is symmetric
         assert geometry._greedy_coverings(delta, indices, desc) == want
-        assert geometry._greedy_coverings(delta, indices, desc, delta.symmetric) == want
 
 
 def test_coverings_count_levels_past_255_scales():
