@@ -9,8 +9,9 @@ N x N float array may be held, and one would take 2,048 MiB. The kinetic
 case, where every cell is Aubry and the quotient and the coverings read
 all N x N pairs of the Mather distance, must stay below 700 MiB; the
 mechanical case, whose Aubry set is one circle of 128 cells, below
-300 MiB. The run's wall time and each stage's `wall_time_s` from its
-manifest are printed, never checked. Exits 1 when a check fails.
+300 MiB. The run's wall time, and each stage's `wall_time_s` and
+`peak_rss_mb` (the child's high-water mark when that stage ended) from
+its manifest, are printed, never checked. Exits 1 when a check fails.
 """
 
 import json
@@ -67,7 +68,8 @@ def main() -> int:
             residual = (read_json(out, "quotient.json") or {}).get("representation_max_residual")
         print(f"{name}: exit {code}, peak RSS {peak:.1f} MiB, {wall:.1f} s", flush=True)
         for stage, record in manifest.get("stages", {}).items():
-            print(f"  {stage}: {record['wall_time_s']:.2f} s", flush=True)
+            print(f"  {stage}: {record['wall_time_s']:.2f} s, "
+                  f"peak RSS {record['peak_rss_mb']:.1f} MiB", flush=True)
         if code != 0:
             failed.append(f"{name} exited {code}")
         if not (isinstance(residual, float) and residual <= RESIDUAL_LIMIT):

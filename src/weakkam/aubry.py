@@ -367,8 +367,9 @@ def quotient(delta: _Pairwise, A: AubrySet, merge_threshold: float) -> QuotientP
     """Classes of Aubry indices joined by chains of delta <= merge_threshold."""
     pos = delta.check_ids(A.indices)
     if all(np.all(b <= merge_threshold) for _, b in row_blocks(delta, pos)):
-        members = sorted(int(i) for i in A.indices)
-        return QuotientPartition(classes=[members], representative=[members[0]],
+        # one class, or none for an empty set
+        classes = [sorted(int(i) for i in A.indices)] if pos.size else []
+        return QuotientPartition(classes=classes, representative=[m[0] for m in classes],
                                  merge_threshold=float(merge_threshold))
     graph = sparse.vstack([sparse.csr_matrix(b <= merge_threshold)
                            for _, b in row_blocks(delta, pos)])

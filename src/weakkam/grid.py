@@ -54,7 +54,11 @@ class GridTorus:
         return np.ravel_multi_index(tuple(cells.T), self.shape)
 
     def nearest_index(self, points) -> np.ndarray:
-        """Flat index of the grid cell nearest to each point (ties to lower cell)."""
+        """Flat index of the grid cell nearest to each point.
+
+        A point halfway between two cells goes to the even one, as np.rint
+        rounds: on n=4, 0.125 goes to cell 0 and 0.375 to cell 2.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = np.rint(points / self.spacing).astype(np.int64)
         return self.index_of_cell(cells)

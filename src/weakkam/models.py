@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ArtifactError, ConfigError
-from .grid import GridTorus
+from .grid import GridTorus, wrap_displacement
 
 Array = np.ndarray
 
@@ -177,6 +177,24 @@ def table_field(grid: GridTorus, table: Array) -> VectorField:
     return VectorField("table", grid.dim, ev)
 
 
+def _check_cell_coords(grid: GridTorus, table: Array, path) -> None:
+    """Row k of a field table, one row per cell, names cell k in flat
+    order: its `dim` values before the field lie within a quarter spacing
+    of that cell's coordinates, wrapped on the torus."""
+    coords = table[:, -2 * grid.dim:-grid.dim]
+    if coords.shape[1] < grid.dim:
+        raise ConfigError(f"{path}: a field table row needs {grid.dim} coordinates before "
+                          f"its {grid.dim} field values, got {coords.shape[1]}")
+    cells = grid.coords()
+    off = np.abs(wrap_displacement(cells, coords))
+    bad = np.nonzero(~np.all(off <= grid.spacing / 4, axis=1))[0]
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(f"{path}: field table row {k + 1} has coordinates "
+                          f"{coords[k].tolist()}, not those of cell {k} in flat order, "
+                          f"{cells[k].tolist()}")
+
+
 def load_points_csv(path) -> np.ndarray:
     """Numeric CSV (a points file or a field table): one row per point,
     comma-separated values, after an optional header line."""
@@ -230,7 +248,11 @@ def make_vector_field(spec: dict, grid: GridTorus) -> VectorField:
         path = spec.get("path")
         if not isinstance(path, str):
             raise ConfigError("table field needs a 'path' to a CSV of cell samples")
-        return table_field(grid, load_points_csv(path)[:, -grid.dim:])
+        table = load_points_csv(path)
+        X = table_field(grid, table[:, -grid.dim:])
+        if table.shape[1] > grid.dim:
+            _check_cell_coords(grid, table, path)
+        return X
     raise ConfigError(f"field.name must be one of 'zero', 'constant', 'sin_gradient', "
                       f"'neg_grad', 'table', got {name!r}")
 

@@ -4,19 +4,21 @@ A stage is one row of `STAGES`: a body and the stages it needs. A body
 `(cfg, state) -> (stats, artifacts)` reads and extends the shared state
 and writes no files. `stats` is its manifest record; `artifacts` maps
 each file name, in write order, to a JSON object, to a CSV's
-`(header, rows)` with rows possibly a lazy generator, or to a str saying
-why that file is skipped. `run_pipeline` alone writes the artifacts
-whose extension is among `outputs.formats` and builds the manifest.
+`(header, chunks)`, whose column chunks may come from a lazy generator,
+or to a str saying why that file is skipped. `run_pipeline` alone writes
+the artifacts whose extension is among `outputs.formats` and builds the
+manifest.
 
 Artifacts are deterministic for a fixed config and seed: floats are
 printed at 12 significant digits, row order follows flat grid indices,
-and the manifest records a sha256 per emitted file. Wall times live only
-in the manifest, never in CSVs.
+and the manifest records a sha256 per emitted file. Wall times and peak
+memory live only in the manifest, never in CSVs.
 """
 
 import hashlib
 import json
 import os
+import resource
 import time
 
 import numpy as np
@@ -35,35 +37,33 @@ from .regularize import (alternating_smooth, aubry_drift, default_schedule,
 
 BARRIER_DUMP_LIMIT = 2048  # full matrix CSV only below this point count
 FLOAT_FMT = "%.11e"  # 12 significant digits
+_KIND_FMT = {"i": "%d", "u": "%d", "f": FLOAT_FMT}
+CSV_SLICE_ROWS = 1024  # rows formatted at once, so a long chunk's text stays small
 
 
 # -- deterministic writers ----------------------------------------------------
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return FLOAT_FMT % float(v)
-    return str(v)
-
-
 def _matrix_rows(m):
-    """CSV text of the rows i,j,m[i,j], one chunk per i, read in row blocks."""
-    line = "%d,%d," + FLOAT_FMT + "\n"
-    for i0, block in row_blocks(m, np.arange(m.size)):
+    """Column chunks (i, j, m[i, j]), one per row i, read in row blocks."""
+    j = np.arange(m.size)
+    for i0, block in row_blocks(m, j):
         for i, row in enumerate(block, start=i0):
-            yield "".join([line % (i, j, v) for j, v in enumerate(row.tolist())])
+            yield np.full(m.size, i), j, row
 
 
-def write_csv(path, header, rows) -> str:
-    """A row is a sequence of cells, or preformatted CSV text (a str)."""
+def write_csv(path, header, chunks) -> str:
+    """Each chunk is a tuple of equal-length columns (arrays or lists), one
+    per header field. A column has one format, from its dtype kind:
+    integers as %d, floats as FLOAT_FMT, anything else as %s."""
     try:
         with open(path, "w", newline="\n") as f:
             f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(row if isinstance(row, str) else ",".join(map(_fmt_cell, row)) + "\n")
+            for chunk in chunks:
+                cols = [np.asarray(c) for c in chunk]
+                line = ",".join(_KIND_FMT.get(c.dtype.kind, "%s") for c in cols) + "\n"
+                for k in range(0, len(cols[0]), CSV_SLICE_ROWS):
+                    rows = zip(*[c[k:k + CSV_SLICE_ROWS].tolist() for c in cols])
+                    f.write("".join([line % row for row in rows]))
     except OSError as e:
         raise ArtifactError(f"cannot write {path}: {e}") from e
     return path
@@ -127,12 +127,11 @@ def _stage_weakkam(cfg, state):
     rng = np.random.default_rng(cfg.seed())
     u0 = rng.standard_normal(grid.point_count)
     sol = state["sol"] = weak_kam_solution(K, state["cv"], u0=u0, tol=cfg.solver_tol())
-    coords = grid.coords()
-    rows = ((i, *coords[i], sol.u.values[i]) for i in range(grid.point_count))
+    cols = (np.arange(grid.point_count), *grid.coords().T, sol.u.values)
     return {"critical_cells": sol.critical_cells, "residual": sol.residual}, {
         "weakkam.json": {"c": sol.c, "residual": sol.residual,
                          "iterations": sol.iterations, "seed": cfg.seed()},
-        "u.csv": (["index", *_coord_header(grid.dim), "value"], rows),
+        "u.csv": (["index", *_coord_header(grid.dim), "value"], [cols]),
     }
 
 
@@ -151,11 +150,9 @@ def _stage_barrier(cfg, state):
 def _stage_aubry(cfg, state):
     grid, K = state["grid"], state["K"]
     A = state["A"] = aubry_set(state["h"], cfg.eta(), K, state["cv"].c)
-    coords = grid.coords(A.indices)
-    rows = ((int(A.indices[k]), *coords[k], A.self_barrier[k], A.labels[k])
-            for k in range(A.indices.size))
+    cols = (A.indices, *grid.coords(A.indices).T, A.self_barrier, A.labels)
     return {"aubry_size": int(A.indices.size)}, {"aubry.csv": (
-        ["index", *_coord_header(grid.dim), "self_barrier", "label"], rows)}
+        ["index", *_coord_header(grid.dim), "self_barrier", "label"], [cols])}
 
 
 def _stage_quotient(cfg, state):
@@ -169,9 +166,10 @@ def _stage_quotient(cfg, state):
     for i0, block in row_blocks(delta, state["A"].indices):
         same = label[i0:i0 + block.shape[0], None] == label
         diam = max(diam, float(np.max(block, where=same, initial=0.0)))
-    rows = ((ci, m) for ci, members in enumerate(Q.classes) for m in members)
+    cols = ([ci for ci, members in enumerate(Q.classes) for _ in members],
+            [m for members in Q.classes for m in members])
     return {"class_count": Q.class_count}, {
-        "quotient.csv": (["class_id", "member_index"], rows),
+        "quotient.csv": (["class_id", "member_index"], [cols]),
         "quotient.json": {
             "class_count": Q.class_count,
             "max_class_diameter_delta": diam,
@@ -198,9 +196,9 @@ def _auto_scales(delta, indices) -> np.ndarray:
 def _stage_dimension(cfg, state):
     delta, A = state["delta"], state["A"]
     report = hausdorff1_report(delta, A.indices, _auto_scales(delta, A.indices))
-    rows = zip(report.scales, report.covering_counts, report.h1_estimates)
+    cols = (report.scales, report.covering_counts, report.h1_estimates)
     return {"covering_counts": report.covering_counts.tolist()}, {
-        "dimension.csv": (["r", "covering_count", "h1_estimate"], rows),
+        "dimension.csv": (["r", "covering_count", "h1_estimate"], [cols]),
         "dimension.json": {"dim_slope": report.dim_slope},
     }
 
@@ -213,9 +211,9 @@ def _stage_regularize(cfg, state):
     tol = max(cfg.solver_tol(), 8 * state["sol"].residual)
     v = alternating_smooth(u, K, c, schedule, tol=tol)
     resid = subsolution_residual_field(v, L, grid)
-    rows = ((i, u.values[i], v.values[i], resid[i] - c) for i in range(grid.point_count))
+    cols = (np.arange(grid.point_count), u.values, v.values, resid - c)
     return {}, {
-        "regularize.csv": (["index", "u_in", "u_out", "H_residual"], rows),
+        "regularize.csv": (["index", "u_in", "u_out", "H_residual"], [cols]),
         "regularize.json": {
             "semiconvexity_before": semiconvexity_constant(u),
             "semiconvexity_after": semiconvexity_constant(v),
@@ -232,10 +230,8 @@ def _stage_chains(cfg, state):
     X = cfg.vector_field(grid)
     params = cfg.dynamics_params(grid, X)
     chain = state["chain"] = chain_recurrent_set(chain_graph(X, grid, **params))
-    coords = grid.coords(chain)
-    rows = ((int(chain[k]), *coords[k]) for k in range(chain.size))
     return {}, {
-        "chain_set.csv": (["index", *_coord_header(grid.dim)], rows),
+        "chain_set.csv": (["index", *_coord_header(grid.dim)], [(chain, *grid.coords(chain).T)]),
         "chains.json": {"size": int(chain.size), **params},
     }
 
@@ -360,8 +356,9 @@ def run_pipeline(cfg: ExperimentConfig, stages, out_dir=None) -> dict:
                 else:
                     write_json(path, artifact)
                 written.append(fname)
-            manifest["stages"][name] = {
-                "files": written, "wall_time_s": time.perf_counter() - t0, **stats}
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+            manifest["stages"][name] = {"files": written, "wall_time_s": time.perf_counter() - t0,
+                                        "peak_rss_mb": peak, **stats}
     except WeakKamError as e:
         manifest["status"] = "error"
         manifest["error"] = {"stage": name, "type": type(e).__name__, "message": str(e)}

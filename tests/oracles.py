@@ -31,6 +31,10 @@ greedy covering, the quotient and the covering scale grid on float copies
 of the whole |A| x |A| block of delta; the library reads that block in
 row blocks, into a level matrix that serves every covering scale and
 into sparse threshold pairs for the quotient.
+
+`fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
+Python or numpy type; `pipeline.write_csv` gives each column one format
+from its dtype and formats a whole column chunk at once.
 """
 
 from dataclasses import dataclass
@@ -405,6 +409,23 @@ def _auto_scales(delta, indices) -> np.ndarray:
     lo = float(np.min(off))
     lo = max(lo / 2.0, hi * 1e-4) or lo
     return np.geomspace(lo, hi, 8)
+
+
+def fmt_cell(v) -> str:
+    """One CSV cell: bools as True/False, integers in decimal, floats at 12
+    significant digits, anything else by str."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return "%.11e" % float(v)
+    return str(v)
+
+
+def csv_text(header, rows) -> str:
+    """The CSV text of a header and rows of cells."""
+    return "".join(",".join(map(fmt_cell, row)) + "\n" for row in [header, *rows])
 
 
 @dataclass(frozen=True)

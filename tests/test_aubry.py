@@ -332,6 +332,14 @@ def test_quotient_pendulum_single_class(pendulum_state_64):
     assert q.representative == [0]
 
 
+def test_quotient_of_an_empty_set_has_no_classes():
+    # the all-within shortcut holds vacuously on no pairs
+    A = aubry.AubrySet(indices=np.zeros(0, dtype=np.int64), self_barrier=np.zeros(0),
+                       labels=[], threshold=0.0)
+    q = quotient(SemiMetric(values=np.zeros((3, 3))), A, 0.5)
+    assert (q.classes, q.representative, q.class_count) == ([], [], 0)
+
+
 def test_quotient_doublewell_two_classes(doublewell_state_64):
     K, c, h = (doublewell_state_64[k] for k in ("K", "c", "h"))
     A = aubry_set(h, None, K, c)

@@ -16,6 +16,8 @@ from weakkam.cli import main
 from weakkam.config import ExperimentConfig
 from weakkam.pipeline import load_points_csv, run_pipeline
 
+from oracles import csv_text
+
 
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {"grid": {"dim": 1, "n": 64},
@@ -141,6 +143,7 @@ def test_quotient_pipeline_pendulum(tmp_path):
     barrier = manifest["stages"]["barrier"]
     # the self-loop at the hyperbolic fixed point is the only flat cycle
     assert barrier == {"files": ["barrier.csv"], "wall_time_s": barrier["wall_time_s"],
+                       "peak_rss_mb": barrier["peak_rss_mb"],
                        "representatives": 1, "critical_edges": 1, "invariant_axes": []}
     # prerequisite stages ran and left their artifacts
     for stage in ("critical", "barrier", "aubry", "quotient", "dimension"):
@@ -229,14 +232,59 @@ def test_pipeline_holds_no_dense_barrier_on_a_mechanical_slab(tmp_path):
 
 def test_matrix_rows_write_the_cell_by_cell_text(tmp_path, monkeypatch):
     vals = np.array([[0.0, -1.5e-300, np.inf], [1 / 3, 2.0**60, -0.0], [7.0, np.nan, 1e-12]])
-    cells = ((i, j, vals[i, j]) for i in range(3) for j in range(3))
-    want = open(pipeline.write_csv(tmp_path / "cells.csv", ["i", "j", "h"], cells), "rb").read()
+    want = csv_text(["i", "j", "h"], [(i, j, vals[i, j]) for i in range(3) for j in range(3)])
+    empty = (np.zeros(0, dtype=np.int64), [], np.zeros(0))
     # one row per block, uneven blocks of 2 rows on 3, and one block
     for block in (1, 6, 9):
         monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
-        got = pipeline.write_csv(tmp_path / "rows.csv", ["i", "j", "h"],
-                                 pipeline._matrix_rows(aubry.SemiMetric(values=vals)))
-        assert open(got, "rb").read() == want
+        chunks = [empty, *pipeline._matrix_rows(aubry.SemiMetric(values=vals)), empty]
+        got = pipeline.write_csv(tmp_path / "rows.csv", ["i", "j", "h"], chunks)
+        assert open(got, "rb").read() == want.encode()
+
+
+def test_write_csv_formats_each_column_by_its_dtype(tmp_path):
+    cols = (np.array([-3, 2**60]), np.array([0, 255], dtype=np.uint8), np.array([True, False]),
+            np.array([0.1, -np.inf], dtype=np.float32), ["stationary", "other"], [7, -1])
+    header = ["int", "uint", "bool", "float", "str", "list"]
+    got = pipeline.write_csv(tmp_path / "kinds.csv", header, [cols])
+    assert open(got, "rb").read() == csv_text(header, zip(*cols)).encode()
+
+
+# 256-row column chunks in uneven slices of 100 rows, and in one slice
+@pytest.mark.parametrize("slice_rows", [100, pipeline.CSV_SLICE_ROWS])
+def test_every_csv_matches_the_cell_by_cell_text(tmp_path, monkeypatch, slice_rows):
+    # all on a 2-d drift model with ferry points writes all 8 kinds of CSV;
+    # each is checked against its chunks written cell by cell
+    monkeypatch.setattr(pipeline, "CSV_SLICE_ROWS", slice_rows)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x0,x1\n" + "".join(f"{k / 7},{(k * k % 7) / 7}\n" for k in range(7)))
+    cfg = ExperimentConfig.from_dict({
+        "model": {"family": "mane", "field": {"name": "sin_gradient"}},
+        "grid": {"dim": 2, "n": 16}, "ferry": {"points": str(pts)},
+        "outputs": {"directory": str(tmp_path / "o")}})
+    seen, write = {}, pipeline.write_csv
+
+    def write_csv(path, header, chunks):
+        chunks = list(chunks)
+        seen[os.path.basename(path)] = csv_text(header, [
+            row for chunk in chunks for row in zip(*chunk)])
+        return write(path, header, chunks)
+
+    monkeypatch.setattr(pipeline, "write_csv", write_csv)
+    run_pipeline(cfg, ["all"])
+    assert sorted(seen) == ["aubry.csv", "barrier.csv", "chain_set.csv", "dimension.csv",
+                            "ferry.csv", "quotient.csv", "regularize.csv", "u.csv"]
+    integer_columns = {"index", "i", "j", "class_id", "member_index", "covering_count"}
+    for name, want in seen.items():
+        got = (tmp_path / "o" / name).read_text()
+        assert got == want, name
+        header, *rows = [line.split(",") for line in got.splitlines()]
+        assert rows, name
+        for k, field in enumerate(header):
+            if field in integer_columns:
+                assert all(row[k].lstrip("-").isdigit() for row in rows), (name, field)
+    labels = {line.split(",")[-1] for line in seen["aubry.csv"].splitlines()[1:]}
+    assert labels and labels <= {"stationary", "periodic", "other"}
 
 
 def test_manifest_checksums_match_files(tmp_path):
@@ -248,6 +296,9 @@ def test_manifest_checksums_match_files(tmp_path):
         assert hashlib.sha256(blob).hexdigest() == digest
     for stage in manifest["stages"].values():
         assert stage["wall_time_s"] >= 0.0
+    # a high-water mark: positive and never falling from stage to stage
+    peaks = [stage["peak_rss_mb"] for stage in manifest["stages"].values()]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
 
 
 def test_pipeline_runs_are_byte_identical(tmp_path):
@@ -455,6 +506,18 @@ def test_cli_bad_field_table_is_exit_2(tmp_path, capsys):
     assert "config error" in err and "Traceback" not in err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "error"
+    assert manifest["error"]["stage"] == "chains"
+    assert manifest["error"]["type"] == "ConfigError"
+
+
+def test_cli_misplaced_field_table_is_exit_2(tmp_path, capsys):
+    table = tmp_path / "field.csv"
+    table.write_text("x0,v0\n0.75,1\n0.5,2\n0.25,3\n0,4\n")
+    path = write_config(tmp_path, grid={"n": 4}, model={
+        "family": "mane", "field": {"name": "table", "path": str(table)}})
+    assert main(["chains", "--config", path]) == 2
+    assert "row 1 has coordinates" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["error"]["stage"] == "chains"
     assert manifest["error"]["type"] == "ConfigError"
 

@@ -76,6 +76,13 @@ def test_nearest_index_wraps_past_end():
     assert g.nearest_index(np.array([[0.13]]))[0] == 1
 
 
+def test_nearest_index_rounds_halves_to_the_even_cell():
+    # np.rint: 0.5 -> 0, 1.5 -> 2, 2.5 -> 2, 3.5 -> 4, which wraps to 0
+    g = build_grid(1, 4)
+    halves = np.array([[0.125], [0.375], [0.625], [0.875]])
+    assert g.nearest_index(halves).tolist() == [0, 2, 2, 0]
+
+
 def test_torus_distance_min_image():
     g = build_grid(1, 8)
     assert g.torus_distance(np.array([[0.9]]), np.array([[0.1]]))[0] == pytest.approx(0.2)

@@ -144,6 +144,33 @@ def test_table_csv_keeps_a_numeric_first_row(tmp_path):
         np.testing.assert_array_equal(X(g.coords())[:, 0], [1.0, 2.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("xs", [[0.75, 0.5, 0.25, 0.0], [0.875, 0.625, 0.375, 0.125]],
+                         ids=["reversed", "half-cell"])
+def test_table_csv_rows_must_name_their_cells(tmp_path, xs):
+    f = tmp_path / "field.csv"
+    f.write_text("x0,v0\n" + "".join(f"{x},{v}\n" for v, x in enumerate(xs, start=1)))
+    with pytest.raises(ConfigError, match="row 1 has coordinates"):
+        make_vector_field({"name": "table", "path": str(f)}, build_grid(1, 4))
+
+
+def test_table_csv_coordinates_wrap_and_the_first_bad_row_is_named(tmp_path):
+    g = build_grid(2, 2)
+    f = tmp_path / "field.csv"
+    # index, x0, x1, then the field; 0.99 lies 0.01 from cell 0 across the seam
+    rows = [[0, 0.99, 0.01], [1, 0.0, 0.5], [2, 0.5, 0.0], [3, 0.5, 0.5]]
+    f.write_text("".join(f"{i},{x0},{x1},{i},{-i}\n" for i, x0, x1 in rows))
+    X = make_vector_field({"name": "table", "path": str(f)}, g)
+    np.testing.assert_array_equal(X(g.coords()), [[0, 0], [1, -1], [2, -2], [3, -3]])
+    rows[2][1] = 0.2  # more than a quarter spacing (0.125) off its cell
+    f.write_text("".join(f"{i},{x0},{x1},{i},{-i}\n" for i, x0, x1 in rows))
+    with pytest.raises(ConfigError, match="row 3 has coordinates"):
+        make_vector_field({"name": "table", "path": str(f)}, g)
+    # one value before a 2-d field is no pair of coordinates
+    f.write_text("".join(f"{x0},{i},{-i}\n" for i, x0, _ in rows))
+    with pytest.raises(ConfigError, match="needs 2 coordinates"):
+        make_vector_field({"name": "table", "path": str(f)}, g)
+
+
 def test_make_vector_field_unknown_name_lists_builtins():
     g = build_grid(1, 8)
     with pytest.raises(ConfigError) as e:
