@@ -1,4 +1,4 @@
-"""Scale smoke run: `weakkam all` on the two 2-d grids of 128 x 128 cells.
+"""Scale smoke run: `weakkam all` on three 2-d grids of 128 x 128 cells.
 
     python3 scripts/scale_smoke.py
 
@@ -9,9 +9,13 @@ N x N float array may be held, and one would take 2,048 MiB. The kinetic
 case, where every cell is Aubry and the quotient and the coverings read
 all N x N pairs of the Mather distance, must stay below 700 MiB; the
 mechanical case, whose Aubry set is one circle of 128 cells, below
-300 MiB. The run's wall time, and each stage's `wall_time_s` and
-`peak_rss_mb` (the child's high-water mark when that stage ended) from
-its manifest, are printed, never checked. Exits 1 when a check fails.
+300 MiB. The Mane zero-field case has the kinetic kernel and limit, and
+its `comparison` stage measures the Hausdorff distance between two sets
+of all N cells, the Aubry set and the chain-recurrent set; its
+`comparison.json` must record a distance of 0.0. The run's wall time,
+and each stage's `wall_time_s` and `peak_rss_mb` (the child's high-water
+mark when that stage ended) from its manifest, in the manifest's
+`stage_order`, are printed, never checked. Exits 1 when a check fails.
 """
 
 import json
@@ -30,6 +34,7 @@ CASES = [
     ("kinetic-2d-128", {"family": "kinetic"}, 700),
     ("mechanical-2d-128", {"family": "mechanical",
                            "potential": {"name": "cosine", "k": [1, 0]}}, 300),
+    ("mane-zero-2d-128", {"family": "mane", "field": {"name": "zero"}}, 700),
 ]
 
 
@@ -66,8 +71,10 @@ def main() -> int:
             code, peak, wall = run(model, out)
             manifest = read_json(out, "manifest.json") or {}
             residual = (read_json(out, "quotient.json") or {}).get("representation_max_residual")
+            comparison = read_json(out, "comparison.json") or {}
         print(f"{name}: exit {code}, peak RSS {peak:.1f} MiB, {wall:.1f} s", flush=True)
-        for stage, record in manifest.get("stages", {}).items():
+        for stage in manifest.get("stage_order", []):
+            record = manifest["stages"][stage]
             print(f"  {stage}: {record['wall_time_s']:.2f} s, "
                   f"peak RSS {record['peak_rss_mb']:.1f} MiB", flush=True)
         if code != 0:
@@ -75,6 +82,9 @@ def main() -> int:
         if not (isinstance(residual, float) and residual <= RESIDUAL_LIMIT):
             failed.append(f"{name} recorded representation residual {residual}, "
                           f"limit {RESIDUAL_LIMIT}")
+        if model["family"] == "mane" and comparison.get("hausdorff_distance") != 0.0:
+            failed.append(f"{name} recorded Hausdorff distance "
+                          f"{comparison.get('hausdorff_distance')}, expected 0.0")
         if peak >= limit:
             failed.append(f"{name} peaked at {peak:.1f} MiB, limit {limit} MiB")
     for reason in failed:

@@ -8,13 +8,10 @@ from .models import (
     make_vector_field, cosine_potential, make_potential,
     mane_lagrangian, mechanical_lagrangian, kinetic_lagrangian, make_lagrangian,
 )
-from .kernel import (
-    ActionKernel, build_kernel, stencil_offsets,
-    minplus_apply,
-)
+from .kernel import ActionKernel, build_kernel, stencil_offsets
 from .critical import (
     CriticalValue, WeakKamSolution, DominationReport,
-    critical_value, lax_oleinik_plus,
+    critical_value,
     weak_kam_solution, check_dominated,
 )
 from .aubry import (

@@ -308,7 +308,7 @@ def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices) -> list:
     def learn(cells):
         # each cell's minimizing successor, and whether its self-loop ties the
         # minimum within 1e-12: for the indices, then for cells orbits reach
-        fwd = K.forward_targets()[:, cells]
+        fwd = K.targets(cells)
         scores = np.take_along_axis(K.weights, fwd, axis=1) + c * K.tau + h.at(fwd, cells)
         best, s = np.min(scores, axis=0), np.argmin(scores, axis=0)
         succ.update(zip(cells.tolist(), fwd[s, np.arange(cells.size)].tolist()))

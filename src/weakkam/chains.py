@@ -14,6 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+from . import aubry
 from .errors import ConfigError
 from .grid import GridTorus, wrap_displacement
 from .kernel import available_memory, check_memory
@@ -111,18 +112,26 @@ def chain_recurrent_set(g: ChainGraph) -> np.ndarray:
 
 
 def compare_aubry_chain(aubry_indices, chain_indices, grid: GridTorus) -> SetComparison:
-    """Hausdorff distance in the torus metric plus one-sided leftovers."""
+    """Hausdorff distance in the torus metric plus one-sided leftovers.
+
+    The |a| x |b| distances are read in row blocks of a, each about
+    aubry.BLOCK_ENTRIES pairs and at least one row: each block's row
+    minima feed the a -> b side, a running minimum per column the b -> a side.
+    """
     a = np.asarray(aubry_indices, dtype=np.int64)
     b = np.asarray(chain_indices, dtype=np.int64)
     if a.size == 0 or b.size == 0:
         raise ConfigError("set comparison requires two nonempty sets")
     xa = grid.coords(a)
     xb = grid.coords(b)
-    disp = wrap_displacement(xa[:, None, :], xb[None, :, :])
-    d = np.linalg.norm(disp, axis=-1)
-    forward = float(np.max(np.min(d, axis=1)))
-    backward = float(np.max(np.min(d, axis=0)))
-    return SetComparison(hausdorff_distance=max(forward, backward),
+    rows = max(1, aubry.BLOCK_ENTRIES // b.size)
+    forward, col_min = 0.0, np.full(b.size, np.inf)
+    for i0 in range(0, a.size, rows):
+        disp = wrap_displacement(xa[i0:i0 + rows, None, :], xb[None, :, :])
+        d = np.linalg.norm(disp, axis=-1)
+        forward = max(forward, float(np.max(np.min(d, axis=1))))
+        np.minimum(col_min, np.min(d, axis=0), out=col_min)
+    return SetComparison(hausdorff_distance=max(forward, float(np.max(col_min))),
                          a_only=np.setdiff1d(a, b), b_only=np.setdiff1d(b, a),
                          a_size=int(a.size), b_size=int(b.size))
 

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ConfigError, NumericalError
-from .grid import ValueFunction
+from .grid import ValueFunction, as_value_array
 from .kernel import ActionKernel, backward_sources, stencil_graph
 
 # reduced costs at most ZERO_TOL * scale are critical edges; below
@@ -41,9 +41,9 @@ class CriticalValue:
         """Replay the witness cycle through the kernel and average it."""
         cyc = list(self.witness_cycle)
         total = 0.0
-        fwd = K.forward_targets()
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            hit = np.nonzero(fwd[:, a] == b)[0]
+        fwd = K.targets(cyc)
+        for i, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
+            hit = np.nonzero(fwd[:, i] == b)[0]
             if hit.size == 0:
                 raise NumericalError(f"witness edge {a}->{b} is not in the stencil")
             # several offsets can alias onto the same target on tiny grids
@@ -58,13 +58,6 @@ class WeakKamSolution:
     residual: float
     iterations: int
     critical_cells: int = 0
-
-
-def as_value_array(u) -> np.ndarray:
-    """Accept a ValueFunction or a plain array and return the flat values."""
-    if isinstance(u, ValueFunction):
-        return u.values
-    return np.asarray(u, dtype=float)
 
 
 def critical_value(K: ActionKernel) -> CriticalValue:
@@ -190,14 +183,6 @@ def _policy_values(succ: np.ndarray, cost: np.ndarray):
             x[u] = w[u] - eta[u] + x[nxt[u]]
             state[u] = 2
     return np.array(eta), np.array(x), cycles
-
-
-def lax_oleinik_plus(K: ActionKernel, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """One forward step: (T+ u)(x) = max_y [ u(y) - cost[x][y] - shift ]."""
-    u = as_value_array(u)
-    if u.shape[-1] != K.point_count:
-        raise ConfigError(f"value vector has {u.shape[-1]} entries, kernel has {K.point_count}")
-    return K.apply_max(u, shift)
 
 
 @dataclass

@@ -100,3 +100,10 @@ class ValueFunction:
 
     def as_mesh(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
+
+
+def as_value_array(u) -> np.ndarray:
+    """Accept a ValueFunction or a plain array and return the flat values."""
+    if isinstance(u, ValueFunction):
+        return u.values
+    return np.asarray(u, dtype=float)

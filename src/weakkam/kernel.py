@@ -12,14 +12,15 @@ along offset s. Dense matrices are materialized on demand for small
 grids.
 """
 
+import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NumericalError
-from .grid import GridTorus
+from .grid import GridTorus, as_value_array
 from .models import Lagrangian
 
 DENSE_LIMIT = 4096  # dense matrices allowed up to this many grid points
@@ -50,7 +51,6 @@ class ActionKernel:
     stencil_radius: float
     offsets: np.ndarray  # (S, dim) integer cell offsets, minimal image
     weights: np.ndarray  # (S, N) finite costs
-    _fwd: np.ndarray = field(default=None, repr=False)
 
     @property
     def point_count(self) -> int:
@@ -71,30 +71,28 @@ class ActionKernel:
         """Self-loop costs tau * L(x, 0) per cell."""
         return self.weights[self.zero_offset].copy()
 
-    def forward_targets(self) -> np.ndarray:
-        """fwd[s, y] = flat index of cell y + offsets[s]."""
-        if self._fwd is None:
-            n = self.grid.n_per_axis
-            cells = np.stack(np.unravel_index(np.arange(self.point_count),
-                                              self.grid.shape), axis=-1)
-            fwd = np.empty((self.stencil_size, self.point_count), dtype=np.int64)
-            for s, o in enumerate(self.offsets):
-                fwd[s] = np.ravel_multi_index(tuple(((cells + o) % n).T), self.grid.shape)
-            self._fwd = fwd
-        return self._fwd
+    def targets(self, cells) -> np.ndarray:
+        """t[s, i] = flat index of cell cells[i] + offsets[s], shape (S, len(cells))."""
+        n = self.grid.n_per_axis
+        flat = np.zeros((self.stencil_size, np.size(cells)), dtype=np.int64)
+        # row-major flat index, one (S, len(cells)) array per axis
+        for ax, c in enumerate(np.unravel_index(cells, self.grid.shape)):
+            t = np.add.outer(self.offsets[:, ax], c)
+            flat *= n
+            flat += np.remainder(t, n, out=t)
+        return flat
 
     def dense(self, shift: float = 0.0) -> np.ndarray:
-        """Dense (N, N) cost matrix with +inf off the stencil."""
+        """Dense (N, N) cost matrix with +inf off the stencil; offsets that
+        alias onto one (source, target) pair keep the cheapest weight."""
         if self.point_count > DENSE_LIMIT:
             raise NumericalError(
                 f"dense kernel refused for {self.point_count} points (limit {DENSE_LIMIT})"
             )
         mat = np.full((self.point_count, self.point_count), np.inf)
-        fwd = self.forward_targets()
-        rows = np.arange(self.point_count)
-        for s in range(self.stencil_size):
-            tgt = fwd[s]
-            mat[rows, tgt] = self.weights[s, tgt] + shift
+        cols = np.arange(self.point_count)
+        for s, rows in enumerate(backward_sources(self)):
+            mat[rows, cols] = np.minimum(mat[rows, cols], self.weights[s] + shift)
         return mat
 
     # -- min-plus primitives, vectorized over the mesh ----------------------
@@ -103,13 +101,17 @@ class ActionKernel:
         lead = arr.shape[:-1]
         return arr.reshape(lead + self.grid.shape)
 
-    def apply_min(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """(T- u)(z) = min_y u(y) + cost[y][z] + shift.
+    def apply_min(self, u, shift: float = 0.0) -> np.ndarray:
+        """(T- u)(z) = min_y u(y) + cost[y][z] + shift, the backward
+        Lax-Oleinik step.
 
-        u may be a vector (N,) or a stack (..., N); the operation maps
-        over leading axes, which is how all-pairs relaxations run.
+        u may be a ValueFunction, a vector (N,) or a stack (..., N); the
+        operation maps over leading axes, which is how all-pairs
+        relaxations run. ConfigError when the last axis is not N long.
         """
-        u = np.asarray(u, dtype=float)
+        u = as_value_array(u)
+        if u.shape[-1:] != (self.point_count,):
+            raise ConfigError(f"values of shape {u.shape} for {self.point_count} kernel points")
         mesh = self._mesh(u)
         axes = tuple(range(mesh.ndim - self.grid.dim, mesh.ndim))
         out = np.full_like(u, np.inf)
@@ -120,9 +122,12 @@ class ActionKernel:
             np.minimum(out_mesh, cand, out=out_mesh)
         return out
 
-    def apply_max(self, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """(T+ u)(x) = max_y u(y) - cost[x][y] - shift."""
-        u = np.asarray(u, dtype=float)
+    def apply_max(self, u, shift: float = 0.0) -> np.ndarray:
+        """(T+ u)(x) = max_y u(y) - cost[x][y] - shift, the forward
+        Lax-Oleinik step; u as for apply_min."""
+        u = as_value_array(u)
+        if u.shape[-1:] != (self.point_count,):
+            raise ConfigError(f"values of shape {u.shape} for {self.point_count} kernel points")
         mesh = self._mesh(u)
         axes = tuple(range(mesh.ndim - self.grid.dim, mesh.ndim))
         out = np.full_like(u, -np.inf)
@@ -147,16 +152,11 @@ def stencil_offsets(grid: GridTorus, stencil_radius: float) -> np.ndarray:
         raise ConfigError(
             f"stencil radius {stencil_radius} spans more than the torus period"
         )
-    rng = np.arange(-max_cells, max_cells + 1)
-    if grid.dim == 1:
-        mesh = rng[:, None]
-    else:
-        a, b = np.meshgrid(rng, rng, indexing="ij")
-        mesh = np.stack([a.ravel(), b.ravel()], axis=1)
+    # itertools.product enumerates the offsets in lexicographic order
+    mesh = np.array(list(itertools.product(range(-max_cells, max_cells + 1),
+                                           repeat=grid.dim)), dtype=np.int64)
     keep = np.sum((mesh * sp) ** 2, axis=1) <= stencil_radius**2 + 1e-12
-    offsets = mesh[keep]
-    order = np.lexsort(tuple(offsets.T[::-1]))
-    return offsets[order]
+    return mesh[keep]
 
 
 def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
@@ -176,7 +176,8 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
         raise ConfigError("tau must be positive")
 
     offsets = stencil_offsets(grid, stencil_radius)
-    # the coordinates, the (S, N) weights and the int64 forward targets
+    # the coordinates, the (S, N) weights and the (S, N) int64 source
+    # table that critical_value builds
     N, S = grid.point_count, offsets.shape[0]
     check_memory(8 * N * (grid.dim + 2 * S), available_memory(),
                  f"the kernel on {N} points and {S} stencil offsets needs")
@@ -193,14 +194,6 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
         raise NumericalError(f"kernel has non-finite stencil entries, first at {bad[0]}")
     return ActionKernel(grid=grid, tau=tau, stencil_radius=stencil_radius,
                         offsets=offsets, weights=weights)
-
-
-def minplus_apply(K: ActionKernel, u: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Min-plus product of a value vector with the kernel (T- orientation)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != K.point_count:
-        raise ConfigError(f"value vector has {u.shape[-1]} entries, kernel has {K.point_count}")
-    return K.apply_min(u, shift)
 
 
 def invariant_axes(K: ActionKernel) -> list:

@@ -314,6 +314,8 @@ def _prepare_out(cfg: ExperimentConfig, out_dir) -> tuple:
 
 
 def _finish_manifest(out, manifest) -> dict:
+    # write_json sorts keys, so the run order of the stages is kept apart
+    manifest["stage_order"] = list(manifest["stages"])
     files = sorted(f for stage in manifest["stages"].values() for f in stage["files"])
     manifest["checksums"] = {f: _sha256(os.path.join(out, f)) for f in files}
     write_json(os.path.join(out, "manifest.json"), manifest)

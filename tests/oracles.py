@@ -32,6 +32,10 @@ of the whole |A| x |A| block of delta; the library reads that block in
 row blocks, into a level matrix that serves every covering scale and
 into sparse threshold pairs for the quotient.
 
+`dense_hausdorff` is the Hausdorff distance between two cell sets from
+the whole |a| x |b| x dim array of displacements;
+`chains.compare_aubry_chain` reads the same distances in row blocks of a.
+
 `fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
 Python or numpy type; `pipeline.write_csv` gives each column one format
 from its dtype and formats a whole column chunk at once.
@@ -45,9 +49,9 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from weakkam.aubry import AubrySet, QuotientPartition, SemiMetric
-from weakkam.critical import CriticalValue, WeakKamSolution, as_value_array, critical_graph
+from weakkam.critical import CriticalValue, WeakKamSolution, critical_graph
 from weakkam.errors import ConfigError, NumericalError
-from weakkam.grid import ValueFunction
+from weakkam.grid import ValueFunction, as_value_array, wrap_displacement
 from weakkam.kernel import ActionKernel, backward_sources, invariant_axes
 from weakkam.models import Lagrangian
 
@@ -106,10 +110,9 @@ def exhaustive_min_mean(K) -> float:
     Offsets that alias onto one (source, target) pair on tiny grids keep
     the cheapest of their weights, as any minimum mean cycle would.
     """
-    fwd = K.forward_targets()
     G = nx.DiGraph()
-    for s in range(K.stencil_size):
-        for y, z in enumerate(fwd[s].tolist()):
+    for s, src in enumerate(backward_sources(K)):
+        for z, y in enumerate(src.tolist()):
             w = float(K.weights[s, z])
             if not G.has_edge(y, z) or w < G.edges[y, z]["w"]:
                 G.add_edge(y, z, w=w)
@@ -207,12 +210,10 @@ def kernel_closure(K: ActionKernel, shift: float = 0.0, exit_tol: float = 1e-13,
 def cycle_values(K: ActionKernel, sp_mat: np.ndarray, shift: float) -> np.ndarray:
     """Per-cell best cycle weight on the shifted kernel: min over first
     hops x -> y of cost + SP(y, x)."""
-    fwd = K.forward_targets()
     cols = np.arange(K.point_count)
     best = np.full(K.point_count, np.inf)
-    for s in range(K.stencil_size):
-        tgt = fwd[s]
-        np.minimum(best, K.weights[s, tgt] + shift + sp_mat[tgt, cols], out=best)
+    for s, src in enumerate(backward_sources(K)):
+        best[src] = np.minimum(best[src], K.weights[s] + shift + sp_mat[cols, src])
     return best
 
 
@@ -409,6 +410,13 @@ def _auto_scales(delta, indices) -> np.ndarray:
     lo = float(np.min(off))
     lo = max(lo / 2.0, hi * 1e-4) or lo
     return np.geomspace(lo, hi, 8)
+
+
+def dense_hausdorff(a, b, grid) -> float:
+    """Hausdorff distance in the torus metric between cell sets a and b."""
+    xa, xb = grid.coords(a), grid.coords(b)
+    d = np.linalg.norm(wrap_displacement(xa[:, None, :], xb[None, :, :]), axis=-1)
+    return max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
 
 
 def fmt_cell(v) -> str:

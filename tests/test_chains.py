@@ -1,10 +1,13 @@
 """Discretized flow graphs and chain recurrence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from weakkam import (
     ConfigError,
+    aubry,
     build_grid,
     chain_graph,
     chain_recurrent_set,
@@ -18,6 +21,8 @@ from weakkam import (
 )
 from weakkam.critical import WeakKamSolution
 from weakkam.grid import ValueFunction
+
+from oracles import dense_hausdorff
 
 
 def test_flow_zero_field_fixes_points():
@@ -142,6 +147,25 @@ def test_compare_rejects_empty():
     g = build_grid(1, 16)
     with pytest.raises(ConfigError):
         compare_aubry_chain(np.array([], dtype=int), np.array([0]), g)
+
+
+@pytest.mark.parametrize("block", ["row", "uneven"])
+def test_compare_reads_row_blocks(monkeypatch, block):
+    g = build_grid(2, 32)
+    rng = np.random.default_rng(11)
+    a = np.sort(rng.choice(g.point_count, 701, replace=False))
+    b = np.sort(rng.choice(g.point_count, 500, replace=False))
+    # one row of a per block, or 7 rows with a last block of one
+    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", {"row": 1, "uneven": 7 * b.size + 3}[block])
+    tracemalloc.start()
+    try:
+        cmpr = compare_aubry_chain(a, b, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cmpr.hausdorff_distance == dense_hausdorff(a, b, g)
+    # the |a| x |b| distances are never held at once
+    assert peak < 8 * a.size * b.size
 
 
 def _sol(values, g):

@@ -633,6 +633,8 @@ def test_cli_runs_the_stage_graph(tmp_path, capsys, monkeypatch, command, stages
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
     assert sorted(manifest["stages"]) == sorted(stages)
+    # `stages` is written with sorted keys; stage_order keeps the run order
+    assert manifest["stage_order"] == stages
     files = [f for s in manifest["stages"].values() for f in s["files"]]
     assert sorted(files) == sorted(manifest["checksums"])
 

@@ -17,14 +17,14 @@ from weakkam import (
     cosine_potential,
     critical_value,
     kinetic_lagrangian,
-    lax_oleinik_plus,
     mane_lagrangian,
     mechanical_lagrangian,
-    minplus_apply,
     sin_gradient_field,
     weak_kam_solution,
     zero_field,
 )
+
+from weakkam.kernel import stencil_graph
 
 from conftest import toy_kernel
 from oracles import _karp, exhaustive_min_mean
@@ -86,6 +86,8 @@ EXHAUSTIVE_CASES = {
     "aliased-offsets": lambda: _raw_kernel(
         2, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)], _normal_weights(9, 4, seed=2)),
     "aliased-no-zero": lambda: _raw_kernel(2, [[-1], [1]], _normal_weights(2, 2, seed=3)),
+    # offsets -1 and +1 both lead 1 -> 0, at costs 1 and 3
+    "aliased-hand": lambda: _raw_kernel(2, [[-1], [0], [1]], [[1, 2], [5, 5], [3, 0.5]]),
 }
 
 
@@ -95,6 +97,18 @@ def test_critical_value_matches_exhaustive_on_raw_kernels(case):
     cv = critical_value(K)
     assert cv.mean_cycle_weight == pytest.approx(exhaustive_min_mean(K), abs=1e-12)
     assert cv.witness_mean(K) == pytest.approx(cv.mean_cycle_weight, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", list(EXHAUSTIVE_CASES))
+def test_dense_keeps_the_cheapest_aliased_offset(case):
+    K = EXHAUSTIVE_CASES[case]()
+    D = K.dense()
+    u = np.random.default_rng(5).normal(size=K.point_count)
+    np.testing.assert_array_equal(np.min(u[:, None] + D, axis=0), K.apply_min(u))
+    G = stencil_graph(K, K.weights)
+    finite = np.isfinite(D)
+    assert G.nnz == np.count_nonzero(finite)
+    np.testing.assert_array_equal(D[finite], G.toarray()[finite])
 
 
 @pytest.mark.parametrize("n,k", [(2048, 1), (512, 2)], ids=["pendulum-2048", "double-well-512"])
@@ -134,27 +148,27 @@ def test_lax_oleinik_identity_kernel():
     from test_kernel import identity_kernel
     K = identity_kernel()
     u = np.array([1.0, 4.0, 2.0, -3.0])
-    np.testing.assert_array_equal(minplus_apply(K, u), u)
-    np.testing.assert_array_equal(lax_oleinik_plus(K, u), u)
+    np.testing.assert_array_equal(K.apply_min(u), u)
+    np.testing.assert_array_equal(K.apply_max(u), u)
 
 
 def test_lax_oleinik_duality_on_symmetric_kernel(kinetic_kernel_16):
     rng = np.random.default_rng(0)
     u = rng.normal(size=16)
-    lhs = lax_oleinik_plus(kinetic_kernel_16, -u)
-    rhs = -minplus_apply(kinetic_kernel_16, u)
+    lhs = kinetic_kernel_16.apply_max(-u)
+    rhs = -kinetic_kernel_16.apply_min(u)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
 def test_lax_oleinik_zero_fixed_on_kinetic(kinetic_kernel_16):
     z = np.zeros(16)
-    np.testing.assert_array_equal(minplus_apply(kinetic_kernel_16, z), z)
-    np.testing.assert_array_equal(lax_oleinik_plus(kinetic_kernel_16, z), z)
+    np.testing.assert_array_equal(kinetic_kernel_16.apply_min(z), z)
+    np.testing.assert_array_equal(kinetic_kernel_16.apply_max(z), z)
 
 
 def test_lax_oleinik_shape_check(kinetic_kernel_16):
     with pytest.raises(ConfigError):
-        lax_oleinik_plus(kinetic_kernel_16, np.zeros(7))
+        kinetic_kernel_16.apply_max(np.zeros(7))
 
 
 def test_weak_kam_kinetic_is_constant(mane_zero_kernel_16):

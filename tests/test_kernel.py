@@ -12,12 +12,11 @@ from weakkam import (
     kinetic_lagrangian,
     mane_lagrangian,
     mechanical_lagrangian,
-    minplus_apply,
     sin_gradient_field,
     stencil_offsets,
 )
 from weakkam import NumericalError, kernel
-from weakkam.kernel import invariant_axes
+from weakkam.kernel import backward_sources, invariant_axes
 
 from conftest import toy_kernel
 from oracles import kernel_closure, minplus_power_min
@@ -46,6 +45,26 @@ def test_stencil_euclidean_ball_2d():
     assert (2, 2) not in {tuple(o) for o in offs}
     norms = np.linalg.norm(offs * g.spacing, axis=1)
     assert np.all(norms <= 2 * g.spacing + 1e-12)
+
+
+def test_stencil_offsets_are_in_lexicographic_order():
+    assert stencil_offsets(build_grid(1, 8), 2 / 8).tolist() == [[-2], [-1], [0], [1], [2]]
+    assert stencil_offsets(build_grid(2, 8), 1.5 / 8).tolist() == [
+        [-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 0], [0, 1], [1, -1], [1, 0], [1, 1]]
+    offs = stencil_offsets(build_grid(2, 16), 4 / 16)
+    assert offs.dtype == np.int64
+    np.testing.assert_array_equal(np.lexsort(offs.T[::-1]), np.arange(len(offs)))
+
+
+def test_targets_invert_backward_sources():
+    g = build_grid(2, 8)
+    K = build_kernel(g, kinetic_lagrangian(2), stencil_radius=2 * g.spacing)
+    src = backward_sources(K)
+    fwd = K.targets(np.arange(K.point_count))
+    # the source of z along offset s moves to z along s
+    np.testing.assert_array_equal(np.take_along_axis(fwd, src, axis=1),
+                                  np.broadcast_to(np.arange(K.point_count), src.shape))
+    np.testing.assert_array_equal(K.targets([9, 5]), fwd[:, [9, 5]])
 
 
 def test_kinetic_kernel_entries():
@@ -79,7 +98,7 @@ def test_radius_past_the_float_range_is_a_config_error():
 
 def test_kernel_refuses_more_memory_than_is_free(monkeypatch):
     # 2-d n=8 at a one-cell radius: N = 64 points, S = 5 offsets; the
-    # coordinates, the weights and the forward targets need 8 * N * (2 + 2 * S)
+    # coordinates, the weights and the int64 source table need 8 * N * (2 + 2 * S)
     g = build_grid(2, 8)
     need = 8 * 64 * (2 + 2 * 5)
     monkeypatch.setattr(kernel, "available_memory", lambda: need - 1)
@@ -103,19 +122,19 @@ def test_row_finiteness_at_two_cell_radius():
 def test_minplus_identity_kernel_fixes_input():
     K = identity_kernel()
     u = np.array([3.0, -1.0, 0.5, 2.0])
-    np.testing.assert_array_equal(minplus_apply(K, u), u)
+    np.testing.assert_array_equal(K.apply_min(u), u)
 
 
 def test_minplus_zero_on_kinetic():
     g = build_grid(1, 16)
     K = build_kernel(g, kinetic_lagrangian(1))
-    np.testing.assert_array_equal(minplus_apply(K, np.zeros(16)), np.zeros(16))
+    np.testing.assert_array_equal(K.apply_min(np.zeros(16)), np.zeros(16))
 
 
 def test_minplus_two_point_toy():
     K = toy_kernel(TOY)
     np.testing.assert_allclose(K.dense(), TOY)
-    out = minplus_apply(K, np.zeros(2))
+    out = K.apply_min(np.zeros(2))
     np.testing.assert_allclose(out, [0.0, 3.0])
 
 

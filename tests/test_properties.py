@@ -17,9 +17,7 @@ from weakkam import (
     ferry_delta_p,
     hausdorff1_report,
     kinetic_lagrangian,
-    lax_oleinik_plus,
     mechanical_lagrangian,
-    minplus_apply,
     peierls_barrier,
     quotient,
     sin_gradient_field,
@@ -68,7 +66,7 @@ def test_minplus_monotone(us, vs):
     u = np.array(us)
     v = np.maximum(u, np.array(vs))
     K = kernel16()
-    assert np.all(minplus_apply(K, u) <= minplus_apply(K, v) + 1e-12)
+    assert np.all(K.apply_min(u) <= K.apply_min(v) + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,8 +74,8 @@ def test_minplus_monotone(us, vs):
 def test_minplus_commutes_with_constants(us, a):
     u = np.array(us)
     K = kernel16()
-    lhs = minplus_apply(K, u + a)
-    rhs = minplus_apply(K, u) + a
+    lhs = K.apply_min(u + a)
+    rhs = K.apply_min(u) + a
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -87,8 +85,8 @@ def test_backward_forward_galois(us):
     # T+ and T- are adjoint: T+(T- u) <= u and T-(T+ u) >= u
     u = np.array(us)
     K = kernel16()
-    assert np.all(lax_oleinik_plus(K, minplus_apply(K, u)) <= u + 1e-12)
-    assert np.all(minplus_apply(K, lax_oleinik_plus(K, u)) >= u - 1e-12)
+    assert np.all(K.apply_max(K.apply_min(u)) <= u + 1e-12)
+    assert np.all(K.apply_min(K.apply_max(u)) >= u - 1e-12)
 
 
 _pend = None
@@ -113,10 +111,10 @@ def test_shifted_steps_preserve_domination(seed, steps):
     assert check_dominated(K, u, c, tol=1e-9).dominated
     shift = c * K.tau
     for _ in range(steps):
-        u = minplus_apply(K, u, shift)
+        u = K.apply_min(u, shift)
         assert check_dominated(K, u, c, tol=1e-9).dominated
     for _ in range(steps):
-        u = lax_oleinik_plus(K, u, shift)
+        u = K.apply_max(u, shift)
         assert check_dominated(K, u, c, tol=1e-9).dominated
 
 
