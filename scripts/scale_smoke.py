@@ -1,21 +1,25 @@
-"""Scale smoke run: `weakkam all` on three 2-d grids of 128 x 128 cells.
+"""Scale smoke run: `weakkam all` on four 2-d grids, three of 128 x 128
+cells and one of 256 x 256.
 
     python3 scripts/scale_smoke.py
 
 Runs each case in a child process from `src/` and checks that it exits 0
 and that its `quotient.json` records a representation residual of at most
 1e-8. It also checks the child's peak resident memory (`ru_maxrss`): no
-N x N float array may be held, and one would take 2,048 MiB. The kinetic
-case, where every cell is Aubry and the quotient and the coverings read
-all N x N pairs of the Mather distance, must stay below 700 MiB; the
-mechanical case, whose Aubry set is one circle of 128 cells, below
-300 MiB. The Mane zero-field case has the kinetic kernel and limit, and
-its `comparison` stage measures the Hausdorff distance between two sets
-of all N cells, the Aubry set and the chain-recurrent set; its
-`comparison.json` must record a distance of 0.0. The run's wall time,
-and each stage's `wall_time_s` and `peak_rss_mb` (the child's high-water
-mark when that stage ended) from its manifest, in the manifest's
-`stage_order`, are printed, never checked. Exits 1 when a check fails.
+N x N float array may be held, and one would take 2,048 MiB at n = 128.
+In the kinetic cases every cell is Aubry and every axis invariant, so the
+quotient and the coverings read the Mather distance as one offset table;
+the n = 128 case must stay below 300 MiB and the n = 256 case (an N x N
+float array would take 32 GiB) below 400 MiB. The mechanical case, whose
+Aubry set is one circle of 128 cells, must stay below 300 MiB. The Mane
+zero-field case has the kinetic kernel, and its `comparison` stage
+measures the Hausdorff distance between two sets of all N cells, the
+Aubry set and the chain-recurrent set; it must stay below 200 MiB, and
+its `comparison.json` must record a distance of 0.0. The run's wall
+time, and each stage's `wall_time_s` and `peak_rss_mb` (the child's
+high-water mark when that stage ended) from its manifest, in the
+manifest's `stage_order`, are printed, never checked. Exits 1 when a
+check fails.
 """
 
 import json
@@ -30,11 +34,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESIDUAL_LIMIT = 1e-8
 
 CASES = [
-    # (name, model, peak limit in MiB)
-    ("kinetic-2d-128", {"family": "kinetic"}, 700),
+    # (name, model, cells per axis, peak limit in MiB)
+    ("kinetic-2d-128", {"family": "kinetic"}, 128, 300),
+    ("kinetic-2d-256", {"family": "kinetic"}, 256, 400),
     ("mechanical-2d-128", {"family": "mechanical",
-                           "potential": {"name": "cosine", "k": [1, 0]}}, 300),
-    ("mane-zero-2d-128", {"family": "mane", "field": {"name": "zero"}}, 700),
+                           "potential": {"name": "cosine", "k": [1, 0]}}, 128, 300),
+    ("mane-zero-2d-128", {"family": "mane", "field": {"name": "zero"}}, 128, 200),
 ]
 
 
@@ -47,11 +52,11 @@ def read_json(out: str, name: str):
         return None
 
 
-def run(model: dict, out: str) -> tuple:
+def run(model: dict, n: int, out: str) -> tuple:
     """Exit code, peak RSS in MiB and wall seconds of one child run."""
     path = os.path.join(out, "config.json")
     with open(path, "w") as f:
-        json.dump({"model": model, "grid": {"dim": 2, "n": 128},
+        json.dump({"model": model, "grid": {"dim": 2, "n": n},
                    "outputs": {"directory": os.path.join(out, "run")}}, f)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     start = time.perf_counter()
@@ -66,9 +71,9 @@ def run(model: dict, out: str) -> tuple:
 
 def main() -> int:
     failed = []
-    for name, model, limit in CASES:
+    for name, model, n, limit in CASES:
         with tempfile.TemporaryDirectory() as out:
-            code, peak, wall = run(model, out)
+            code, peak, wall = run(model, n, out)
             manifest = read_json(out, "manifest.json") or {}
             residual = (read_json(out, "quotient.json") or {}).get("representation_max_residual")
             comparison = read_json(out, "comparison.json") or {}

@@ -56,6 +56,12 @@ class _Pairwise:
             raise ConfigError(f"ids outside the {self.size} points: {bad[:8].tolist()}")
         return ids
 
+    def offset_table(self, pos) -> Optional[np.ndarray]:
+        """D, of the grid's shape, with self[y, z] = D[cell z - cell y] modulo
+        the grid, when self is read from that one table and pos is every
+        point in order; else None."""
+        return None
+
     def triangle_violation(self) -> float:
         """max over pairs (x,z) and midpoints y of v[x,z] - v[x,y] - v[y,z].
 
@@ -155,6 +161,7 @@ class _Rolled:
     """
 
     def __init__(self, table: np.ndarray, shape: tuple, axes: list):
+        self.table, self.shape = table, shape
         rest = [a for a in range(len(shape)) if a not in axes]
         lead = len(rest)
         grid = table.reshape(tuple(shape[a] for a in rest) + shape)
@@ -187,7 +194,8 @@ class PeierlsBarrier(_Pairwise):
     tables into and out of the representatives, or a _Rolled of the slab
     rows g(r, .) or of their index-permuted copy gt(r, .) = h(., r). When
     every axis is invariant, delta_rows reads delta = h + h.T from the one
-    table D = g + gt, entry for entry the same add.
+    table D = g + gt, entry for entry the same add, and
+    MatherDelta.offset_table hands D itself to the consumers of delta.
     """
 
     size: int
@@ -207,13 +215,18 @@ class PeierlsBarrier(_Pairwise):
     values = cached_property(_dense)
 
 
+def _whole(m: _Pairwise, pos: np.ndarray) -> bool:
+    """Whether pos is every point of m, in order."""
+    return pos.size == m.size and np.array_equal(pos, np.arange(pos.size))
+
+
 def row_blocks(m: _Pairwise, pos: np.ndarray, entries: Optional[int] = None,
                transpose: bool = False):
     """Yield (i0, m[pos[i0:i1]][:, pos]), or of m.T when transpose, in row
     blocks of at most entries (BLOCK_ENTRIES) entries and at least one row,
     read with slices (views of a dense m) when pos is every point in order."""
     rows = max(1, (entries or BLOCK_ENTRIES) // max(1, pos.size))
-    whole = pos.size == m.size and np.array_equal(pos, np.arange(pos.size))
+    whole = _whole(m, pos)
     for i0 in range(0, pos.size, rows):
         if whole:
             yield i0, m.block(slice(i0, i0 + rows), slice(None), transpose)
@@ -355,6 +368,14 @@ class MatherDelta(_Pairwise):
             return own.block(rows, cols)
         return self.h.block(rows, cols) + self.h.block(rows, cols, transpose=True)
 
+    def offset_table(self, pos) -> Optional[np.ndarray]:
+        # h reads delta from one table only when every axis is invariant,
+        # so the table has one row: the slab is cell 0 alone
+        own = getattr(self.h, "delta_rows", None)
+        if own is None or not _whole(self, pos):
+            return None
+        return own.table.reshape(own.shape)
+
     values = cached_property(_dense)
 
 
@@ -363,19 +384,53 @@ def mather_delta(h: _Pairwise) -> MatherDelta:
     return MatherDelta(h)
 
 
+def _coset_labels(V: np.ndarray) -> np.ndarray:
+    """Component labels of x ~ x + v over the cells of a torus of V's shape,
+    v in the offsets V marks: the cosets of the subgroup V generates.
+
+    An offset becomes a generator only while it lies outside the subgroup
+    of the generators before it (the class of cell 0), which it then at
+    least doubles; so there are at most log2(N) generators and never more
+    than N * log2(N) edges.
+    """
+    N = V.size
+    cells = np.stack(np.unravel_index(np.arange(N), V.shape), axis=-1)
+    offsets = np.nonzero(V.ravel())[0]
+    labels, targets = np.arange(N), []
+    while True:
+        outside = offsets[labels[offsets] != labels[0]]
+        if outside.size == 0:
+            return labels
+        moved = cells + cells[outside[0]]
+        targets.append(np.ravel_multi_index(tuple(moved.T), V.shape, mode="wrap"))
+        graph = sparse.csr_matrix((np.ones(N * len(targets), dtype=bool),
+                                   (np.tile(np.arange(N), len(targets)), np.concatenate(targets))),
+                                  shape=(N, N))
+        labels = connected_components(graph, directed=False)[1]
+
+
 def quotient(delta: _Pairwise, A: AubrySet, merge_threshold: float) -> QuotientPartition:
-    """Classes of Aubry indices joined by chains of delta <= merge_threshold."""
+    """Classes of Aubry indices joined by chains of delta <= merge_threshold.
+
+    When delta is one offset table D over every cell (delta.offset_table:
+    every axis invariant and A the whole grid), delta(x, y) = D(y - x), so
+    the classes are the cosets of the subgroup generated by
+    {v : D(v) <= merge_threshold}, found from D alone in O(N log N). Else
+    the threshold graph is read from the row blocks of delta.
+    """
     pos = delta.check_ids(A.indices)
-    if all(np.all(b <= merge_threshold) for _, b in row_blocks(delta, pos)):
+    D = delta.offset_table(pos)
+    if D is not None:
+        labels = _coset_labels(D <= merge_threshold)
+    elif all(np.all(b <= merge_threshold) for _, b in row_blocks(delta, pos)):
         # one class, or none for an empty set
-        classes = [sorted(int(i) for i in A.indices)] if pos.size else []
-        return QuotientPartition(classes=classes, representative=[m[0] for m in classes],
-                                 merge_threshold=float(merge_threshold))
-    graph = sparse.vstack([sparse.csr_matrix(b <= merge_threshold)
-                           for _, b in row_blocks(delta, pos)])
+        labels = np.zeros(pos.size, dtype=np.int64)
+    else:
+        graph = sparse.vstack([sparse.csr_matrix(b <= merge_threshold)
+                               for _, b in row_blocks(delta, pos)])
+        labels = connected_components(graph, directed=False)[1]
     groups = {}
-    for label, i in zip(connected_components(graph, directed=False)[1].tolist(),
-                        A.indices.tolist()):
+    for label, i in zip(labels.tolist(), A.indices.tolist()):
         groups.setdefault(label, []).append(i)
     classes = sorted((sorted(m) for m in groups.values()), key=lambda m: m[0])
     reps = [m[0] for m in classes]

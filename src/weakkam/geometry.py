@@ -4,13 +4,19 @@ semi-metric delta_p.
 The 1-dimensional Hausdorff measure of a finite semi-metric space is
 estimated through greedy coverings: N(r) balls of radius r give the
 surrogate N(r)*2r. Greedy covering is deterministic under index order,
-which the artifact determinism contract relies on. One pass over delta,
-in row blocks, writes a small-integer level matrix that counts the
-scales each entry lies within, so the balls of every radius are a
-threshold of it. A level matrix that, with one gather of candidate
-balls, would not fit in the free memory is refused as a numerical
-failure, never allocated. The balls holding a point are a column of the
-matrix; on a symmetric delta they are read as a row.
+which the artifact determinism contract relies on.
+
+When delta is one offset table D over every cell of the grid
+(delta.offset_table: every axis invariant and the point set the whole
+grid in order), delta(x, y) = D(y - x), so every ball of radius r is a
+translate c + B_r of B_r = {v : D(v) <= r} and the coverings read D
+alone, with no |A| x |A| array. Otherwise one pass over delta, in row
+blocks, writes a small-integer level matrix that counts the scales each
+entry lies within, so the balls of every radius are a threshold of it.
+A level matrix that, with one gather of candidate balls, would not fit
+in the free memory is refused as a numerical failure, never allocated.
+The balls holding a point are a column of the matrix; on a symmetric
+delta they are read as a row.
 """
 
 from dataclasses import dataclass
@@ -25,6 +31,9 @@ from .kernel import available_memory, check_memory
 # entries of each row block of delta: 1 MiB of float64, compared with every
 # scale while it is in cache
 LEVEL_ENTRIES = 1 << 17
+# an offset cover's gains come from one FFT correlation over the grid once
+# the direct gather would read more than FFT_ABOVE * N entries
+FFT_ABOVE = 8
 
 
 @dataclass
@@ -89,6 +98,57 @@ def _cover(L: np.ndarray, t: int, r: float, pos: np.ndarray, symmetric: bool) ->
         w[p:][L[q, p:] > t] = covered
 
 
+def _cover_offsets(D: np.ndarray, r: float) -> list:
+    """Greedy covering of every cell of the grid of D's shape by the balls
+    c + B, B = {v : D(v) <= r}: _cover's contract on delta(x, y) = D(y - x).
+
+    The anchor p is the first uncovered cell; the candidates are the
+    cells p - B whose ball holds it, in flat order; a candidate's gain is
+    the number of uncovered cells in its ball, by a gather of the balls
+    or, above FFT_ABOVE * N entries, one FFT correlation of the uncovered
+    mask with B rounded to integers; ties go to the lowest index. Cells
+    are added as flat indices into the grid doubled along every axis,
+    where `wrap` maps each back to its cell.
+    """
+    shape, N = D.shape, D.size
+    ball = D <= r
+    B = np.stack(np.nonzero(ball), axis=-1)
+    if B.shape[0] == 0:
+        raise NumericalError(f"point 0 lies in no ball of radius {r}")
+    n = np.array(shape)
+    doubled = np.arange(N).reshape(shape)
+    for a in range(len(shape)):
+        doubled = np.concatenate([doubled, doubled], axis=a)
+    wrap = doubled.ravel()
+    step = np.array(doubled.strides) // doubled.itemsize
+    base = np.stack(np.unravel_index(np.arange(N), shape), axis=-1) @ step
+    plus, minus = B @ step, (-B % n) @ step
+    if B.shape[0] == 1:
+        # each ball holds one cell: the anchors are every cell in order
+        return wrap[base + minus[0]].tolist()
+    axes = list(range(len(shape)))
+    uncovered = np.ones(N, dtype=bool)
+    spectrum = None
+    centers = []
+    p = 0
+    while True:
+        while p < N and not uncovered[p]:
+            p += 1
+        if p == N:
+            return centers
+        cands = np.sort(wrap[base[p] + minus])
+        if cands.size * B.shape[0] <= FFT_ABOVE * N:
+            gain = np.count_nonzero(uncovered[wrap[base[cands, None] + plus]], axis=1)
+        else:
+            if spectrum is None:
+                spectrum = np.conj(np.fft.rfftn(ball))
+            mask = np.fft.rfftn(uncovered.reshape(shape)) * spectrum
+            gain = np.rint(np.fft.irfftn(mask, s=shape, axes=axes).ravel()[cands])
+        q = int(cands[int(np.argmax(gain))])
+        centers.append(q)
+        uncovered[wrap[base[q] + plus]] = False
+
+
 def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> list:
     """Greedy ball coverings of delta on the points pos at each of the scales,
     given in decreasing order; one list of centers per scale.
@@ -98,11 +158,23 @@ def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> 
     uncovered points (ties to the lowest index), so balls straddle the
     frontier instead of trailing it; anchoring at the first uncovered
     point keeps the scan deterministic and the count within the usual
-    greedy factor of the optimal covering. Balls are rows of the level
-    matrix (_levels); the candidates are the anchor's column, read as
-    its row when delta.symmetric. Raises NumericalError when the level
-    matrix would not fit in free memory or a point lies in no ball.
+    greedy factor of the optimal covering. When delta is one offset
+    table D over every cell (delta.offset_table), the balls are the
+    translates of {v : D(v) <= r} (_cover_offsets). Otherwise balls are
+    rows of the level matrix (_levels); the candidates are the anchor's
+    column, read as its row when delta.symmetric. Raises NumericalError
+    when the level matrix, or the offset cover's tables, would not fit in
+    free memory or a point lies in no ball.
     """
+    D = delta.offset_table(pos)
+    if D is not None:
+        # int64s: the doubled index table and the cell bases, the complex
+        # spectra of the FFT, and a gather's two index arrays (no ball pair
+        # is gathered more than once)
+        N = D.size
+        check_memory(8 * N * (2**D.ndim + 5 + 2 * min(FFT_ABOVE, N)), available_memory(),
+                     f"the covering tables over {N} cells need")
+        return [_cover_offsets(D, float(r)) for r in scales]
     L = _levels(delta, pos, scales)
     return [_cover(L, t, float(r), pos, delta.symmetric) for t, r in enumerate(scales)]
 

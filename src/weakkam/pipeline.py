@@ -160,15 +160,20 @@ def _stage_quotient(cfg, state):
     rep = representation_check(state["h"], None, state["A"])
     delta = state["delta"] = mather_delta(state["h"])
     Q = state["Q"] = quotient(delta, state["A"], cfg.merge_threshold(grid))
-    class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
-    label = np.array([class_of[i] for i in state["A"].indices.tolist()])
-    diam = 0.0
-    for i0, block in row_blocks(delta, state["A"].indices):
-        same = label[i0:i0 + block.shape[0], None] == label
-        diam = max(diam, float(np.max(block, where=same, initial=0.0)))
+    D = delta.offset_table(state["A"].indices)
+    if D is not None:
+        # every class is a coset of the class of cell 0, which comes first
+        diam = float(np.max(D.ravel()[Q.classes[0]], initial=0.0))
+    else:
+        class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
+        label = np.array([class_of[i] for i in state["A"].indices.tolist()])
+        diam = 0.0
+        for i0, block in row_blocks(delta, state["A"].indices):
+            same = label[i0:i0 + block.shape[0], None] == label
+            diam = max(diam, float(np.max(block, where=same, initial=0.0)))
     cols = ([ci for ci, members in enumerate(Q.classes) for _ in members],
             [m for members in Q.classes for m in members])
-    return {"class_count": Q.class_count}, {
+    return {"class_count": Q.class_count, "offset_table": D is not None}, {
         "quotient.csv": (["class_id", "member_index"], [cols]),
         "quotient.json": {
             "class_count": Q.class_count,
@@ -180,12 +185,19 @@ def _stage_quotient(cfg, state):
     }
 
 
-def _auto_scales(delta, indices) -> np.ndarray:
-    """Geometric scale grid spanning the positive delta range of the set."""
+def _delta_range(delta, indices) -> tuple:
+    """The smallest positive delta over pairs of the set (inf if none) and the
+    largest (0.0 if none is positive), from its offset table if it has one."""
+    D = delta.offset_table(indices)
     lo, hi = np.inf, 0.0
-    for _, block in row_blocks(delta, indices):
+    for block in [D] if D is not None else (b for _, b in row_blocks(delta, indices)):
         lo = min(lo, float(np.min(block, where=block > 0, initial=np.inf)))
         hi = max(hi, float(np.max(block, where=block > 0, initial=0.0)))
+    return lo, hi
+
+
+def _auto_scales(lo: float, hi: float) -> np.ndarray:
+    """Geometric scale grid spanning the positive delta range [lo, hi] of a set."""
     if hi == 0.0:
         return np.geomspace(1e-4, 1e-1, 6)
     # halving the smallest subnormal underflows to 0; start at it instead
@@ -195,9 +207,12 @@ def _auto_scales(delta, indices) -> np.ndarray:
 
 def _stage_dimension(cfg, state):
     delta, A = state["delta"], state["A"]
-    report = hausdorff1_report(delta, A.indices, _auto_scales(delta, A.indices))
+    lo, hi = _delta_range(delta, A.indices)
+    report = hausdorff1_report(delta, A.indices, _auto_scales(lo, hi))
     cols = (report.scales, report.covering_counts, report.h1_estimates)
-    return {"covering_counts": report.covering_counts.tolist()}, {
+    return {"covering_counts": report.covering_counts.tolist(),
+            "delta_min_positive": lo if lo < np.inf else None, "delta_max": hi,
+            "offset_table": delta.offset_table(A.indices) is not None}, {
         "dimension.csv": (["r", "covering_count", "h1_estimate"], [cols]),
         "dimension.json": {"dim_slope": report.dim_slope},
     }

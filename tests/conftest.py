@@ -1,10 +1,13 @@
 """Shared kernel builders. Session-scoped: closures are the slow part."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from weakkam import (
     ActionKernel,
+    mather_delta,
     build_grid,
     build_kernel,
     cosine_potential,
@@ -15,6 +18,7 @@ from weakkam import (
     peierls_barrier,
     zero_field,
 )
+from weakkam.aubry import _Rolled
 
 
 def toy_kernel(cost, tau=1.0):
@@ -33,6 +37,26 @@ def toy_kernel(cost, tau=1.0):
         weights[s] = cost[src, np.arange(n)]
     return ActionKernel(grid=grid, tau=tau, stencil_radius=(n // 2) * grid.spacing,
                         offsets=offsets, weights=weights)
+
+
+def offset_delta(D):
+    """The Mather delta(y, z) = D[cell z - cell y] on the torus of D's shape,
+    read from D as from the barrier of a kernel whose every axis is invariant."""
+    D = np.asarray(D, dtype=float)
+    h = SimpleNamespace(size=D.size,
+                        delta_rows=_Rolled(D.reshape(1, -1), D.shape, list(range(D.ndim))))
+    return mather_delta(h)
+
+
+def subgroup_offsets(seed=3):
+    """A symmetric D on the 6 x 6 torus that is 0 at 0, 0.25 at +-(0, 2) and
+    in [2, 4) elsewhere: at threshold 0.5 its offsets generate the subgroup
+    {0, (0, 2), (0, 4)}, whose 12 cosets of 3 cells are the quotient."""
+    R = np.random.default_rng(seed).uniform(1.0, 2.0, (6, 6))
+    minus = -np.arange(6) % 6
+    D = R + R[minus][:, minus]
+    D[0, 0], D[0, 2], D[0, 4] = 0.0, 0.25, 0.25
+    return D
 
 
 @pytest.fixture(scope="session")

@@ -30,11 +30,14 @@ closed-form conjugate, which the tests check against it.
 greedy covering, the quotient and the covering scale grid on float copies
 of the whole |A| x |A| block of delta; the library reads that block in
 row blocks, into a level matrix that serves every covering scale and
-into sparse threshold pairs for the quotient.
+into sparse threshold pairs for the quotient, or, when delta is one
+offset table D over every cell, reads D alone: balls are translates of
+{v : D(v) <= r} and classes are cosets.
 
 `dense_hausdorff` is the Hausdorff distance between two cell sets from
 the whole |a| x |b| x dim array of displacements;
-`chains.compare_aubry_chain` reads the same distances in row blocks of a.
+`chains.compare_aubry_chain` finds each point's nearest neighbour with a
+periodic k-d tree and measures the near pairs by the same formula.
 
 `fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
 Python or numpy type; `pipeline.write_csv` gives each column one format

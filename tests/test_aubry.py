@@ -27,7 +27,9 @@ from weakkam import (
 )
 from weakkam import aubry, geometry, pipeline
 from weakkam.aubry import SemiMetric
+from weakkam.config import ExperimentConfig
 
+from conftest import offset_delta, subgroup_offsets
 from oracles import (_auto_scales, _greedy_centers, closure_barrier, kernel_closure,
                      representative_barrier, slab_barrier, translate_rows,
                      union_find_quotient, value_iteration_weak_kam)
@@ -415,7 +417,8 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
         assert geometry._greedy_coverings(delta, pos, np.array([r]))[0] == _greedy_centers(sub, r)
         got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
         assert (got.classes, got.representative) == (want.classes, want.representative)
-    np.testing.assert_array_equal(pipeline._auto_scales(delta, pos), _auto_scales(delta, pos))
+    np.testing.assert_array_equal(pipeline._auto_scales(*pipeline._delta_range(delta, pos)),
+                                  _auto_scales(delta, pos))
     H = np.triu(vals)
     px, py = pos[:, None], pos[None, :]
     res = np.abs(vals[px, py] - ((H[px, py] - H[py, py]) - (H[px, px] - H[py, px])))
@@ -426,6 +429,61 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     own = representation_check(SemiMetric(values=H), None, A)
     rep = representation_check(SemiMetric(values=H), SemiMetric(values=H + H.T), A)
     assert (own.max_residual, own.worst_pair) == (rep.max_residual, rep.worst_pair)
+
+
+def _every_cell(size):
+    return aubry.AubrySet(indices=np.arange(size), self_barrier=np.zeros(size),
+                          labels=["other"] * size, threshold=0.0)
+
+
+def _no_blocks(*args, **kwargs):
+    raise AssertionError("the offset branch read a block")
+
+
+# every axis invariant, so delta is one offset table; on n = 4 and 5 the
+# shortest paths wrap around the torus
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 5), (2, 8), (2, 16), (1, 16)])
+def test_offset_quotient_matches_union_find(monkeypatch, dim, n):
+    g = build_grid(dim, n)
+    K = build_kernel(g, kinetic_lagrangian(dim), stencil_radius=min(2, (n - 1) // 2) * g.spacing)
+    delta = mather_delta(peierls_barrier(K, critical_value(K)))
+    dense = SemiMetric(values=delta.values, symmetric=True)
+    A = _every_cell(delta.size)
+    monkeypatch.setattr(aubry, "row_blocks", _no_blocks)
+    # below every value, at each distinct value and above them all
+    for r in [-1.0, *np.unique(dense.values), 2 * dense.values.max()]:
+        got, want = quotient(delta, A, r), union_find_quotient(dense, A, r)
+        assert (got.classes, got.representative) == (want.classes, want.representative)
+
+
+def test_offset_quotient_of_a_proper_subgroup(monkeypatch):
+    delta = offset_delta(subgroup_offsets())
+    dense = SemiMetric(values=delta.values, symmetric=True)
+    A = _every_cell(36)
+    monkeypatch.setattr(aubry, "row_blocks", _no_blocks)
+    q = quotient(delta, A, 0.5)
+    # the cosets of {0, (0, 2), (0, 4)}: cell (i, j) with (i, j + 2), (i, j + 4)
+    assert q.classes == sorted([6 * i + j, 6 * i + j + 2, 6 * i + j + 4]
+                               for i in range(6) for j in range(2))
+    want = union_find_quotient(dense, A, 0.5)
+    assert (q.classes, q.representative) == (want.classes, want.representative)
+
+
+# 36 classes of one cell, then one class of all (delta takes 0, 1/6, ..., 1)
+@pytest.mark.parametrize("threshold", [0.1, 0.2, 1.0])
+def test_quotient_stage_reads_the_offset_table(monkeypatch, threshold):
+    # the diameter of every class is that of the class of cell 0
+    K = _kernel(2, 6, kinetic_lagrangian(2), cells=2)
+    h = peierls_barrier(K, critical_value(K))
+    cfg = ExperimentConfig.from_dict({"grid": {"dim": 2, "n": 6},
+                                      "aubry": {"merge_threshold": threshold}})
+    state = {"grid": K.grid, "h": h, "A": _every_cell(36)}
+    monkeypatch.setattr(pipeline, "row_blocks", _no_blocks)
+    stats, artifacts = pipeline._stage_quotient(cfg, state)
+    values = state["delta"].values
+    want = max(float(np.max(values[np.ix_(m, m)])) for m in state["Q"].classes)
+    assert stats["offset_table"] is True
+    assert artifacts["quotient.json"]["max_class_diameter_delta"] == want
 
 
 # 70 points: row blocks of 1, 3 (uneven on 70) and 7 rows, one full block

@@ -149,6 +149,22 @@ def test_compare_rejects_empty():
         compare_aubry_chain(np.array([], dtype=int), np.array([0]), g)
 
 
+# odd and even tori, where coordinates differ by exactly 1/2 and ties
+# between nearest neighbours round apart in the last bit
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 5), (1, 16), (2, 2), (2, 6), (2, 7), (2, 32)])
+def test_compare_matches_every_pair(dim, n):
+    g = build_grid(dim, n)
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        a, b = (np.sort(rng.choice(g.point_count, rng.integers(1, g.point_count + 1),
+                                   replace=False)) for _ in range(2))
+        got = compare_aubry_chain(a, b, g).hausdorff_distance
+        assert abs(got - dense_hausdorff(a, b, g)) <= 1e-12
+        assert compare_aubry_chain(a, a, g).hausdorff_distance == 0.0
+    every = np.arange(g.point_count)
+    assert compare_aubry_chain(every, every, g).hausdorff_distance == 0.0
+
+
 @pytest.mark.parametrize("block", ["row", "uneven"])
 def test_compare_reads_row_blocks(monkeypatch, block):
     g = build_grid(2, 32)

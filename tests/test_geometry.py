@@ -8,17 +8,23 @@ from weakkam import (
     NumericalError,
     aubry_set,
     build_grid,
+    build_kernel,
     circle_points,
     critical_value,
     ferry_delta_p,
     hausdorff1_report,
     interval_semimetric,
+    kinetic_lagrangian,
     mather_delta,
     peierls_barrier,
     quadratic_bound_check,
     segment_points,
 )
+from weakkam import geometry, pipeline
 from weakkam.aubry import SemiMetric
+
+from conftest import offset_delta, subgroup_offsets
+from oracles import _auto_scales, _greedy_centers
 
 
 def metric_from(vals):
@@ -178,3 +184,85 @@ def test_interval_semimetric_values():
     assert m.size == 11
     assert m.values[0, -1] == pytest.approx(1.0)
     assert m.values[3, 7] == pytest.approx(0.4)
+
+
+# kinetic tori whose every axis is invariant: delta is one offset table.
+# The stencil reaches two cells, one on n = 4, the most the torus allows;
+# on n = 4 and 5 the shortest paths wrap around it
+@pytest.fixture(scope="module", params=[(2, 4), (2, 5), (2, 8), (2, 16), (1, 16)],
+                ids=lambda c: f"{c[0]}d-n{c[1]}")
+def kinetic_delta(request):
+    dim, n = request.param
+    g = build_grid(dim, n)
+    K = build_kernel(g, kinetic_lagrangian(dim), stencil_radius=min(2, (n - 1) // 2) * g.spacing)
+    return mather_delta(peierls_barrier(K, critical_value(K)))
+
+
+def _no_level_matrix(*args):
+    raise AssertionError("the offset branch built a level matrix")
+
+
+def test_offset_table_needs_every_point_in_order(kinetic_delta, pendulum_state_64):
+    pos = np.arange(kinetic_delta.size)
+    D = kinetic_delta.offset_table(pos)
+    assert D.size == pos.size
+    assert np.array_equal(D.ravel(), kinetic_delta.values[0])
+    for other in (pos[::-1], pos[:-1], pos[1:]):
+        assert kinetic_delta.offset_table(other) is None
+    # a barrier with a non-invariant axis has no offset table
+    pendulum = mather_delta(pendulum_state_64["h"])
+    assert pendulum.offset_table(np.arange(pendulum.size)) is None
+
+
+# every gain by one FFT correlation, or every gain by a gather
+@pytest.mark.parametrize("fft_above", [0, np.inf], ids=["fft", "gather"])
+def test_offset_coverings_equal_the_dense_greedy_centers(monkeypatch, kinetic_delta, fft_above):
+    monkeypatch.setattr(geometry, "FFT_ABOVE", fft_above)
+    monkeypatch.setattr(geometry, "_levels", _no_level_matrix)
+    values = kinetic_delta.values
+    pos = np.arange(kinetic_delta.size)
+    # the scale grid, and every distinct delta value, so ties sit exactly at r
+    radii = np.concatenate([_auto_scales(kinetic_delta, pos), np.unique(values[values > 0])])
+    radii = np.sort(radii)[::-1]
+    assert geometry._greedy_coverings(kinetic_delta, pos, radii) == [
+        _greedy_centers(values, r) for r in radii]
+
+
+@pytest.mark.parametrize("fft_above", [0, np.inf], ids=["fft", "gather"])
+def test_offset_coverings_of_a_proper_subgroup(monkeypatch, fft_above):
+    monkeypatch.setattr(geometry, "FFT_ABOVE", fft_above)
+    monkeypatch.setattr(geometry, "_levels", _no_level_matrix)
+    delta = offset_delta(subgroup_offsets())
+    values = delta.values
+    radii = np.unique(values)[::-1]
+    assert geometry._greedy_coverings(delta, np.arange(36), radii) == [
+        _greedy_centers(values, r) for r in radii]
+    # the ball of radius 0.5 is the subgroup {0, (0, 2), (0, 4)}
+    assert len(geometry._greedy_coverings(delta, np.arange(36), np.array([0.5]))[0]) == 12
+
+
+def test_offset_scale_range_reads_only_the_table(monkeypatch, kinetic_delta):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("the offset branch read a block")
+
+    monkeypatch.setattr(pipeline, "row_blocks", no_blocks)
+    pos = np.arange(kinetic_delta.size)
+    lo, hi = pipeline._delta_range(kinetic_delta, pos)
+    values = kinetic_delta.values
+    assert (lo, hi) == (values[values > 0].min(), values.max())
+    np.testing.assert_array_equal(pipeline._auto_scales(lo, hi),
+                                  _auto_scales(kinetic_delta, pos))
+
+
+def test_offset_cover_point_in_no_ball_is_numerical_failure(monkeypatch):
+    # D(0) = 0.5: no ball of radius 0.1 holds a cell, as on the level path
+    D = np.full((6, 6), 1.0)
+    D[0, 0] = 0.5
+    monkeypatch.setattr(geometry, "_levels", _no_level_matrix)
+    with pytest.raises(NumericalError, match="point 0 lies in no ball of radius 0.1"):
+        covering_count(offset_delta(D), 0.1)
+    with pytest.raises(NumericalError, match="point 0 lies in no ball of radius 0.1"):
+        hausdorff1_report(offset_delta(D), None, [1.0, 0.1])
+    monkeypatch.undo()
+    with pytest.raises(NumericalError, match="point 0 lies in no ball of radius 0.1"):
+        covering_count(metric_from(offset_delta(D).values), 0.1)

@@ -251,7 +251,7 @@ def test_block_consumers_match_copying_oracles(case, radius):
             assert hausdorff1_report(delta, indices, [r]).covering_counts[0] == len(want)
             got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
             assert (got.classes, got.representative) == (want.classes, want.representative)
-        scales = pipeline._auto_scales(delta, indices)
+        scales = pipeline._auto_scales(*pipeline._delta_range(delta, indices))
         np.testing.assert_array_equal(scales, oracle_scales(delta, indices))
         counts = hausdorff1_report(delta, indices, scales).covering_counts
         assert counts.tolist() == [len(oracle_centers(sub, r)) for r in np.sort(scales)[::-1]]
