@@ -1,5 +1,6 @@
 """Scale smoke run: `weakkam all` on four 2-d grids, three of 128 x 128
-cells and one of 256 x 256.
+cells and one of 256 x 256, and on the 1-d pendulum at the barrier dump
+limit.
 
     python3 scripts/scale_smoke.py
 
@@ -15,9 +16,12 @@ Aubry set is one circle of 128 cells, must stay below 300 MiB. The Mane
 zero-field case has the kinetic kernel, and its `comparison` stage
 measures the Hausdorff distance between two sets of all N cells, the
 Aubry set and the chain-recurrent set; it must stay below 200 MiB, and
-its `comparison.json` must record a distance of 0.0. The run's wall
-time, and each stage's `wall_time_s` and `peak_rss_mb` (the child's
-high-water mark when that stage ended) from its manifest, in the
+its `comparison.json` must record a distance of 0.0. The 1-d pendulum at
+n = 2,048 (`BARRIER_DUMP_LIMIT`) writes the largest `barrier.csv` the
+pipeline writes, 4.19 million rows and 113 MB, and must stay below
+150 MiB, so a writer that holds the whole file's text fails. The
+run's wall time, and each stage's `wall_time_s` and `peak_rss_mb` (the
+child's high-water mark when that stage ended) from its manifest, in the
 manifest's `stage_order`, are printed, never checked. Exits 1 when a
 check fails.
 """
@@ -34,12 +38,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESIDUAL_LIMIT = 1e-8
 
 CASES = [
-    # (name, model, cells per axis, peak limit in MiB)
-    ("kinetic-2d-128", {"family": "kinetic"}, 128, 300),
-    ("kinetic-2d-256", {"family": "kinetic"}, 256, 400),
+    # (name, model, dimension, cells per axis, peak limit in MiB)
+    ("kinetic-2d-128", {"family": "kinetic"}, 2, 128, 300),
+    ("kinetic-2d-256", {"family": "kinetic"}, 2, 256, 400),
     ("mechanical-2d-128", {"family": "mechanical",
-                           "potential": {"name": "cosine", "k": [1, 0]}}, 128, 300),
-    ("mane-zero-2d-128", {"family": "mane", "field": {"name": "zero"}}, 128, 200),
+                           "potential": {"name": "cosine", "k": [1, 0]}}, 2, 128, 300),
+    ("mane-zero-2d-128", {"family": "mane", "field": {"name": "zero"}}, 2, 128, 200),
+    ("pendulum-1d-2048", {"family": "mechanical",
+                          "potential": {"name": "cosine", "k": [1]}}, 1, 2048, 150),
 ]
 
 
@@ -52,11 +58,11 @@ def read_json(out: str, name: str):
         return None
 
 
-def run(model: dict, n: int, out: str) -> tuple:
+def run(model: dict, dim: int, n: int, out: str) -> tuple:
     """Exit code, peak RSS in MiB and wall seconds of one child run."""
     path = os.path.join(out, "config.json")
     with open(path, "w") as f:
-        json.dump({"model": model, "grid": {"dim": 2, "n": n},
+        json.dump({"model": model, "grid": {"dim": dim, "n": n},
                    "outputs": {"directory": os.path.join(out, "run")}}, f)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     start = time.perf_counter()
@@ -71,9 +77,9 @@ def run(model: dict, n: int, out: str) -> tuple:
 
 def main() -> int:
     failed = []
-    for name, model, n, limit in CASES:
+    for name, model, dim, n, limit in CASES:
         with tempfile.TemporaryDirectory() as out:
-            code, peak, wall = run(model, n, out)
+            code, peak, wall = run(model, dim, n, out)
             manifest = read_json(out, "manifest.json") or {}
             residual = (read_json(out, "quotient.json") or {}).get("representation_max_residual")
             comparison = read_json(out, "comparison.json") or {}

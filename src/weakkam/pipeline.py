@@ -13,6 +13,11 @@ Artifacts are deterministic for a fixed config and seed: floats are
 printed at 12 significant digits, row order follows flat grid indices,
 and the manifest records a sha256 per emitted file. Wall times and peak
 memory live only in the manifest, never in CSVs.
+
+`write_csv` formats each chunk in slices of CSV_SLICE_ROWS rows with
+`csvformat.format_rows`: every column of a slice becomes fixed-width
+words in numpy, by its dtype, and one table of those words and the
+separators, NULs dropped, is the slice's text.
 """
 
 import hashlib
@@ -28,6 +33,7 @@ from .aubry import (aubry_set, mather_delta, peierls_barrier, quotient, represen
 from .chains import chain_graph, chain_recurrent_set, compare_aubry_chain
 from .config import ExperimentConfig
 from .critical import critical_value, weak_kam_solution
+from .csvformat import FLOAT_FMT, format_rows
 from .errors import ArtifactError, ConfigError, WeakKamError
 from .geometry import ferry_delta_p, hausdorff1_report
 from .models import load_points_csv
@@ -36,34 +42,43 @@ from .regularize import (alternating_smooth, aubry_drift, default_schedule,
                          subsolution_residual_field)
 
 BARRIER_DUMP_LIMIT = 2048  # full matrix CSV only below this point count
-FLOAT_FMT = "%.11e"  # 12 significant digits
-_KIND_FMT = {"i": "%d", "u": "%d", "f": FLOAT_FMT}
 CSV_SLICE_ROWS = 1024  # rows formatted at once, so a long chunk's text stays small
 
 
 # -- deterministic writers ----------------------------------------------------
 
 def _matrix_rows(m):
-    """Column chunks (i, j, m[i, j]), one per row i, read in row blocks."""
-    j = np.arange(m.size)
-    for i0, block in row_blocks(m, j):
-        for i, row in enumerate(block, start=i0):
-            yield np.full(m.size, i), j, row
+    """Column chunks (i, j, m[i, j]) of whole rows, about CSV_SLICE_ROWS
+    entries each, cut from m's row blocks."""
+    n = m.size
+    per = max(1, CSV_SLICE_ROWS // n)
+    j = np.tile(np.arange(n), per)
+    for i0, block in row_blocks(m, np.arange(n)):
+        for r in range(0, block.shape[0], per):
+            part = block[r:r + per]
+            yield np.arange(i0 + r, i0 + r + part.shape[0]).repeat(n), j[:part.size], part.ravel()
 
 
 def write_csv(path, header, chunks) -> str:
     """Each chunk is a tuple of equal-length columns (arrays or lists), one
     per header field. A column has one format, from its dtype kind:
-    integers as %d, floats as FLOAT_FMT, anything else as %s."""
+    integers in decimal, floats as FLOAT_FMT, anything else by str (text
+    without NUL characters). Raises ArtifactError on a chunk whose columns
+    do not match the header in number or differ in length."""
     try:
-        with open(path, "w", newline="\n") as f:
-            f.write(",".join(header) + "\n")
+        with open(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
             for chunk in chunks:
                 cols = [np.asarray(c) for c in chunk]
-                line = ",".join(_KIND_FMT.get(c.dtype.kind, "%s") for c in cols) + "\n"
-                for k in range(0, len(cols[0]), CSV_SLICE_ROWS):
-                    rows = zip(*[c[k:k + CSV_SLICE_ROWS].tolist() for c in cols])
-                    f.write("".join([line % row for row in rows]))
+                shapes = [c.shape for c in cols]
+                if len(cols) != len(header):
+                    raise ArtifactError(f"cannot write {path}: a chunk has {len(cols)} columns "
+                                        f"for {len(header)} header fields")
+                if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+                    raise ArtifactError(f"cannot write {path}: chunk columns of shapes "
+                                        f"{shapes} are not one length")
+                for k in range(0, shapes[0][0], CSV_SLICE_ROWS):
+                    f.write(format_rows([c[k:k + CSV_SLICE_ROWS] for c in cols]))
     except OSError as e:
         raise ArtifactError(f"cannot write {path}: {e}") from e
     return path

@@ -41,7 +41,9 @@ periodic k-d tree and measures the near pairs by the same formula.
 
 `fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
 Python or numpy type; `pipeline.write_csv` gives each column one format
-from its dtype and formats a whole column chunk at once.
+from its dtype and formats a slice of rows at once in numpy, integers
+and floats from digit tables and a float's exponent and 12-digit
+mantissa, leaving only near-ties and extreme values to Python.
 """
 
 from dataclasses import dataclass

@@ -7,7 +7,6 @@ import pytest
 
 from weakkam import (
     ConfigError,
-    aubry,
     build_grid,
     chain_graph,
     chain_recurrent_set,
@@ -166,13 +165,20 @@ def test_compare_matches_every_pair(dim, n):
 
 
 @pytest.mark.parametrize("block", ["row", "uneven"])
-def test_compare_reads_row_blocks(monkeypatch, block):
+def test_compare_reads_row_blocks(block):
+    # row: the grid split at random into two sets; uneven: a on columns 0,
+    # 8, 16 and 24 and b on the columns beside them, so each point's nearest
+    # distance ties one measured across the wrap (column 0 to columns 1, 31)
     g = build_grid(2, 32)
     rng = np.random.default_rng(11)
-    a = np.sort(rng.choice(g.point_count, 701, replace=False))
-    b = np.sort(rng.choice(g.point_count, 500, replace=False))
-    # one row of a per block, or 7 rows with a last block of one
-    monkeypatch.setattr(aubry, "BLOCK_ENTRIES", {"row": 1, "uneven": 7 * b.size + 3}[block])
+    if block == "row":
+        cells = rng.permutation(g.point_count)
+        a, b = np.sort(cells[:701]), np.sort(cells[701:])
+    else:
+        column = g.coords()[:, 1] * 32
+        a = np.flatnonzero(np.isin(column, [0, 8, 16, 24]))
+        b = np.flatnonzero(np.isin(column, [1, 7, 9, 15, 17, 23, 25, 31]))
+    compare_aubry_chain(a, b, g)  # imports scipy.spatial outside the traced call
     tracemalloc.start()
     try:
         cmpr = compare_aubry_chain(a, b, g)

@@ -250,6 +250,18 @@ def test_write_csv_formats_each_column_by_its_dtype(tmp_path):
     assert open(got, "rb").read() == csv_text(header, zip(*cols)).encode()
 
 
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    chunk = (np.arange(3), np.zeros(2), ["a", "b", "c"])
+    with pytest.raises(ArtifactError, match=r"short\.csv.*\(3,\), \(2,\), \(3,\)"):
+        pipeline.write_csv(tmp_path / "short.csv", ["i", "x", "label"], [chunk])
+
+
+def test_write_csv_refuses_a_chunk_unlike_its_header(tmp_path):
+    chunk = (np.arange(3), np.zeros(3))
+    with pytest.raises(ArtifactError, match=r"wide\.csv.* 2 columns for 3 header fields"):
+        pipeline.write_csv(tmp_path / "wide.csv", ["i", "x", "label"], [chunk])
+
+
 # 256-row column chunks in uneven slices of 100 rows, and in one slice
 @pytest.mark.parametrize("slice_rows", [100, pipeline.CSV_SLICE_ROWS])
 def test_every_csv_matches_the_cell_by_cell_text(tmp_path, monkeypatch, slice_rows):

@@ -30,7 +30,7 @@ from weakkam.aubry import AubrySet, SemiMetric
 
 from oracles import _auto_scales as oracle_scales
 from oracles import _greedy_centers as oracle_centers
-from oracles import closure_barrier, exhaustive_min_mean, union_find_quotient
+from oracles import closure_barrier, csv_text, exhaustive_min_mean, union_find_quotient
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -292,3 +292,51 @@ def test_coverings_count_levels_past_255_scales():
     counts = hausdorff1_report(delta, None, scales).covering_counts
     assert counts.tolist() == [len(oracle_centers(vals, r)) for r in desc]
     assert counts[-1] == 5
+
+
+def _power_of_ten(k, step):
+    p = float(f"1e{k}")
+    return float(np.nextafter(p, step * np.inf)) if step else p
+
+
+# cell values by column dtype: every float64 (subnormals, signed zeros,
+# infinities, NaN), powers of ten and their neighbours, exact 12-digit ties,
+# the integer extremes and the integers around 10**15, bools and text
+_CSV_CELLS = {
+    np.float64: st.one_of(
+        st.floats(),
+        st.builds(_power_of_ten, st.integers(-330, 308), st.sampled_from([-1, 0, 1])),
+        st.sampled_from([123456789012.5, 999999999999.5, 9.999999999995, -9.999999999995])),
+    np.float32: st.floats(width=32),
+    np.int64: st.one_of(st.sampled_from([-2**63, 2**63 - 1, 10**15 - 1, -10**15, 10**16 - 1]),
+                        st.integers(-2**63, 2**63 - 1)),
+    np.uint64: st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    np.uint8: st.integers(0, 255),
+    np.bool_: st.booleans(),
+    str: st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                 max_size=9),
+}
+_csv_pools = st.sampled_from(list(_CSV_CELLS)).flatmap(
+    lambda dtype: st.lists(_CSV_CELLS[dtype], min_size=1, max_size=12).map(
+        lambda cells: np.array(cells, dtype=dtype)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_csv_pools, min_size=1, max_size=4),
+       st.lists(st.sampled_from([0, 1, pipeline.CSV_SLICE_ROWS - 1, pipeline.CSV_SLICE_ROWS + 1]),
+                min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=2**31 - 1))
+@example(pools=[np.array([-2**63, 2**63 - 1, 10**15 - 1, -10**15, 10**16 - 1, 2**53 + 1]),
+                np.array([2**64 - 1, 0, 10**15], dtype=np.uint64),
+                np.array([123456789012.5, 999999999999.5, 9.999999999995, 0.0, -0.0, np.inf,
+                          -np.inf, np.nan, 5e-324, 1e-11, 1e34])],
+         sizes=[pipeline.CSV_SLICE_ROWS + 1], seed=0)
+def test_write_csv_matches_the_cell_by_cell_text(tmp_path_factory, pools, sizes, seed):
+    # chunks of 0 and 1 rows and of one row less or more than a slice, each
+    # column drawn from its pool of cells
+    rng = np.random.default_rng(seed)
+    chunks = [tuple(pool[rng.integers(0, pool.size, size)] for pool in pools) for size in sizes]
+    header = [f"c{k}" for k in range(len(pools))]
+    path = pipeline.write_csv(tmp_path_factory.mktemp("csv") / "cells.csv", header, chunks)
+    want = csv_text(header, [row for chunk in chunks for row in zip(*chunk)])
+    assert path.read_bytes() == want.encode()
