@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .critical import CriticalValue, critical_graph
 from .errors import ConfigError, NumericalError
-from .kernel import ActionKernel, available_memory, check_memory, invariant_axes
+from .kernel import ActionKernel, available_memory, check_memory, first_min, invariant_axes
 
 # entries of each row block the A x A consumers of h and delta read
 BLOCK_ENTRIES = 1 << 18
@@ -321,11 +321,16 @@ def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices) -> list:
     def learn(cells):
         # each cell's minimizing successor, and whether its self-loop ties the
         # minimum within 1e-12: for the indices, then for cells orbits reach
-        fwd = K.targets(cells)
-        scores = np.take_along_axis(K.weights, fwd, axis=1) + c * K.tau + h.at(fwd, cells)
-        best, s = np.min(scores, axis=0), np.argmin(scores, axis=0)
-        succ.update(zip(cells.tolist(), fwd[s, np.arange(cells.size)].tolist()))
-        stationary.update(zip(cells.tolist(), (scores[K.zero_offset] <= best + 1e-12).tolist()))
+        def scores():
+            # cost(x, y) + c*tau + h(y, x), y = x + offset, one offset at a time
+            for w, t in zip(K.weights, K.rolled(np.arange(K.point_count), -K.offsets)):
+                fwd = t[cells]
+                yield w[fwd] + c * K.tau + h.at(fwd, cells)
+
+        best, s = first_min(scores())
+        stay = K.weights[K.zero_offset][cells] + c * K.tau + h.at(cells, cells)
+        succ.update(zip(cells.tolist(), K.targets(cells, K.offsets[s]).tolist()))
+        stationary.update(zip(cells.tolist(), (stay <= best + 1e-12).tolist()))
 
     learn(indices)
     labels = []

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ConfigError, NumericalError
 from .grid import ValueFunction, as_value_array
-from .kernel import ActionKernel, backward_sources, stencil_graph
+from .kernel import ActionKernel, first_min, stencil_graph
 
 # reduced costs at most ZERO_TOL * scale are critical edges; below
 # -NEGATIVE_TOL * scale the bias is no subsolution, so c is too low
@@ -64,23 +64,22 @@ def critical_value(K: ActionKernel) -> CriticalValue:
     """Minimum mean cycle of the kernel graph by min-plus policy iteration.
 
     Howard's algorithm runs on the reversed graph: a policy gives each
-    cell z one offset s, pointing z at its source src[s, z] at cost
+    cell z one offset s, pointing z at its source z - offsets[s] at cost
     weights[s, z]. Value determination gives every cell the mean eta of
     the policy cycle it reaches and a bias x; improvement first lowers
     eta, then x at equal eta, until the policy is stable. mu is the
     smallest policy cycle mean and the witness is that cycle, reversed
     into forward order.
     """
-    src = backward_sources(K)
     W = K.weights
     cols = np.arange(K.point_count)
-    policy = _initial_policy(K, src)
+    policy = _initial_policy(K)
     # a few rounds suffice in practice; the cap turns a rounding-level
     # flip-flop between equivalent policies into an error
     max_rounds = 2 * K.point_count + 16
     for it in range(1, max_rounds + 1):
-        eta, x, cycles = _policy_values(src[policy, cols], W[policy, cols])
-        better, choice = _improvement(src, W, eta, x)
+        eta, x, cycles = _policy_values(K.targets(cols, -K.offsets[policy]), W[policy, cols])
+        better, choice = _improvement(K, eta, x)
         if not better.any():
             break
         policy = np.where(better, choice, policy)
@@ -100,32 +99,28 @@ def critical_value(K: ActionKernel) -> CriticalValue:
     return cv
 
 
-def _improvement(src: np.ndarray, W: np.ndarray, eta: np.ndarray, x: np.ndarray) -> tuple:
+def _improvement(K: ActionKernel, eta: np.ndarray, x: np.ndarray) -> tuple:
     """Cells whose policy improves, and the offset each would take.
 
     First lower eta: reach a cycle of smaller mean; else lower x through
-    successors of equal mean. The (S, N) candidates W + x[src], else
-    (W - eta) + x[src], are the largest temporaries of the iteration: they
-    are built in place once E = eta[src] is freed, and all are freed on
-    return.
+    successors of equal mean. The candidates W + x(src), else
+    (W - eta) + x(src), are read one offset at a time.
     """
-    E = eta[src]
-    e_min = E.min(axis=0)
+    W = K.weights
+    e_min = first_min(K.rolled(eta))[0]
     better = e_min < eta
     first = better.any()
-    off = E != (e_min if first else eta)
-    del E
-    cand = x[src]
-    cand += W if first else W - eta
-    cand[off] = np.inf
+    ref = e_min if first else eta
+    best, choice = first_min(np.where(e == ref, xs + (w if first else w - eta), np.inf)
+                             for w, e, xs in zip(W, K.rolled(eta), K.rolled(x)))
     if not first:
         # x sums costs along policy paths; ignore gains at rounding level
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(W))))
-        better = cand.min(axis=0) < x - tol
-    return better, np.argmin(cand, axis=0)
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) + max(float(W.max()), -float(W.min())))
+        better = best < x - tol
+    return better, choice
 
 
-def _initial_policy(K: ActionKernel, src: np.ndarray) -> np.ndarray:
+def _initial_policy(K: ActionKernel) -> np.ndarray:
     """Shortest-path tree into the cheapest self-loop, else the greedy policy.
 
     The tree comes from one Dijkstra run out of the cell v* with the
@@ -139,10 +134,12 @@ def _initial_policy(K: ActionKernel, src: np.ndarray) -> np.ndarray:
     zero = np.nonzero(np.all(K.offsets == 0, axis=1))[0]
     if zero.size == 0:
         return policy
-    G = stencil_graph(K, W - W.min())
+    G = stencil_graph(K, W, -W.min())
     v_star = int(np.argmin(W[zero[0]]))
     _, pred = dijkstra(G, indices=v_star, return_predecessors=True)
-    tree = np.argmin(np.where(src == pred, W, np.inf), axis=0)
+    del G
+    tree = first_min(np.where(src == pred, w, np.inf)
+                     for w, src in zip(W, K.rolled(np.arange(K.point_count))))[1]
     policy = np.where(pred >= 0, tree, policy)
     policy[v_star] = zero[0]
     return policy
@@ -193,41 +190,41 @@ class DominationReport:
 
 
 def check_dominated(K: ActionKernel, u: np.ndarray, c: float, tol: float = 0.0) -> DominationReport:
-    """Largest violation of u(z) - u(y) <= cost[y][z] + c*tau over stencil edges."""
+    """Largest violation of u(z) - u(y) <= cost[y][z] + c*tau over stencil edges
+    (the first in offset-major order among equals, as np.argmax over (S, N))."""
     u = as_value_array(u)
-    src = backward_sources(K)
-    viol = u[None, :] - u[src] - K.weights - c * K.tau  # (S, N)
-    flat = int(np.argmax(viol))
-    s, z = np.unravel_index(flat, viol.shape)
-    worst = float(viol[s, z])
-    return DominationReport(max_violation=worst,
-                            worst_edge=(int(src[s, z]), int(z)),
-                            dominated=worst <= tol)
+    rows = (u - us - w - c * K.tau for w, us in zip(K.weights, K.rolled(u)))
+    worst = [(float(v[z]), z) for v in rows for z in [int(np.argmax(v))]]
+    s = int(np.argmax([v for v, _ in worst]))
+    v, z = worst[s]
+    return DominationReport(max_violation=v, worst_edge=(int(K.targets(z, -K.offsets[s])), z),
+                            dominated=v <= tol)
 
 
-def critical_graph(K: ActionKernel, cv: CriticalValue) -> tuple:
+def critical_graph(K: ActionKernel, cv: CriticalValue, source: bool = False) -> tuple:
     """The graph of reduced costs r >= 0 at level cv.c, reweighted by cv.bias,
     the sorted critical cells, the strong class of every cell among the zero
     edges (r <= ZERO_TOL * scale), and the critical-edge count: zero edges
-    inside a class, which lie on flat cycles. NumericalError when cv.c is
-    not critical: below it some r is negative, above it no cycle is flat."""
+    inside a class, which lie on flat cycles. With source, the graph has the
+    node N of stencil_graph, in a class of its own. NumericalError when cv.c
+    is not critical: below it some r is negative, above it no cycle is flat."""
     x = cv.bias
     if x is None or x.shape != (K.point_count,):
         raise ConfigError("the critical graph needs the bias that critical_value(K) "
                           "returns for this kernel")
-    r = K.weights + cv.c * K.tau
-    scale = max(1.0, float(max(r.max(), -r.min())) + float(np.max(np.abs(x))))
-    r += x[backward_sources(K)]
-    r -= x
-    if r.min() < -NEGATIVE_TOL * scale:
+    ct, W = cv.c * K.tau, K.weights
+    # rounding is monotone, so these are the extremes of W + c*tau
+    scale = max(1.0, max(float(W.max() + ct), -float(W.min() + ct)) + float(np.max(np.abs(x))))
+    G = stencil_graph(K, W, ct, x, source)
+    if G.data.min() < -NEGATIVE_TOL * scale:
         raise NumericalError(
-            f"negative reduced cost {r.min():.3e} at level c={cv.c}: the bias is no "
+            f"negative reduced cost {G.data.min():.3e} at level c={cv.c}: the bias is no "
             "subsolution there. The supplied c is likely not the critical value "
             "of this kernel.")
-    G = stencil_graph(K, np.maximum(r, 0.0, out=r))
-    # the zero edges of the column-major graph, their columns from indptr
+    np.maximum(G.data, 0.0, out=G.data)
+    # the zero edges of the row-major graph, their rows from indptr
     zero = np.flatnonzero(G.data <= ZERO_TOL * scale)
-    row, col = G.indices[zero], np.searchsorted(G.indptr, zero, side="right") - 1
+    row, col = np.searchsorted(G.indptr, zero, side="right") - 1, G.indices[zero]
     _, labels = connected_components(
         sparse.csr_matrix((np.ones(row.size), (row, col)), shape=G.shape),
         directed=True, connection="strong")
@@ -235,7 +232,7 @@ def critical_graph(K: ActionKernel, cv: CriticalValue) -> tuple:
     critical = np.unique(col[inner])
     if critical.size == 0:
         raise NumericalError(
-            f"no zero-mean cycle at level c={cv.c}; smallest reduced cost {r.min():.3e}. "
+            f"no zero-mean cycle at level c={cv.c}; smallest reduced cost {G.data.min():.3e}. "
             "The supplied c is likely not the critical value of this kernel.")
     return G, critical, labels, int(inner.sum())
 
@@ -254,13 +251,10 @@ def weak_kam_solution(K: ActionKernel, cv: CriticalValue, u0: Optional[np.ndarra
     u0 = np.zeros(N) if u0 is None else as_value_array(u0)
     if u0.shape != (N,):
         raise ConfigError(f"u0 has shape {u0.shape}, expected ({N},)")
-    G, critical, _, _ = critical_graph(K, cv)
-    G, x = G.tocsr(), cv.bias
+    M, critical, _, _ = critical_graph(K, cv, source=True)
+    x = cv.bias
     # node N is the source; its out-edges, the last N entries, are rewritten
     # per pass, and an infinite weight is no edge
-    M = sparse.csr_matrix((np.concatenate((G.data, np.zeros(N))),
-                           np.concatenate((G.indices, np.arange(N, dtype=G.indices.dtype))),
-                           np.append(G.indptr, G.nnz + N)), shape=(N + 1, N + 1))
     start = M.data[-N:]
     # a path y -> z costs SP(y,z) + x(y) - x(z) in reduced costs; shifting
     # the starts to be nonnegative moves every distance by one constant

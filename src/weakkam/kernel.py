@@ -71,15 +71,15 @@ class ActionKernel:
         """Self-loop costs tau * L(x, 0) per cell."""
         return self.weights[self.zero_offset].copy()
 
-    def targets(self, cells) -> np.ndarray:
-        """t[s, i] = flat index of cell cells[i] + offsets[s], shape (S, len(cells))."""
+    def targets(self, cells, offsets=None) -> np.ndarray:
+        """t[s, i] = flat index of cell cells[i] + offsets[s], shape (S, len(cells));
+        given offsets, one per cell, t[i] = flat index of cells[i] + offsets[i]."""
         n = self.grid.n_per_axis
-        flat = np.zeros((self.stencil_size, np.size(cells)), dtype=np.int64)
-        # row-major flat index, one (S, len(cells)) array per axis
+        offsets = self.offsets[:, None] if offsets is None else offsets
+        flat = 0
+        # row-major flat index, one axis at a time
         for ax, c in enumerate(np.unravel_index(cells, self.grid.shape)):
-            t = np.add.outer(self.offsets[:, ax], c)
-            flat *= n
-            flat += np.remainder(t, n, out=t)
+            flat = flat * n + np.remainder(c + offsets[..., ax], n)
         return flat
 
     def dense(self, shift: float = 0.0) -> np.ndarray:
@@ -91,15 +91,21 @@ class ActionKernel:
             )
         mat = np.full((self.point_count, self.point_count), np.inf)
         cols = np.arange(self.point_count)
-        for s, rows in enumerate(backward_sources(self)):
-            mat[rows, cols] = np.minimum(mat[rows, cols], self.weights[s] + shift)
+        for w, rows in zip(self.weights, self.rolled(cols)):
+            mat[rows, cols] = np.minimum(mat[rows, cols], w + shift)
         return mat
 
-    # -- min-plus primitives, vectorized over the mesh ----------------------
+    def rolled(self, values, offsets=None):
+        """Yield values rolled along each offset over the grid, one (..., N)
+        array at a time: row s holds, at every cell z, the value at its source
+        z - offsets[s]; offsets=-K.offsets gives the value at the targets.
+        Every stencil consumer reads the stencil this way, one offset at a time."""
+        mesh = values.reshape(values.shape[:-1] + self.grid.shape)
+        axes = tuple(range(mesh.ndim - self.grid.dim, mesh.ndim))
+        for o in self.offsets if offsets is None else offsets:
+            yield np.roll(mesh, shift=tuple(o), axis=axes).reshape(values.shape)
 
-    def _mesh(self, arr: np.ndarray):
-        lead = arr.shape[:-1]
-        return arr.reshape(lead + self.grid.shape)
+    # -- min-plus primitives, vectorized over the mesh ----------------------
 
     def apply_min(self, u, shift: float = 0.0) -> np.ndarray:
         """(T- u)(z) = min_y u(y) + cost[y][z] + shift, the backward
@@ -112,14 +118,10 @@ class ActionKernel:
         u = as_value_array(u)
         if u.shape[-1:] != (self.point_count,):
             raise ConfigError(f"values of shape {u.shape} for {self.point_count} kernel points")
-        mesh = self._mesh(u)
-        axes = tuple(range(mesh.ndim - self.grid.dim, mesh.ndim))
         out = np.full_like(u, np.inf)
-        out_mesh = self._mesh(out)
-        for s, o in enumerate(self.offsets):
-            w = self.weights[s].reshape(self.grid.shape) + shift
-            cand = np.roll(mesh, shift=tuple(o), axis=axes) + w
-            np.minimum(out_mesh, cand, out=out_mesh)
+        for w, cand in zip(self.weights, self.rolled(u)):
+            cand += w + shift
+            np.minimum(out, cand, out=out)
         return out
 
     def apply_max(self, u, shift: float = 0.0) -> np.ndarray:
@@ -128,16 +130,11 @@ class ActionKernel:
         u = as_value_array(u)
         if u.shape[-1:] != (self.point_count,):
             raise ConfigError(f"values of shape {u.shape} for {self.point_count} kernel points")
-        mesh = self._mesh(u)
-        axes = tuple(range(mesh.ndim - self.grid.dim, mesh.ndim))
         out = np.full_like(u, -np.inf)
-        out_mesh = self._mesh(out)
-        for s, o in enumerate(self.offsets):
-            w = self.weights[s].reshape(self.grid.shape) + shift
+        for w, o in zip(self.weights, self.offsets):
             # u(x+o) - cost[x][x+o]; the cost of entering x+o along o is
             # indexed at the target, so roll both back to x.
-            cand = np.roll(mesh - w, shift=tuple(-o), axis=axes)
-            np.maximum(out_mesh, cand, out=out_mesh)
+            np.maximum(out, next(self.rolled(u - (w + shift), [-o])), out=out)
         return out
 
 
@@ -176,10 +173,10 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
         raise ConfigError("tau must be positive")
 
     offsets = stencil_offsets(grid, stencil_radius)
-    # the coordinates, the (S, N) weights and the (S, N) int64 source
-    # table that critical_value builds
+    # the coordinates, the (S, N) weights and one stencil graph (float64
+    # weights and int32 targets), the largest arrays a run holds per offset
     N, S = grid.point_count, offsets.shape[0]
-    check_memory(8 * N * (grid.dim + 2 * S), available_memory(),
+    check_memory(4 * N * (2 * grid.dim + 5 * S), available_memory(),
                  f"the kernel on {N} points and {S} stencil offsets needs")
     coords = grid.coords()
     weights = np.empty((S, N))
@@ -212,33 +209,67 @@ def invariant_axes(K: ActionKernel) -> list:
     return axes
 
 
-def backward_sources(K: ActionKernel, rows=None) -> np.ndarray:
-    """src[s, z] = flat index of the cell feeding z along offset rows[s] (default: all)."""
-    offsets = K.offsets if rows is None else K.offsets[rows]
-    idx = np.arange(K.point_count).reshape(K.grid.shape)
-    src = np.empty((len(offsets), K.point_count), dtype=np.int64)
-    axes = tuple(range(K.grid.dim))
-    for s, o in enumerate(offsets):
-        src[s] = np.roll(idx, shift=tuple(o), axis=axes).ravel()
-    return src
+def first_min(rows) -> tuple:
+    """Elementwise minimum over a stream of equal-shape rows and the index of
+    the first row to reach it: np.min and np.argmin over axis 0 of their
+    stack, for NaN-free rows, holding one row at a time."""
+    rows = iter(rows)
+    best = np.array(next(rows))
+    arg = np.zeros(best.shape, dtype=np.intp)
+    for s, row in enumerate(rows, 1):
+        less = row < best
+        arg[less] = s
+        np.copyto(best, row, where=less)
+    return best, arg
 
 
-def stencil_graph(K: ActionKernel, weights: np.ndarray) -> sparse.csc_matrix:
-    """Sparse (N, N) graph with the edge src[s, z] -> z weighing weights[s, z].
+def stencil_graph(K: ActionKernel, weights: np.ndarray, shift: float = 0.0,
+                  potential=None, source: bool = False) -> sparse.csr_matrix:
+    """Sparse (N, N) forward graph: row y lists its targets z = y + offsets[s]
+    in ascending order, the edge y -> z weighing weights[s, z] + shift, then
+    + potential(y) - potential(z) when a potential is given. With source, an
+    (N + 1)-th node has an edge to every cell, the last N entries, of weight
+    0 for the caller to rewrite.
 
     Offsets congruent mod n alias onto the same (source, target) pair on
-    tiny grids, and scipy would sum such duplicates: the cheapest weight
-    is kept. Zero weights stay stored, since csgraph reads a missing
-    entry as no edge; infinite weights mark absent edges and are dropped.
+    tiny grids: the cheapest weight is kept. Zero weights stay stored, since
+    csgraph reads a missing entry as no edge; infinite weights mark absent
+    edges and are dropped.
     """
-    N = K.point_count
-    _, first, group = np.unique(K.offsets % K.grid.n_per_axis, axis=0,
-                                return_index=True, return_inverse=True)
-    w = np.full((first.size, N), np.inf)
-    for s, g in enumerate(group):
-        np.minimum(w[g], weights[s], out=w[g])
-    # column z lists the sources of z
-    keep = np.isfinite(w.T)
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    return sparse.csc_matrix((w.T[keep], backward_sources(K, first).T[keep], indptr),
-                             shape=(N, N))
+    N, n = K.point_count, K.grid.n_per_axis
+    offsets = K.offsets
+    _, first, group = np.unique(offsets % n, axis=0, return_index=True, return_inverse=True)
+    if first.size < len(offsets):
+        w = np.full((first.size, N), np.inf)
+        for s, g in enumerate(group):
+            np.minimum(w[g], weights[s], out=w[g])
+        offsets, weights = offsets[first], w
+    S = len(offsets)
+    E = N * S
+    data, indices = np.empty(E + N * source), np.empty(E + N * source, dtype=np.int32)
+    D, T = data[:E].reshape(K.grid.shape + (S,)), indices[:E].reshape(K.grid.shape + (S,))
+    for s, t in enumerate(K.rolled(np.arange(N), -offsets)):
+        w = weights[s][t]
+        w += shift
+        if potential is not None:
+            w += potential
+            w -= potential[t]
+        T[..., s], D[..., s] = t.reshape(K.grid.shape), w.reshape(K.grid.shape)
+    # rows whose stencil wraps the same way round every axis share one order
+    # of their targets: a box of them, cut where some offset wraps, takes the
+    # order of its first row: each target's rank among that row's targets
+    cuts = [sorted({0, n, *(-offsets[:, a] % n).tolist()}) for a in range(K.grid.dim)]
+    for box in itertools.product(*(zip(c[:-1], c[1:]) for c in cuts)):
+        t = T[tuple(lo for lo, _ in box)]
+        rank = np.count_nonzero(t[:, None] > t, axis=1)
+        if np.any(rank != np.arange(S)):
+            box = tuple(slice(lo, hi) for lo, hi in box)
+            D[box][..., rank], T[box][..., rank] = D[box].copy(), T[box].copy()
+    indptr = np.arange(0, E + 1, S)
+    if source:
+        data[E:], indices[E:], indptr = 0.0, np.arange(N), np.append(indptr, E + N)
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        keep = np.isfinite(data)
+        indptr = np.concatenate(([0], np.cumsum(np.add.reduceat(keep, indptr[:-1]))))
+        data, indices = data[keep], indices[keep]
+    return sparse.csr_matrix((data, indices, indptr), shape=(N + source, N + source))

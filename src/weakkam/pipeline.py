@@ -131,7 +131,9 @@ def _stage_critical(cfg, state):
     L = state["L"] = cfg.lagrangian(grid)
     K = state["K"] = cfg.kernel(grid, L)
     cv = state["cv"] = critical_value(K)
-    return {"policy_iterations": cv.iterations}, {"critical.json": {
+    # the problem size: N grid points and S stencil offsets
+    return {"policy_iterations": cv.iterations, "points": K.point_count,
+            "stencil_offsets": K.stencil_size}, {"critical.json": {
         "c": cv.c, "mean_cycle_weight": cv.mean_cycle_weight,
         "witness_cycle": list(cv.witness_cycle), "tau": cv.tau,
     }}

@@ -39,6 +39,15 @@ the whole |a| x |b| x dim array of displacements;
 `chains.compare_aubry_chain` finds each point's nearest neighbour with a
 periodic k-d tree and measures the near pairs by the same formula.
 
+`backward_sources` is the (S, N) table of every cell's source along every
+offset. `stencil_graph_csc`, `initial_policy`, `improvement`,
+`policy_iteration`, `reduced_costs`, `check_dominated` and
+`classify_aubry` are the stencil consumers in their (S, N) form: each
+builds the whole table of sources, candidates or scores, and the graph
+lists every cell's sources in a CSC column. The library reads one offset
+row at a time (`ActionKernel.rolled`) and builds the forward graph
+straight into CSR, with the same values, ties and edge order.
+
 `fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
 Python or numpy type; `pipeline.write_csv` gives each column one format
 from its dtype and formats a slice of rows at once in numpy, integers
@@ -51,14 +60,23 @@ from typing import Optional
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
 from weakkam.aubry import AubrySet, QuotientPartition, SemiMetric
-from weakkam.critical import CriticalValue, WeakKamSolution, critical_graph
+from weakkam.critical import (NEGATIVE_TOL, CriticalValue, DominationReport, WeakKamSolution,
+                              _policy_values, critical_graph)
 from weakkam.errors import ConfigError, NumericalError
 from weakkam.grid import ValueFunction, as_value_array, wrap_displacement
-from weakkam.kernel import ActionKernel, backward_sources, invariant_axes
+from weakkam.kernel import ActionKernel, invariant_axes
 from weakkam.models import Lagrangian
+
+
+def backward_sources(K: ActionKernel) -> np.ndarray:
+    """src[s, z] = flat index of the cell feeding z along offset s."""
+    idx = np.arange(K.point_count).reshape(K.grid.shape)
+    axes = tuple(range(K.grid.dim))
+    return np.stack([np.roll(idx, shift=tuple(o), axis=axes).ravel() for o in K.offsets])
 
 
 def _karp(K: ActionKernel):
@@ -422,6 +440,122 @@ def dense_hausdorff(a, b, grid) -> float:
     xa, xb = grid.coords(a), grid.coords(b)
     d = np.linalg.norm(wrap_displacement(xa[:, None, :], xb[None, :, :]), axis=-1)
     return max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
+
+
+def stencil_graph_csc(K: ActionKernel, weights: np.ndarray) -> sparse.csc_matrix:
+    """Column z lists the sources of z, the edge weighing weights[s, z]; the
+    cheapest of aliased offsets is kept and infinite weights are dropped."""
+    N = K.point_count
+    _, first, group = np.unique(K.offsets % K.grid.n_per_axis, axis=0,
+                                return_index=True, return_inverse=True)
+    w = np.full((first.size, N), np.inf)
+    for s, g in enumerate(group):
+        np.minimum(w[g], weights[s], out=w[g])
+    keep = np.isfinite(w.T)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return sparse.csc_matrix((w.T[keep], backward_sources(K)[first].T[keep], indptr),
+                             shape=(N, N))
+
+
+def initial_policy(K: ActionKernel) -> np.ndarray:
+    """The shortest-path tree into the cheapest self-loop, else the greedy
+    policy, with the tree's offsets chosen from the (S, N) source table."""
+    W = K.weights
+    policy = np.argmin(W, axis=0)
+    zero = np.nonzero(np.all(K.offsets == 0, axis=1))[0]
+    if zero.size == 0:
+        return policy
+    G = stencil_graph_csc(K, W - W.min())
+    v_star = int(np.argmin(W[zero[0]]))
+    _, pred = dijkstra(G, indices=v_star, return_predecessors=True)
+    tree = np.argmin(np.where(backward_sources(K) == pred, W, np.inf), axis=0)
+    policy = np.where(pred >= 0, tree, policy)
+    policy[v_star] = zero[0]
+    return policy
+
+
+def improvement(src: np.ndarray, W: np.ndarray, eta: np.ndarray, x: np.ndarray) -> tuple:
+    """Improving cells and their offsets from the (S, N) candidates."""
+    E = eta[src]
+    e_min = E.min(axis=0)
+    better = e_min < eta
+    first = better.any()
+    cand = x[src] + (W if first else W - eta)
+    cand[E != (e_min if first else eta)] = np.inf
+    if not first:
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(W))))
+        better = cand.min(axis=0) < x - tol
+    return better, np.argmin(cand, axis=0)
+
+
+def policy_iteration(K: ActionKernel) -> tuple:
+    """The stable policy, its bias x and its cycles (mean, cells), by the
+    library's rounds on the (S, N) forms."""
+    src, W, cols = backward_sources(K), K.weights, np.arange(K.point_count)
+    policy = initial_policy(K)
+    while True:
+        eta, x, cycles = _policy_values(src[policy, cols], W[policy, cols])
+        better, choice = improvement(src, W, eta, x)
+        if not better.any():
+            return policy, x, cycles
+        policy = np.where(better, choice, policy)
+
+
+def reduced_costs(K: ActionKernel, cv: CriticalValue) -> tuple:
+    """The (S, N) reduced costs r = ((w + c*tau) + x(y)) - x(z), clipped at 0,
+    and the scale critical_graph measures zero edges by."""
+    x = cv.bias
+    r = K.weights + cv.c * K.tau
+    scale = max(1.0, float(max(r.max(), -r.min())) + float(np.max(np.abs(x))))
+    r += x[backward_sources(K)]
+    r -= x
+    if r.min() < -NEGATIVE_TOL * scale:
+        raise NumericalError(f"negative reduced cost {r.min():.3e}")
+    return np.maximum(r, 0.0, out=r), scale
+
+
+def check_dominated(K: ActionKernel, u: np.ndarray, c: float, tol: float = 0.0) -> DominationReport:
+    """The largest violation over the (S, N) table, first in flat order."""
+    u = as_value_array(u)
+    src = backward_sources(K)
+    viol = u[None, :] - u[src] - K.weights - c * K.tau
+    s, z = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    worst = float(viol[s, z])
+    return DominationReport(max_violation=worst, worst_edge=(int(src[s, z]), int(z)),
+                            dominated=worst <= tol)
+
+
+def classify_aubry(K: ActionKernel, h, c: float, indices) -> list:
+    """aubry.classify_aubry with every learned cell's (S, |cells|) scores."""
+    indices = np.asarray(indices, dtype=np.int64)
+    succ, stationary = {}, {}
+
+    def learn(cells):
+        fwd = K.targets(cells)
+        scores = np.take_along_axis(K.weights, fwd, axis=1) + c * K.tau + h.at(fwd, cells)
+        best, s = np.min(scores, axis=0), np.argmin(scores, axis=0)
+        succ.update(zip(cells.tolist(), fwd[s, np.arange(cells.size)].tolist()))
+        stationary.update(zip(cells.tolist(), (scores[K.zero_offset] <= best + 1e-12).tolist()))
+
+    learn(indices)
+    labels = []
+    for x in indices.tolist():
+        if stationary[x]:
+            labels.append("stationary")
+            continue
+        seen, v, label = {x}, succ[x], "other"
+        for _ in range(K.point_count):
+            if v == x:
+                label = "periodic"
+                break
+            if v not in succ:
+                learn(np.array([v]))
+            if v in seen or stationary[v]:
+                break
+            seen.add(v)
+            v = succ[v]
+        labels.append(label)
+    return labels
 
 
 def fmt_cell(v) -> str:

@@ -114,6 +114,9 @@ def test_critical_stage_kinetic(tmp_path):
     manifest = run_pipeline(cfg, ["critical"])
     assert manifest["status"] == "ok"
     assert list(manifest["stages"]) == ["critical"]
+    # the problem size: N points and the S offsets of a four-cell radius
+    assert manifest["stages"]["critical"]["points"] == 64
+    assert manifest["stages"]["critical"]["stencil_offsets"] == 9
     data = json.loads((tmp_path / "o" / "critical.json").read_text())
     assert abs(data["c"]) <= 5.0 / 64
     assert data["tau"] == pytest.approx(1.0 / 64)

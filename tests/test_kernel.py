@@ -16,10 +16,10 @@ from weakkam import (
     stencil_offsets,
 )
 from weakkam import NumericalError, kernel
-from weakkam.kernel import backward_sources, invariant_axes
+from weakkam.kernel import invariant_axes
 
 from conftest import toy_kernel
-from oracles import kernel_closure, minplus_power_min
+from oracles import backward_sources, kernel_closure, minplus_power_min
 
 TOY = [[0.0, 5.0], [1.0, 3.0]]
 
@@ -65,6 +65,13 @@ def test_targets_invert_backward_sources():
     np.testing.assert_array_equal(np.take_along_axis(fwd, src, axis=1),
                                   np.broadcast_to(np.arange(K.point_count), src.shape))
     np.testing.assert_array_equal(K.targets([9, 5]), fwd[:, [9, 5]])
+    # one offset per cell, and the rolled reader's rows, agree with the table
+    pick = np.arange(K.point_count) % K.stencil_size
+    np.testing.assert_array_equal(K.targets(src[pick, np.arange(K.point_count)], K.offsets[pick]),
+                                  np.arange(K.point_count))
+    u = np.random.default_rng(3).normal(size=K.point_count)
+    np.testing.assert_array_equal(np.array(list(K.rolled(u))), u[src])
+    np.testing.assert_array_equal(np.array(list(K.rolled(u, -K.offsets))), u[fwd])
 
 
 def test_kinetic_kernel_entries():
@@ -98,9 +105,10 @@ def test_radius_past_the_float_range_is_a_config_error():
 
 def test_kernel_refuses_more_memory_than_is_free(monkeypatch):
     # 2-d n=8 at a one-cell radius: N = 64 points, S = 5 offsets; the
-    # coordinates, the weights and the int64 source table need 8 * N * (2 + 2 * S)
+    # coordinates, the weights and one stencil graph (float64 weights, int32
+    # targets) need 4 * N * (2 * 2 + 5 * S)
     g = build_grid(2, 8)
-    need = 8 * 64 * (2 + 2 * 5)
+    need = 4 * 64 * (2 * 2 + 5 * 5)
     monkeypatch.setattr(kernel, "available_memory", lambda: need - 1)
     with pytest.raises(NumericalError, match="memory is free"):
         build_kernel(g, kinetic_lagrangian(2), stencil_radius=g.spacing)
