@@ -10,8 +10,8 @@ from .models import (
 )
 from .kernel import ActionKernel, build_kernel, stencil_offsets
 from .critical import (
-    CriticalValue, WeakKamSolution, DominationReport,
-    critical_value,
+    CriticalValue, CriticalGraph, WeakKamSolution, DominationReport,
+    critical_value, critical_graph,
     weak_kam_solution, check_dominated,
 )
 from .aubry import (

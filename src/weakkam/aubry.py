@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .critical import CriticalValue, critical_graph
+from .critical import CriticalGraph
 from .errors import ConfigError, NumericalError
 from .kernel import ActionKernel, available_memory, check_memory, first_min, invariant_axes
 
@@ -188,7 +188,7 @@ class _Rolled:
 
 @dataclass
 class PeierlsBarrier(_Pairwise):
-    """The barrier h as its factors, and the critical graph it was built from.
+    """The barrier h as its factors, its representatives and critical edges.
 
     h_rows reads h and ht_rows h.T: each a _MinPlus of the shortest-path
     tables into and out of the representatives, or a _Rolled of the slab
@@ -234,18 +234,17 @@ def row_blocks(m: _Pairwise, pos: np.ndarray, entries: Optional[int] = None,
             yield i0, m.block(pos[i0:i0 + rows], pos, transpose)
 
 
-def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
-    """Long-run minimal cost between all cell pairs at the level cv.c.
+def peierls_barrier(K: ActionKernel, cg: CriticalGraph) -> PeierlsBarrier:
+    """Long-run minimal cost between all cell pairs at the level cg.cv.c.
 
     h(y,z) = min over representatives a of F[y,a] + B[a,z] - x(y) + x(z),
-    with F and B the reduced-cost shortest paths into and out of a and
-    x = cv.bias. Raises NumericalError when cv.c is not critical, the
+    with F and B the shortest paths of cg into and out of a (its source
+    node N dropped) and x = cg.cv.bias. Raises NumericalError when the
     graph is not strongly connected, or the shortest-path tables h is
     kept as would not fit in free memory.
     """
-    N, shape = K.point_count, K.grid.shape
-    G, critical, labels, edges = critical_graph(K, cv)
-    x = cv.bias
+    N, shape = cg.check(K), K.grid.shape
+    G, critical, labels, x = cg.graph, cg.critical, cg.labels, cg.cv.bias
     _, first = np.unique(labels[critical], return_index=True)
     reps = np.sort(critical[first])
 
@@ -261,7 +260,7 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
     check_memory(16 * k * N * 2**len(axes), available_memory(),
                  f"the barrier's {k} shortest-path rows over {N} cells need")
     if rolled:
-        sp = dijkstra(G, indices=slab) - x[slab, None] + x
+        sp = dijkstra(G, indices=slab)[:, :N] - x[slab, None] + x
         tables, h_rows = [sp], _Rolled(sp, shape, axes)
         # h.T's rows are rolls of h's columns at the slab cells, as h's
         # rows are of its rows there
@@ -270,12 +269,13 @@ def peierls_barrier(K: ActionKernel, cv: CriticalValue) -> PeierlsBarrier:
         delta_rows = _Rolled(sp + spt, shape, axes) if slab.size == 1 else None
     else:
         # into[i, y] = SP(y, a) - x(a) and out[i, y] = SP(a, y) + x(a), a = reps[i]
-        into = dijkstra(G.T, indices=reps) - x
-        out = dijkstra(G, indices=reps) + x
+        into = dijkstra(G.T, indices=reps)[:, :N] - x
+        out = dijkstra(G, indices=reps)[:, :N] + x
         tables, delta_rows = [into, out], None
         h_rows, ht_rows = _MinPlus(into, out), _MinPlus(out, into)
-    h = PeierlsBarrier(size=N, representatives=reps, critical_edges=edges, invariant_axes=axes,
-                       h_rows=h_rows, ht_rows=ht_rows, delta_rows=delta_rows)
+    h = PeierlsBarrier(size=N, representatives=reps, critical_edges=cg.critical_edges,
+                       invariant_axes=axes, h_rows=h_rows, ht_rows=ht_rows,
+                       delta_rows=delta_rows)
     # h(y, z) is finite exactly when some path leads from y to z, and every
     # h(y, z) is finite exactly when every table entry is
     if not all(np.isfinite(t).all() for t in tables):

@@ -38,8 +38,15 @@ class CriticalValue:
     bias: Optional[np.ndarray] = None
 
     def witness_mean(self, K: ActionKernel) -> float:
-        """Replay the witness cycle through the kernel and average it."""
+        """Replay the witness cycle through the kernel and average it;
+        ConfigError unless it is a nonempty list of the kernel's cells."""
         cyc = list(self.witness_cycle)
+        if not cyc:
+            raise ConfigError("the witness cycle is empty")
+        bad = [a for a in cyc if not 0 <= a < K.point_count]
+        if bad:
+            raise ConfigError(f"witness cycle cells outside the {K.point_count} points: "
+                              f"{bad[:8]}")
         total = 0.0
         fwd = K.targets(cyc)
         for i, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
@@ -193,6 +200,8 @@ def check_dominated(K: ActionKernel, u: np.ndarray, c: float, tol: float = 0.0) 
     """Largest violation of u(z) - u(y) <= cost[y][z] + c*tau over stencil edges
     (the first in offset-major order among equals, as np.argmax over (S, N))."""
     u = as_value_array(u)
+    if u.shape != (K.point_count,):
+        raise ConfigError(f"values of shape {u.shape} for {K.point_count} kernel points")
     rows = (u - us - w - c * K.tau for w, us in zip(K.weights, K.rolled(u)))
     worst = [(float(v[z]), z) for v in rows for z in [int(np.argmax(v))]]
     s = int(np.argmax([v for v, _ in worst]))
@@ -201,13 +210,33 @@ def check_dominated(K: ActionKernel, u: np.ndarray, c: float, tol: float = 0.0) 
                             dominated=v <= tol)
 
 
-def critical_graph(K: ActionKernel, cv: CriticalValue, source: bool = False) -> tuple:
-    """The graph of reduced costs r >= 0 at level cv.c, reweighted by cv.bias,
-    the sorted critical cells, the strong class of every cell among the zero
-    edges (r <= ZERO_TOL * scale), and the critical-edge count: zero edges
-    inside a class, which lie on flat cycles. With source, the graph has the
-    node N of stencil_graph, in a class of its own. NumericalError when cv.c
-    is not critical: below it some r is negative, above it no cycle is flat."""
+@dataclass
+class CriticalGraph:
+    """The reduced costs r >= 0 at level cv.c as the CSR graph of stencil_graph
+    on N + 1 nodes, the sorted critical cells, the strong class of every node
+    among the zero edges (r <= ZERO_TOL * scale) and the critical-edge count:
+    zero edges inside a class, which lie on flat cycles. Node N is the source
+    weak_kam_solution rewrites the out-edges of, the last N entries of
+    graph.data; it has no in-edges, so no path between cells crosses it."""
+
+    cv: CriticalValue
+    graph: sparse.csr_matrix
+    critical: np.ndarray
+    labels: np.ndarray
+    critical_edges: int
+
+    def check(self, K: ActionKernel) -> int:
+        """K's point count N; ConfigError unless the graph has N + 1 nodes."""
+        if self.graph.shape[0] != K.point_count + 1:
+            raise ConfigError(f"a critical graph on {self.graph.shape[0]} nodes for "
+                              f"{K.point_count} kernel points")
+        return K.point_count
+
+
+def critical_graph(K: ActionKernel, cv: CriticalValue) -> CriticalGraph:
+    """The critical graph of K at level cv.c, reweighted by x = cv.bias:
+    r = w(y->z) + c*tau + x(y) - x(z). NumericalError when cv.c is not
+    critical: below it some r is negative, above it no cycle is flat."""
     x = cv.bias
     if x is None or x.shape != (K.point_count,):
         raise ConfigError("the critical graph needs the bias that critical_value(K) "
@@ -215,15 +244,17 @@ def critical_graph(K: ActionKernel, cv: CriticalValue, source: bool = False) -> 
     ct, W = cv.c * K.tau, K.weights
     # rounding is monotone, so these are the extremes of W + c*tau
     scale = max(1.0, max(float(W.max() + ct), -float(W.min() + ct)) + float(np.max(np.abs(x))))
-    G = stencil_graph(K, W, ct, x, source)
-    if G.data.min() < -NEGATIVE_TOL * scale:
+    G = stencil_graph(K, W, ct, x, source=True)
+    # the cell edges; the source's, the last N entries, weigh 0
+    r = G.data[:-K.point_count]
+    if r.min() < -NEGATIVE_TOL * scale:
         raise NumericalError(
-            f"negative reduced cost {G.data.min():.3e} at level c={cv.c}: the bias is no "
+            f"negative reduced cost {r.min():.3e} at level c={cv.c}: the bias is no "
             "subsolution there. The supplied c is likely not the critical value "
             "of this kernel.")
-    np.maximum(G.data, 0.0, out=G.data)
+    np.maximum(r, 0.0, out=r)
     # the zero edges of the row-major graph, their rows from indptr
-    zero = np.flatnonzero(G.data <= ZERO_TOL * scale)
+    zero = np.flatnonzero(r <= ZERO_TOL * scale)
     row, col = np.searchsorted(G.indptr, zero, side="right") - 1, G.indices[zero]
     _, labels = connected_components(
         sparse.csr_matrix((np.ones(row.size), (row, col)), shape=G.shape),
@@ -232,26 +263,34 @@ def critical_graph(K: ActionKernel, cv: CriticalValue, source: bool = False) -> 
     critical = np.unique(col[inner])
     if critical.size == 0:
         raise NumericalError(
-            f"no zero-mean cycle at level c={cv.c}; smallest reduced cost {G.data.min():.3e}. "
+            f"no zero-mean cycle at level c={cv.c}; smallest reduced cost {r.min():.3e}. "
             "The supplied c is likely not the critical value of this kernel.")
-    return G, critical, labels, int(inner.sum())
+    return CriticalGraph(cv=cv, graph=G, critical=critical, labels=labels,
+                         critical_edges=int(inner.sum()))
 
 
-def weak_kam_solution(K: ActionKernel, cv: CriticalValue, u0: Optional[np.ndarray] = None,
+def weak_kam_solution(K: ActionKernel, cg: CriticalGraph, u0: Optional[np.ndarray] = None,
                       tol: float = 1e-9) -> WeakKamSolution:
     """u = T- u + c*tau as the Lax-Oleinik limit min_x u0(x) + h(x,.), min u = 0.
 
-    Two Dijkstra runs on the reduced costs from an added source node: the
-    first starts every cell x at u0(x) (default 0) and gives g(a) = min_x
-    u0(x) + SP(x,a), the second starts the critical cells a at g(a) and
-    gives min_a g(a) + SP(a,y). NumericalError when the fixed-point
+    Two Dijkstra runs on the critical graph cg from its source node: the
+    first starts every cell x at u0(x) (default 0; +inf starts nowhere) and
+    gives g(a) = min_x u0(x) + SP(x,a), the second starts the critical cells
+    a at g(a) and gives min_a g(a) + SP(a,y). ConfigError when u0 has a NaN
+    or -inf entry or no finite one; NumericalError when the fixed-point
     residual max |T- u + c*tau - u| exceeds tol.
     """
-    N = K.point_count
+    N = cg.check(K)
     u0 = np.zeros(N) if u0 is None else as_value_array(u0)
     if u0.shape != (N,):
         raise ConfigError(f"u0 has shape {u0.shape}, expected ({N},)")
-    M, critical, _, _ = critical_graph(K, cv, source=True)
+    bad = np.flatnonzero(np.isnan(u0) | (u0 == -np.inf))
+    if bad.size:
+        raise ConfigError(f"u0 is {u0[bad[0]]} at cell {bad[0]}; entries must be finite "
+                          "or +inf (no start there)")
+    if not np.isfinite(u0).any():
+        raise ConfigError("u0 has no finite entry, so no cell to start from")
+    M, critical, cv = cg.graph, cg.critical, cg.cv
     x = cv.bias
     # node N is the source; its out-edges, the last N entries, are rewritten
     # per pass, and an infinite weight is no edge

@@ -32,7 +32,7 @@ from .aubry import (aubry_set, mather_delta, peierls_barrier, quotient, represen
                     row_blocks)
 from .chains import chain_graph, chain_recurrent_set, compare_aubry_chain
 from .config import ExperimentConfig
-from .critical import critical_value, weak_kam_solution
+from .critical import critical_graph, critical_value, weak_kam_solution
 from .csvformat import FLOAT_FMT, format_rows
 from .errors import ArtifactError, ConfigError, WeakKamError
 from .geometry import ferry_delta_p, hausdorff1_report
@@ -143,7 +143,8 @@ def _stage_weakkam(cfg, state):
     grid, K = state["grid"], state["K"]
     rng = np.random.default_rng(cfg.seed())
     u0 = rng.standard_normal(grid.point_count)
-    sol = state["sol"] = weak_kam_solution(K, state["cv"], u0=u0, tol=cfg.solver_tol())
+    cg = state["cg"] = critical_graph(K, state["cv"])
+    sol = state["sol"] = weak_kam_solution(K, cg, u0=u0, tol=cfg.solver_tol())
     cols = (np.arange(grid.point_count), *grid.coords().T, sol.u.values)
     return {"critical_cells": sol.critical_cells, "residual": sol.residual}, {
         "weakkam.json": {"c": sol.c, "residual": sol.residual,
@@ -153,7 +154,9 @@ def _stage_weakkam(cfg, state):
 
 
 def _stage_barrier(cfg, state):
-    h = state["h"] = peierls_barrier(state["K"], state["cv"])
+    # the weak KAM stage's graph when it ran; the barrier is its last reader
+    cg = state.pop("cg", None) or critical_graph(state["K"], state["cv"])
+    h = state["h"] = peierls_barrier(state["K"], cg)
     n = h.size
     if n <= BARRIER_DUMP_LIMIT:
         csv = (["i", "j", "h"], _matrix_rows(h))

@@ -11,6 +11,7 @@ from weakkam import (
     build_grid,
     build_kernel,
     cosine_potential,
+    critical_graph,
     critical_value,
     kinetic_lagrangian,
     mane_lagrangian,
@@ -75,7 +76,7 @@ def pendulum_kernel_64():
 def pendulum_state_64(pendulum_kernel_64):
     K = pendulum_kernel_64
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     return {"K": K, "c": cv.c, "cv": cv, "h": h}
 
 
@@ -84,7 +85,7 @@ def doublewell_state_64():
     grid = build_grid(1, 64)
     K = build_kernel(grid, mechanical_lagrangian(cosine_potential(1, [2])))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     return {"K": K, "c": cv.c, "cv": cv, "h": h}
 
 

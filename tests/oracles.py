@@ -267,11 +267,12 @@ def closure_barrier(K: ActionKernel, c: float) -> SemiMetric:
 def representative_barrier(K: ActionKernel, cv: CriticalValue) -> np.ndarray:
     """h = min over class representatives a of into[a][:, None] + out[a],
     one dense N x N sum per representative, non-finite entries kept."""
-    G, critical, labels, _ = critical_graph(K, cv)
+    cg, N = critical_graph(K, cv), K.point_count
+    G, critical, labels = cg.graph, cg.critical, cg.labels
     _, first = np.unique(labels[critical], return_index=True)
     reps = np.sort(critical[first])
-    into = dijkstra(G.T, indices=reps) - cv.bias
-    out = dijkstra(G, indices=reps) + cv.bias
+    into = dijkstra(G.T, indices=reps)[:, :N] - cv.bias
+    out = dijkstra(G, indices=reps)[:, :N] + cv.bias
     h = into[0][:, None] + out[0]
     for i in range(1, reps.size):
         np.minimum(h, into[i][:, None] + out[i], out=h)
@@ -282,11 +283,11 @@ def slab_barrier(K: ActionKernel, cv: CriticalValue) -> np.ndarray:
     """h = SP when every cell is critical: the reduced-cost shortest paths
     from each slab cell (zero coordinates on the invariant axes), rolled
     to every source row by translate_rows."""
-    G = critical_graph(K, cv)[0]
+    G, N = critical_graph(K, cv).graph, K.point_count
     axes = invariant_axes(K)
-    cells = np.stack(np.unravel_index(np.arange(K.point_count), K.grid.shape), axis=-1)
+    cells = np.stack(np.unravel_index(np.arange(N), K.grid.shape), axis=-1)
     slab = np.nonzero(~np.any(cells[:, axes], axis=1))[0]
-    sp = dijkstra(G, indices=slab) - cv.bias[slab, None] + cv.bias
+    sp = dijkstra(G, indices=slab)[:, :N] - cv.bias[slab, None] + cv.bias
     return translate_rows(K, cells, axes, slab, sp)
 
 

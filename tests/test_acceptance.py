@@ -30,6 +30,7 @@ from weakkam import (
     compare_aubry_chain,
     constant_field,
     cosine_potential,
+    critical_graph,
     critical_value,
     default_chain_parameters,
     default_schedule,
@@ -70,7 +71,7 @@ def _state(dim, n, L, tau=None, radius=None):
     g = build_grid(dim, n)
     K = build_kernel(g, L, tau=tau, stencil_radius=radius)
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     A = aubry_set(h, None, K, cv.c)
     return SimpleNamespace(grid=g, K=K, c=cv.c, h=h, aubry=A, delta=mather_delta(h))
 
@@ -281,7 +282,7 @@ def test_09_chain_recurrent_set_matches_aubry_set():
     for label, X in fields.items():
         K = build_kernel(g, mane_lagrangian(X))
         cv = critical_value(K)
-        h = peierls_barrier(K, cv)
+        h = peierls_barrier(K, critical_graph(K, cv))
         A = aubry_set(h, None, K, cv.c)
         params = default_chain_parameters(g, X)
         cg = chain_graph(X, g, dt=params["dt"], eps=params["eps"],
@@ -299,7 +300,8 @@ def test_10_solution_uniqueness_up_to_constants():
     K = build_kernel(g, mane_lagrangian(constant_field([1.0], 1)))
     cv = critical_value(K)
     sols = [
-        weak_kam_solution(K, cv, u0=np.random.default_rng(seed).uniform(0, 1, 256))
+        weak_kam_solution(K, critical_graph(K, cv),
+                          u0=np.random.default_rng(seed).uniform(0, 1, 256))
         for seed in range(5)
     ]
     unique_osc = weak_kam_constancy_check(sols).max_oscillation
@@ -308,7 +310,8 @@ def test_10_solution_uniqueness_up_to_constants():
     Kd = build_kernel(g, DOUBLE_WELL)
     cvd = critical_value(Kd)
     pinned = [
-        weak_kam_solution(Kd, cvd, u0=10.0 * tent_function(g, center=cell).values)
+        weak_kam_solution(Kd, critical_graph(Kd, cvd),
+                          u0=10.0 * tent_function(g, center=cell).values)
         for cell in (0, 128)
     ]
     split_osc = weak_kam_constancy_check(pinned).max_oscillation
@@ -321,9 +324,9 @@ def test_11_alternating_smoothing_bounds():
     g = build_grid(1, 128)
     K = build_kernel(g, PENDULUM, tau=0.125, stencil_radius=0.3)
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     A = aubry_set(h, None, K, cv.c)
-    sol = weak_kam_solution(K, cv)
+    sol = weak_kam_solution(K, critical_graph(K, cv))
     smoothed = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau), tol=1e-9)
 
     x = g.coords()[:, 0]

@@ -14,6 +14,7 @@ from weakkam import (
     classify_aubry,
     constant_field,
     cosine_potential,
+    critical_graph,
     critical_value,
     kinetic_lagrangian,
     mane_lagrangian,
@@ -30,6 +31,7 @@ from weakkam.aubry import SemiMetric
 from weakkam.config import ExperimentConfig
 
 from conftest import offset_delta, subgroup_offsets
+from test_critical import EXHAUSTIVE_CASES
 from oracles import (_auto_scales, _greedy_centers, closure_barrier, kernel_closure,
                      representative_barrier, slab_barrier, translate_rows,
                      union_find_quotient, value_iteration_weak_kam)
@@ -41,13 +43,13 @@ def sin_state():
     g = build_grid(1, 64)
     K = build_kernel(g, mane_lagrangian(sin_gradient_field(1)))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     return {"K": K, "c": cv.c, "h": h, "grid": g}
 
 
 def test_barrier_kinetic_equals_closure(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, critical_value(K))
+    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
     np.testing.assert_allclose(h.values, kernel_closure(K), atol=1e-12)
     np.testing.assert_array_equal(h.diagonal(), np.zeros(16))
 
@@ -73,7 +75,7 @@ def test_barrier_needs_correct_level(pendulum_state_64):
     # below c the bias is no subsolution; above it no cycle is flat
     for c in (cv.c - 0.5, cv.c + 0.5):
         with pytest.raises(NumericalError):
-            peierls_barrier(K, dataclasses.replace(cv, c=c))
+            peierls_barrier(K, critical_graph(K, dataclasses.replace(cv, c=c)))
 
 
 def _kernel(dim, n, L, cells=None):
@@ -109,7 +111,7 @@ def test_barrier_matches_closure_oracle(case):
     build, reps, axes = ORACLE_CASES[case]
     K = build()
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     ref = closure_barrier(K, cv.c)
     np.testing.assert_allclose(h.values, ref.values, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(aubry_set(h, None, K, cv.c).indices,
@@ -123,7 +125,7 @@ def test_weak_kam_matches_value_iteration_oracle(case):
     K = ORACLE_CASES[case][0]()
     cv = critical_value(K)
     u0 = np.random.default_rng(5).standard_normal(K.point_count)
-    u = weak_kam_solution(K, cv, u0=u0).u.values
+    u = weak_kam_solution(K, critical_graph(K, cv), u0=u0).u.values
     ref = value_iteration_weak_kam(K, cv.c, u0=u0).u.values
     np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-12)
     # the Lax-Oleinik limit of u0 through the barrier
@@ -164,7 +166,7 @@ def test_barrier_blocks_match_the_dense_representative_loop(monkeypatch, case, b
     K = build()
     cv = critical_value(K)
     monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     assert h.representatives.size == reps > 1 and h.invariant_axes == axes == []
     assert np.array_equal(h.values, representative_barrier(K, cv))
 
@@ -172,6 +174,26 @@ def test_barrier_blocks_match_the_dense_representative_loop(monkeypatch, case, b
 def _dense_oracle(K, cv, axes):
     """The dense barrier: rolled slab rows, or the representative loop."""
     return slab_barrier(K, cv) if axes else representative_barrier(K, cv)
+
+
+WEAK_KAM_FIRST = {
+    "pendulum-64": lambda: build_kernel(build_grid(1, 64),
+                                        mechanical_lagrangian(cosine_potential(1, [1]))),
+    "kinetic-12x12": lambda: build_kernel(build_grid(2, 12), kinetic_lagrangian(2)),
+    "aliased-2x2": EXHAUSTIVE_CASES["aliased-offsets"],
+}
+
+
+@pytest.mark.parametrize("case", list(WEAK_KAM_FIRST))
+def test_barrier_reads_the_graph_the_weak_kam_solve_rewrote(case):
+    K = WEAK_KAM_FIRST[case]()
+    N, cv = K.point_count, critical_value(K)
+    cg = critical_graph(K, cv)
+    weak_kam_solution(K, cg, u0=np.random.default_rng(3).uniform(0, 1, N))
+    # the source's out-edges now hold the second pass's starts
+    assert np.any(cg.graph.data[-N:] != 0.0)
+    h = peierls_barrier(K, cg)
+    assert h.values.tobytes() == _dense_oracle(K, cv, h.invariant_axes).tobytes()
 
 
 def _read(m, pos, transpose=False):
@@ -186,7 +208,7 @@ def test_barrier_reader_matches_the_dense_oracle(monkeypatch, case, block):
     build, _, axes = ORACLE_CASES[case]
     K = build()
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     want = _dense_oracle(K, cv, axes)
     N = K.point_count
     monkeypatch.setattr(aubry, "BLOCK_ENTRIES", {"row": 1, "uneven": 7 * N, "whole": N * N}[block])
@@ -221,7 +243,7 @@ def test_barrier_reader_reads_its_factors(monkeypatch, case):
 
     aubry_dijkstra = aubry.dijkstra
     monkeypatch.setattr(aubry, "dijkstra", corrupted)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     pos = np.arange(K.point_count)
     for got, ref in [(_read(h, pos), want), (_read(h, pos, transpose=True), want.T),
                      (_read(mather_delta(h), pos), want + want.T)]:
@@ -242,14 +264,14 @@ def test_barrier_names_the_unreachable_cells(monkeypatch, block):
     assert stranded.size == 8
     monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
     with pytest.raises(NumericalError) as err:
-        peierls_barrier(K, cv)
+        peierls_barrier(K, critical_graph(K, cv))
     assert str(err.value).endswith(f"not strongly connected, e.g. cells {stranded.tolist()}")
 
 
 def test_barrier_needs_the_bias(pendulum_state_64):
     K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
     with pytest.raises(ConfigError):
-        peierls_barrier(K, dataclasses.replace(cv, bias=None))
+        peierls_barrier(K, critical_graph(K, dataclasses.replace(cv, bias=None)))
 
 
 def test_barrier_refuses_more_memory_than_is_free(monkeypatch, pendulum_state_64):
@@ -261,9 +283,9 @@ def test_barrier_refuses_more_memory_than_is_free(monkeypatch, pendulum_state_64
     need = 16 * N * k
     monkeypatch.setattr(aubry, "available_memory", lambda: need - 1)
     with pytest.raises(NumericalError, match="MiB"):
-        peierls_barrier(K, cv)
+        peierls_barrier(K, critical_graph(K, cv))
     monkeypatch.setattr(aubry, "available_memory", lambda: need)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     # the dense matrix, asked for, is guarded on its own 8 N^2 bytes
     with pytest.raises(NumericalError, match="memory is free"):
         h.values
@@ -273,7 +295,7 @@ def test_barrier_refuses_more_memory_than_is_free(monkeypatch, pendulum_state_64
 
 def test_aubry_kinetic_everything_stationary(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, critical_value(K))
+    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
     A = aubry_set(h, None, K, 0.0)
     assert list(A.indices) == list(range(16))
     assert set(A.labels) == {"stationary"}
@@ -296,7 +318,7 @@ def test_aubry_constant_field_periodic():
     g = build_grid(1, 64)
     K = build_kernel(g, mane_lagrangian(constant_field([1.0], 1)))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     A = aubry_set(h, None, K, cv.c)
     assert len(A.indices) == 64
     assert set(A.labels) == {"periodic"}
@@ -318,7 +340,7 @@ def test_mather_delta_symmetric_and_zero_on_aubry(pendulum_state_64):
 
 def test_mather_delta_kinetic_positive_off_diagonal(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, critical_value(K))
+    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
     d = mather_delta(h)
     off = d.values[~np.eye(16, dtype=bool)]
     assert np.min(off) > 0.0
@@ -356,7 +378,7 @@ def test_quotient_kinetic_merges_at_spacing_squared(mane_zero_kernel_16):
     # delta scales like spacing^2/tau here, so a generous threshold
     # collapses neighbors into one class through chained merges
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, critical_value(K))
+    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
     A = aubry_set(h, None, K, 0.0)
     d = mather_delta(h)
     sp = K.grid.spacing
@@ -371,7 +393,7 @@ def test_quotient_kinetic_merges_at_spacing_squared(mane_zero_kernel_16):
 def test_representation_blocks_match_unblocked(monkeypatch, case, noise, block):
     K = ORACLE_CASES[case][0]()
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     # exact delta: every residual ties at 0; noisy delta: one largest residual
     rng = np.random.default_rng(3)
     delta = SemiMetric(values=mather_delta(h).values + noise * rng.random(h.values.shape))
@@ -446,7 +468,7 @@ def _no_blocks(*args, **kwargs):
 def test_offset_quotient_matches_union_find(monkeypatch, dim, n):
     g = build_grid(dim, n)
     K = build_kernel(g, kinetic_lagrangian(dim), stencil_radius=min(2, (n - 1) // 2) * g.spacing)
-    delta = mather_delta(peierls_barrier(K, critical_value(K)))
+    delta = mather_delta(peierls_barrier(K, critical_graph(K, critical_value(K))))
     dense = SemiMetric(values=delta.values, symmetric=True)
     A = _every_cell(delta.size)
     monkeypatch.setattr(aubry, "row_blocks", _no_blocks)
@@ -474,7 +496,7 @@ def test_offset_quotient_of_a_proper_subgroup(monkeypatch):
 def test_quotient_stage_reads_the_offset_table(monkeypatch, threshold):
     # the diameter of every class is that of the class of cell 0
     K = _kernel(2, 6, kinetic_lagrangian(2), cells=2)
-    h = peierls_barrier(K, critical_value(K))
+    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
     cfg = ExperimentConfig.from_dict({"grid": {"dim": 2, "n": 6},
                                       "aubry": {"merge_threshold": threshold}})
     state = {"grid": K.grid, "h": h, "A": _every_cell(36)}
@@ -516,7 +538,7 @@ def test_mather_delta_is_the_sum_with_the_transpose(monkeypatch, tile):
 def test_representation_check_forms_delta_itself(monkeypatch, case, part, block):
     K = ORACLE_CASES[case][0]()
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     A = aubry_set(h, None, K, cv.c)
     if part == "partial":
         ids = np.arange(K.point_count)[::-2]
@@ -537,7 +559,7 @@ def test_representation_check_without_delta_matches_the_full_pass(case):
     # an explicit delta always runs the pass
     K = ORACLE_CASES[case][0]()
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     A = aubry_set(h, None, K, cv.c)
     got, want = representation_check(h, None, A), representation_check(h, mather_delta(h), A)
     assert (got.max_residual, got.worst_pair, got.pairs_checked) == (
@@ -573,7 +595,7 @@ def test_representation_check_reads_no_block_on_a_zero_diagonal(monkeypatch, ids
 def test_representation_check_takes_the_pass_on_a_nonzero_diagonal_entry(monkeypatch, block):
     K = ORACLE_CASES["kinetic-6x6"][0]()
     cv = critical_value(K)
-    H = peierls_barrier(K, cv).values
+    H = peierls_barrier(K, critical_graph(K, cv)).values
     A = aubry_set(SemiMetric(values=H), None, K, cv.c)
     # zero on A's diagonal but for the last entry
     H[A.indices[-1], A.indices[-1]] = 0.25
@@ -636,7 +658,7 @@ def test_classify_constant_field_periodic_label():
     g = build_grid(1, 32)
     K = build_kernel(g, mane_lagrangian(constant_field([1.0], 1)))
     cv = critical_value(K)
-    h = peierls_barrier(K, cv)
+    h = peierls_barrier(K, critical_graph(K, cv))
     labels = classify_aubry(K, h, cv.c, np.array([0, 5]))
     assert labels == ["periodic", "periodic"]
 

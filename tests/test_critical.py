@@ -15,6 +15,7 @@ from weakkam import (
     check_dominated,
     constant_field,
     cosine_potential,
+    critical_graph,
     critical_value,
     kinetic_lagrangian,
     mane_lagrangian,
@@ -24,6 +25,8 @@ from weakkam import (
     zero_field,
 )
 
+from weakkam import critical, pipeline
+from weakkam.config import ExperimentConfig
 from weakkam.kernel import stencil_graph
 
 from conftest import toy_kernel
@@ -172,7 +175,8 @@ def test_lax_oleinik_shape_check(kinetic_kernel_16):
 
 
 def test_weak_kam_kinetic_is_constant(mane_zero_kernel_16):
-    sol = weak_kam_solution(mane_zero_kernel_16, critical_value(mane_zero_kernel_16))
+    K = mane_zero_kernel_16
+    sol = weak_kam_solution(K, critical_graph(K, critical_value(K)))
     assert sol.residual == 0.0
     assert sol.iterations == 2
     np.testing.assert_array_equal(sol.u.values, np.zeros(16))
@@ -180,7 +184,7 @@ def test_weak_kam_kinetic_is_constant(mane_zero_kernel_16):
 
 def test_weak_kam_pendulum_matches_barrier_column(pendulum_state_64):
     K, cv, h = pendulum_state_64["K"], pendulum_state_64["cv"], pendulum_state_64["h"]
-    sol = weak_kam_solution(K, cv)
+    sol = weak_kam_solution(K, critical_graph(K, cv))
     assert sol.u.values[0] == 0.0  # normalized at the Aubry cell
     assert np.ptp(sol.u.values) > 0.1
     np.testing.assert_allclose(sol.u.values, h.values[0], atol=1e-9)
@@ -189,8 +193,8 @@ def test_weak_kam_pendulum_matches_barrier_column(pendulum_state_64):
 def test_weak_kam_unique_up_to_constants(pendulum_state_64):
     K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
     rng = np.random.default_rng(11)
-    a = weak_kam_solution(K, cv, u0=rng.uniform(0, 1, 64))
-    b = weak_kam_solution(K, cv, u0=rng.uniform(0, 1, 64))
+    a = weak_kam_solution(K, critical_graph(K, cv), u0=rng.uniform(0, 1, 64))
+    b = weak_kam_solution(K, critical_graph(K, cv), u0=rng.uniform(0, 1, 64))
     diff = a.u.values - b.u.values
     assert diff.max() - diff.min() <= 1e-9
 
@@ -198,14 +202,15 @@ def test_weak_kam_unique_up_to_constants(pendulum_state_64):
 def test_weak_kam_accepts_value_function(mane_zero_kernel_16):
     g = build_grid(1, 16)
     u0 = ValueFunction(grid=g, values=np.zeros(16))
-    sol = weak_kam_solution(mane_zero_kernel_16, critical_value(mane_zero_kernel_16), u0=u0)
+    K = mane_zero_kernel_16
+    sol = weak_kam_solution(K, critical_graph(K, critical_value(K)), u0=u0)
     assert sol.residual == 0.0
 
 
 def test_weak_kam_rejects_bad_seed_shape(mane_zero_kernel_16):
+    K = mane_zero_kernel_16
     with pytest.raises(ConfigError):
-        weak_kam_solution(mane_zero_kernel_16, critical_value(mane_zero_kernel_16),
-                          u0=np.zeros(5))
+        weak_kam_solution(K, critical_graph(K, critical_value(K)), u0=np.zeros(5))
 
 
 def test_weak_kam_needs_critical_level(pendulum_state_64):
@@ -213,7 +218,49 @@ def test_weak_kam_needs_critical_level(pendulum_state_64):
     # below c the bias is no subsolution; above it no cycle is flat
     for c in (cv.c - 0.5, cv.c + 0.5):
         with pytest.raises(NumericalError):
-            weak_kam_solution(K, dataclasses.replace(cv, c=c))
+            weak_kam_solution(K, critical_graph(K, dataclasses.replace(cv, c=c)))
+
+
+def test_weak_kam_rejects_nan_and_minus_inf_seeds(pendulum_state_64):
+    K = pendulum_state_64["K"]
+    cg = critical_graph(K, pendulum_state_64["cv"])
+    for bad in (np.nan, -np.inf):
+        u0 = np.zeros(64)
+        u0[[5, 9]] = bad
+        with pytest.raises(ConfigError, match=f"u0 is {bad} at cell 5"):
+            weak_kam_solution(K, cg, u0=u0)
+    with pytest.raises(ConfigError, match="no finite entry"):
+        weak_kam_solution(K, cg, u0=np.full(64, np.inf))
+    # +inf starts nowhere: a seed at one cell is h(x, .) up to a constant
+    u0 = np.full(64, np.inf)
+    u0[40] = 0.0
+    u = weak_kam_solution(K, cg, u0=u0).u.values
+    h = pendulum_state_64["h"].values[40]
+    np.testing.assert_allclose(u - u.min(), h - h.min(), atol=1e-9)
+
+
+def test_all_run_builds_one_critical_graph(tmp_path, monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # the pipeline holds its own binding of critical_graph
+    counted(pipeline, "critical_graph")
+    counted(critical, "stencil_graph")
+    counted(critical, "connected_components")
+    cfg = ExperimentConfig.from_dict({
+        "model": {"family": "mechanical", "potential": {"name": "cosine", "k": [1]}},
+        "grid": {"dim": 1, "n": 64}, "outputs": {"directory": str(tmp_path)}})
+    manifest = pipeline.run_pipeline(cfg, ["all"])
+    assert {"weakkam", "barrier", "regularize"} <= set(manifest["stages"])
+    # the initial policy's graph and the critical graph, one strong-component pass
+    assert calls == {"critical_graph": 1, "stencil_graph": 2, "connected_components": 1}
 
 
 def test_weak_kam_needs_a_path_from_the_critical_cells():
@@ -224,7 +271,7 @@ def test_weak_kam_needs_a_path_from_the_critical_cells():
     K = ActionKernel(grid=g, tau=1.0, stencil_radius=g.spacing,
                      offsets=np.array([[0, 0], [1, 0]]), weights=weights)
     with pytest.raises(NumericalError, match="no critical cell reaches cells \\[1, 3\\]"):
-        weak_kam_solution(K, critical_value(K))
+        weak_kam_solution(K, critical_graph(K, critical_value(K)))
 
 
 def test_dominated_constants_on_mane(mane_zero_kernel_16):
@@ -235,9 +282,24 @@ def test_dominated_constants_on_mane(mane_zero_kernel_16):
 
 def test_dominated_weak_kam_output(pendulum_state_64):
     K, c = pendulum_state_64["K"], pendulum_state_64["c"]
-    sol = weak_kam_solution(K, pendulum_state_64["cv"])
+    sol = weak_kam_solution(K, critical_graph(K, pendulum_state_64["cv"]))
     rep = check_dominated(K, sol.u, c, tol=1e-9)
     assert rep.dominated
+
+
+def test_dominated_checks_the_length_of_u(kinetic_kernel_16):
+    with pytest.raises(ConfigError, match=r"values of shape \(7,\) for 16 kernel points"):
+        check_dominated(kinetic_kernel_16, np.zeros(7), 0.0)
+
+
+def test_witness_mean_rejects_a_bad_cycle():
+    K = build_kernel(build_grid(1, 32), kinetic_lagrangian(1))
+    cv = critical_value(K)
+    with pytest.raises(ConfigError, match="empty"):
+        dataclasses.replace(cv, witness_cycle=[]).witness_mean(K)
+    for cycle, bad in (([3, 40], 40), ([-1, 0], -1)):
+        with pytest.raises(ConfigError, match=rf"outside the 32 points: \[{bad}\]"):
+            dataclasses.replace(cv, witness_cycle=cycle).witness_mean(K)
 
 
 def test_sawtooth_violates_domination(kinetic_kernel_16):

@@ -10,6 +10,7 @@ from weakkam import (
     build_grid,
     build_kernel,
     circle_points,
+    critical_graph,
     critical_value,
     ferry_delta_p,
     hausdorff1_report,
@@ -116,7 +117,7 @@ def test_quadratic_bound_on_exact_square_metric():
 
 def test_quadratic_bound_pendulum_like(mane_zero_kernel_16):
     K = mane_zero_kernel_16
-    h = peierls_barrier(K, critical_value(K))
+    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
     A = aubry_set(h, None, K, 0.0)
     rep = quadratic_bound_check(mather_delta(h), A, K.grid, window=0.3)
     # kinetic deltas are d^2/tau on neighbor pairs; ratio stays bounded
@@ -195,7 +196,7 @@ def kinetic_delta(request):
     dim, n = request.param
     g = build_grid(dim, n)
     K = build_kernel(g, kinetic_lagrangian(dim), stencil_radius=min(2, (n - 1) // 2) * g.spacing)
-    return mather_delta(peierls_barrier(K, critical_value(K)))
+    return mather_delta(peierls_barrier(K, critical_graph(K, critical_value(K))))
 
 
 def _no_level_matrix(*args):

@@ -13,6 +13,7 @@ from weakkam import (
     chain_recurrent_set,
     check_dominated,
     cosine_potential,
+    critical_graph,
     critical_value,
     ferry_delta_p,
     hausdorff1_report,
@@ -107,7 +108,7 @@ def test_shifted_steps_preserve_domination(seed, steps):
     K, cv = pendulum64()
     c = cv.c
     rng = np.random.default_rng(seed)
-    u = weak_kam_solution(K, cv, u0=rng.uniform(0, 1, 64)).u.values
+    u = weak_kam_solution(K, critical_graph(K, cv), u0=rng.uniform(0, 1, 64)).u.values
     assert check_dominated(K, u, c, tol=1e-9).dominated
     shift = c * K.tau
     for _ in range(steps):
@@ -153,9 +154,10 @@ def test_barrier_matches_closure_oracle_2d(n, steps, seed):
         ref = closure_barrier(K, cv.c).values
     except NumericalError:
         with pytest.raises(NumericalError):
-            peierls_barrier(K, cv)
+            peierls_barrier(K, critical_graph(K, cv))
         return
-    np.testing.assert_allclose(peierls_barrier(K, cv).values, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(peierls_barrier(K, critical_graph(K, cv)).values, ref,
+                               rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +175,7 @@ def test_weak_kam_matches_closure_oracle_2d(n, steps, seed):
     cv = critical_value(K)
     u0 = rng.uniform(0, 10, g.point_count)
     lim = np.min(u0[:, None] + closure_barrier(K, cv.c).values, axis=0)
-    u = weak_kam_solution(K, cv, u0=u0).u.values
+    u = weak_kam_solution(K, critical_graph(K, cv), u0=u0).u.values
     np.testing.assert_allclose(u, lim - lim.min(), rtol=0.0, atol=1e-12)
 
 

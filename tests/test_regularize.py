@@ -11,6 +11,7 @@ from weakkam import (
     build_kernel,
     check_dominated,
     cosine_potential,
+    critical_graph,
     critical_value,
     kinetic_lagrangian,
     mane_lagrangian,
@@ -39,7 +40,7 @@ def pend_smooth_128():
     g = build_grid(1, 128)
     K = build_kernel(g, PEND, tau=0.125, stencil_radius=0.3)
     cv = critical_value(K)
-    sol = weak_kam_solution(K, cv)
+    sol = weak_kam_solution(K, critical_graph(K, cv))
     return {"g": g, "K": K, "c": cv.c, "u": sol.u}
 
 
@@ -106,7 +107,7 @@ def test_smooth_output_near_fixed_point():
     g = build_grid(1, 64)
     K = build_kernel(g, PEND)
     cv = critical_value(K)
-    sol = weak_kam_solution(K, cv)
+    sol = weak_kam_solution(K, critical_graph(K, cv))
     v = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau))
     res = np.max(np.abs(K.apply_min(v.values, cv.c * K.tau) - v.values))
     assert res <= 2e-9
@@ -170,7 +171,7 @@ def test_subsolution_residual_halves_under_refinement():
         g = build_grid(1, n)
         K = build_kernel(g, PEND, tau=0.0625, stencil_radius=0.3)
         cv = critical_value(K)
-        sol = weak_kam_solution(K, cv)
+        sol = weak_kam_solution(K, critical_graph(K, cv))
         res[n] = np.max(subsolution_residual_field(sol.u, PEND, g)) - cv.c
     assert res[128] <= 10 * (1.0 / 128)
     assert 0.35 * res[128] <= res[256] <= 0.65 * res[128]
