@@ -30,7 +30,7 @@ from .chains import (
     compare_aubry_chain, weak_kam_constancy_check, default_chain_parameters,
 )
 from .regularize import (
-    SmoothingSchedule, default_schedule, alternating_smooth,
+    alternating_smooth,
     semiconvexity_constant, semiconcavity_constant, discrete_gradient,
     subsolution_residual_field, aubry_drift, tent_function,
 )

@@ -28,6 +28,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .critical import CriticalGraph
 from .errors import ConfigError, NumericalError
+from .grid import check_ids
 from .kernel import ActionKernel, available_memory, check_memory, first_min, invariant_axes
 
 # entries of each row block the A x A consumers of h and delta read
@@ -46,15 +47,6 @@ class _Pairwise:
     def diagonal(self) -> np.ndarray:
         ids = np.arange(self.size)
         return self.at(ids, ids)
-
-    def check_ids(self, ids) -> np.ndarray:
-        """The ids as int64 rows; ConfigError unless 0 <= id < size, since
-        numpy indexing would wrap a negative id silently."""
-        ids = np.asarray(ids, dtype=np.int64)
-        bad = ids[(ids < 0) | (ids >= self.size)]
-        if bad.size:
-            raise ConfigError(f"ids outside the {self.size} points: {bad[:8].tolist()}")
-        return ids
 
     def offset_table(self, pos) -> Optional[np.ndarray]:
         """D, of the grid's shape, with self[y, z] = D[cell z - cell y] modulo
@@ -190,27 +182,34 @@ class _Rolled:
 class PeierlsBarrier(_Pairwise):
     """The barrier h as its factors, its representatives and critical edges.
 
-    h_rows reads h and ht_rows h.T: each a _MinPlus of the shortest-path
-    tables into and out of the representatives, or a _Rolled of the slab
-    rows g(r, .) or of their index-permuted copy gt(r, .) = h(., r). When
-    every axis is invariant, delta_rows reads delta = h + h.T from the one
-    table D = g + gt, entry for entry the same add, and
-    MatherDelta.offset_table hands D itself to the consumers of delta.
+    rows reads h: a _MinPlus of the shortest-path tables into and out of
+    the representatives, or a _Rolled of the slab rows. h.T is read from
+    the same reader, h(cols, rows) gathered entry by entry. When every axis
+    is invariant, h(y, z) = T(z - y) for the one slab row T, which
+    offset_table returns.
     """
 
     size: int
     representatives: np.ndarray  # smallest cell of each critical class
     critical_edges: int
     invariant_axes: list         # slab path only
-    h_rows: object
-    ht_rows: object
-    delta_rows: Optional[_Rolled] = None
+    rows: object
 
     def at(self, y, z) -> np.ndarray:
-        return self.h_rows.at(y, z)
+        return self.rows.at(y, z)
 
     def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
-        return (self.ht_rows if transpose else self.h_rows).block(rows, cols)
+        if not transpose:
+            return self.rows.block(rows, cols)
+        # rows of h.T are columns of h: gather them, never whole rows of h
+        ids = np.arange(self.size)
+        return self.rows.at(ids[cols][None, :], ids[rows][:, None])
+
+    def offset_table(self, pos) -> Optional[np.ndarray]:
+        if not (isinstance(self.rows, _Rolled) and _whole(self, pos)
+                and len(self.invariant_axes) == len(self.rows.shape)):
+            return None
+        return self.rows.table.reshape(self.rows.shape)
 
     values = cached_property(_dense)
 
@@ -254,28 +253,21 @@ def peierls_barrier(K: ActionKernel, cg: CriticalGraph) -> PeierlsBarrier:
     # every cell is critical, so h = SP: rows from the slab, rolled
     rolled = critical.size == N and slab.size <= reps.size
     axes = axes if rolled else []
-    # two k x N tables, k the slab cells or the representatives, each
-    # doubled along every invariant axis
+    # two k x N tables for the k representatives; for the k slab cells, one
+    # and its copy doubled along every invariant axis, within the same bound
     k = slab.size if rolled else reps.size
     check_memory(16 * k * N * 2**len(axes), available_memory(),
                  f"the barrier's {k} shortest-path rows over {N} cells need")
     if rolled:
         sp = dijkstra(G, indices=slab)[:, :N] - x[slab, None] + x
-        tables, h_rows = [sp], _Rolled(sp, shape, axes)
-        # h.T's rows are rolls of h's columns at the slab cells, as h's
-        # rows are of its rows there
-        spt = h_rows.at(np.arange(N), slab[:, None])
-        ht_rows = _Rolled(spt, shape, axes)
-        delta_rows = _Rolled(sp + spt, shape, axes) if slab.size == 1 else None
+        tables, rows = [sp], _Rolled(sp, shape, axes)
     else:
         # into[i, y] = SP(y, a) - x(a) and out[i, y] = SP(a, y) + x(a), a = reps[i]
         into = dijkstra(G.T, indices=reps)[:, :N] - x
         out = dijkstra(G, indices=reps)[:, :N] + x
-        tables, delta_rows = [into, out], None
-        h_rows, ht_rows = _MinPlus(into, out), _MinPlus(out, into)
+        tables, rows = [into, out], _MinPlus(into, out)
     h = PeierlsBarrier(size=N, representatives=reps, critical_edges=cg.critical_edges,
-                       invariant_axes=axes, h_rows=h_rows, ht_rows=ht_rows,
-                       delta_rows=delta_rows)
+                       invariant_axes=axes, rows=rows)
     # h(y, z) is finite exactly when some path leads from y to z, and every
     # h(y, z) is finite exactly when every table entry is
     if not all(np.isfinite(t).all() for t in tables):
@@ -313,9 +305,9 @@ def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices) -> list:
 
     stationary: the cell's own self-loop minimizes cost(x,y)+c*tau+h(y,x).
     periodic: following successors returns to the cell through distinct
-    cells within point_count steps.
+    cells within point_count steps. ConfigError for an id outside the grid.
     """
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = check_ids(indices, K.point_count)
     succ, stationary = {}, {}
 
     def learn(cells):
@@ -357,8 +349,9 @@ def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices) -> list:
 
 @dataclass
 class MatherDelta(_Pairwise):
-    """delta(x,y) = h(x,y) + h(y,x), each entry the one IEEE add of h + h.T
-    (a barrier whose every axis is invariant reads it from its own table)."""
+    """delta(x,y) = h(x,y) + h(y,x), each entry the one IEEE add of h + h.T;
+    over every cell of a barrier read from one offset table T, delta is the
+    table T + T(-.)."""
 
     h: _Pairwise
     symmetric = True
@@ -368,18 +361,13 @@ class MatherDelta(_Pairwise):
         return self.h.at(y, z) + self.h.at(z, y)
 
     def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
-        own = getattr(self.h, "delta_rows", None)
-        if own is not None:
-            return own.block(rows, cols)
         return self.h.block(rows, cols) + self.h.block(rows, cols, transpose=True)
 
     def offset_table(self, pos) -> Optional[np.ndarray]:
-        # h reads delta from one table only when every axis is invariant,
-        # so the table has one row: the slab is cell 0 alone
-        own = getattr(self.h, "delta_rows", None)
-        if own is None or not _whole(self, pos):
+        T = self.h.offset_table(pos)
+        if T is None:
             return None
-        return own.table.reshape(own.shape)
+        return T + T[np.ix_(*(-np.arange(n) % n for n in T.shape))]
 
     values = cached_property(_dense)
 
@@ -423,7 +411,7 @@ def quotient(delta: _Pairwise, A: AubrySet, merge_threshold: float) -> QuotientP
     {v : D(v) <= merge_threshold}, found from D alone in O(N log N). Else
     the threshold graph is read from the row blocks of delta.
     """
-    pos = delta.check_ids(A.indices)
+    pos = check_ids(A.indices, delta.size)
     D = delta.offset_table(pos)
     if D is not None:
         labels = _coset_labels(D <= merge_threshold)
@@ -463,7 +451,7 @@ def representation_check(h: _Pairwise, delta: Optional[_Pairwise],
     needs h finite on A x A, as every peierls_barrier result is. A NaN
     residual is reported as the maximum, at its first pair.
     """
-    pos = h.check_ids(A.indices)
+    pos = check_ids(A.indices, h.size)
     diag = h.at(pos, pos)
     if delta is None and pos.size and not diag.any():
         a = int(A.indices[0])

@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
-from .grid import GridTorus, wrap_displacement
+from .grid import GridTorus, check_ids, wrap_displacement
 from .kernel import available_memory, check_memory
 from .models import VectorField
 
@@ -143,9 +143,10 @@ def _farthest_nearest(xq: np.ndarray, xt: np.ndarray, flip: bool) -> float:
 
 def compare_aubry_chain(aubry_indices, chain_indices, grid: GridTorus) -> SetComparison:
     """Hausdorff distance in the torus metric plus one-sided leftovers, in
-    O((|a| + |b|) log) through nearest-neighbour queries (_farthest_nearest)."""
-    a = np.asarray(aubry_indices, dtype=np.int64)
-    b = np.asarray(chain_indices, dtype=np.int64)
+    O((|a| + |b|) log) through nearest-neighbour queries (_farthest_nearest).
+    ConfigError when a set is empty or has a cell id outside the grid."""
+    a = check_ids(aubry_indices, grid.point_count)
+    b = check_ids(chain_indices, grid.point_count)
     if a.size == 0 or b.size == 0:
         raise ConfigError("set comparison requires two nonempty sets")
     xa = grid.coords(a)

@@ -17,13 +17,20 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ConfigError, NumericalError
-from .grid import ValueFunction, as_value_array
+from .grid import ValueFunction, as_value_array, check_ids
 from .kernel import ActionKernel, first_min, stencil_graph
 
 # reduced costs at most ZERO_TOL * scale are critical edges; below
 # -NEGATIVE_TOL * scale the bias is no subsolution, so c is too low
 ZERO_TOL = 1e-10
 NEGATIVE_TOL = 1e-9
+
+
+def check_tolerance(tol: float):
+    """ConfigError unless tol is a finite number >= 0: a NaN tolerance
+    would pass every residual, as no comparison with NaN is true."""
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol}")
 
 
 @dataclass
@@ -40,13 +47,9 @@ class CriticalValue:
     def witness_mean(self, K: ActionKernel) -> float:
         """Replay the witness cycle through the kernel and average it;
         ConfigError unless it is a nonempty list of the kernel's cells."""
-        cyc = list(self.witness_cycle)
+        cyc = check_ids(self.witness_cycle, K.point_count).tolist()
         if not cyc:
             raise ConfigError("the witness cycle is empty")
-        bad = [a for a in cyc if not 0 <= a < K.point_count]
-        if bad:
-            raise ConfigError(f"witness cycle cells outside the {K.point_count} points: "
-                              f"{bad[:8]}")
         total = 0.0
         fwd = K.targets(cyc)
         for i, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
@@ -141,12 +144,14 @@ def _initial_policy(K: ActionKernel) -> np.ndarray:
     zero = np.nonzero(np.all(K.offsets == 0, axis=1))[0]
     if zero.size == 0:
         return policy
-    G = stencil_graph(K, W, -W.min())
+    N = K.point_count
+    G = stencil_graph(K, -W.min(), np.zeros(N))
     v_star = int(np.argmin(W[zero[0]]))
-    _, pred = dijkstra(G, indices=v_star, return_predecessors=True)
+    # v* cannot reach the source node N, which has no in-edges
+    pred = dijkstra(G, indices=v_star, return_predecessors=True)[1][:N]
     del G
     tree = first_min(np.where(src == pred, w, np.inf)
-                     for w, src in zip(W, K.rolled(np.arange(K.point_count))))[1]
+                     for w, src in zip(W, K.rolled(np.arange(N))))[1]
     policy = np.where(pred >= 0, tree, policy)
     policy[v_star] = zero[0]
     return policy
@@ -213,11 +218,13 @@ def check_dominated(K: ActionKernel, u: np.ndarray, c: float, tol: float = 0.0) 
 @dataclass
 class CriticalGraph:
     """The reduced costs r >= 0 at level cv.c as the CSR graph of stencil_graph
-    on N + 1 nodes, the sorted critical cells, the strong class of every node
-    among the zero edges (r <= ZERO_TOL * scale) and the critical-edge count:
-    zero edges inside a class, which lie on flat cycles. Node N is the source
-    weak_kam_solution rewrites the out-edges of, the last N entries of
-    graph.data; it has no in-edges, so no path between cells crosses it."""
+    on N + 1 nodes, each row in offset order, the sorted critical cells, the
+    strong class of every node among the zero edges (r <= ZERO_TOL * scale)
+    and the critical-edge count: zero edges inside a class, which lie on flat
+    cycles. Class labels are arbitrary numbers, to compare for equality only.
+    Node N is the source weak_kam_solution rewrites the out-edges of, the
+    last N entries of graph.data; it has no in-edges, so no path between
+    cells crosses it."""
 
     cv: CriticalValue
     graph: sparse.csr_matrix
@@ -244,7 +251,7 @@ def critical_graph(K: ActionKernel, cv: CriticalValue) -> CriticalGraph:
     ct, W = cv.c * K.tau, K.weights
     # rounding is monotone, so these are the extremes of W + c*tau
     scale = max(1.0, max(float(W.max() + ct), -float(W.min() + ct)) + float(np.max(np.abs(x))))
-    G = stencil_graph(K, W, ct, x, source=True)
+    G = stencil_graph(K, ct, x)
     # the cell edges; the source's, the last N entries, weigh 0
     r = G.data[:-K.point_count]
     if r.min() < -NEGATIVE_TOL * scale:
@@ -253,11 +260,12 @@ def critical_graph(K: ActionKernel, cv: CriticalValue) -> CriticalGraph:
             "subsolution there. The supplied c is likely not the critical value "
             "of this kernel.")
     np.maximum(r, 0.0, out=r)
-    # the zero edges of the row-major graph, their rows from indptr
+    # the zero edges, read in place: G's rows in G's order, cut by indptr
     zero = np.flatnonzero(r <= ZERO_TOL * scale)
     row, col = np.searchsorted(G.indptr, zero, side="right") - 1, G.indices[zero]
     _, labels = connected_components(
-        sparse.csr_matrix((np.ones(row.size), (row, col)), shape=G.shape),
+        sparse.csr_matrix((np.ones(zero.size), col, np.searchsorted(zero, G.indptr)),
+                          shape=G.shape),
         directed=True, connection="strong")
     inner = labels[row] == labels[col]
     critical = np.unique(col[inner])
@@ -277,9 +285,11 @@ def weak_kam_solution(K: ActionKernel, cg: CriticalGraph, u0: Optional[np.ndarra
     first starts every cell x at u0(x) (default 0; +inf starts nowhere) and
     gives g(a) = min_x u0(x) + SP(x,a), the second starts the critical cells
     a at g(a) and gives min_a g(a) + SP(a,y). ConfigError when u0 has a NaN
-    or -inf entry or no finite one; NumericalError when the fixed-point
-    residual max |T- u + c*tau - u| exceeds tol.
+    or -inf entry or no finite one, or tol is not a finite number >= 0;
+    NumericalError when the fixed-point residual max |T- u + c*tau - u|
+    exceeds tol.
     """
+    check_tolerance(tol)
     N = cg.check(K)
     u0 = np.zeros(N) if u0 is None else as_value_array(u0)
     if u0.shape != (N,):

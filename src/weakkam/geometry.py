@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import GridTorus, wrap_displacement
+from .grid import GridTorus, check_ids, wrap_displacement
 from .aubry import AubrySet, SemiMetric, _Pairwise, row_blocks
 from .kernel import available_memory, check_memory
 
@@ -190,7 +190,7 @@ def hausdorff1_report(delta: _Pairwise, indices, scale_grid) -> CoveringReport:
     if scales.size == 0 or not np.all((scales > 0) & (scales < np.inf)):
         raise ConfigError("scale_grid must be nonempty finite positive radii")
     scales = np.sort(scales)[::-1].copy()
-    ids = np.arange(delta.size) if indices is None else delta.check_ids(indices)
+    ids = np.arange(delta.size) if indices is None else check_ids(indices, delta.size)
     coverings = _greedy_coverings(delta, ids, scales)
     counts = np.array([len(c) for c in coverings])
     h1 = counts * 2.0 * scales
@@ -224,7 +224,7 @@ def quadratic_bound_check(delta: _Pairwise, A: AubrySet, grid: GridTorus,
             f"window {window} leaves no pairs above the 2*spacing={2*grid.spacing} cutoff")
     if delta.size != grid.point_count:
         raise ConfigError(f"delta has {delta.size} points, the grid {grid.point_count}")
-    pos = delta.check_ids(A.indices)
+    pos = check_ids(A.indices, delta.size)
     xs = grid.coords(A.indices)
     ys = grid.coords()
     disp = wrap_displacement(xs[:, None, :], ys[None, :, :])

@@ -102,6 +102,16 @@ class ValueFunction:
         return self.values.reshape(self.grid.shape)
 
 
+def check_ids(ids, count: int) -> np.ndarray:
+    """The ids as int64; ConfigError unless 0 <= id < count, since numpy
+    indexing would wrap a negative id silently."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= count)]
+    if bad.size:
+        raise ConfigError(f"ids outside the {count} points: {bad[:8].tolist()}")
+    return ids
+
+
 def as_value_array(u) -> np.ndarray:
     """Accept a ValueFunction or a plain array and return the flat values."""
     if isinstance(u, ValueFunction):

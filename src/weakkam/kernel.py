@@ -112,8 +112,8 @@ class ActionKernel:
         Lax-Oleinik step.
 
         u may be a ValueFunction, a vector (N,) or a stack (..., N); the
-        operation maps over leading axes, which is how all-pairs
-        relaxations run. ConfigError when the last axis is not N long.
+        operation maps over leading axes, one value function per row.
+        ConfigError when the last axis is not N long.
         """
         u = as_value_array(u)
         if u.shape[-1:] != (self.point_count,):
@@ -141,6 +141,8 @@ class ActionKernel:
 def stencil_offsets(grid: GridTorus, stencil_radius: float) -> np.ndarray:
     """Integer cell offsets with Euclidean reach <= stencil_radius."""
     sp = grid.spacing
+    if np.isnan(stencil_radius):
+        raise ConfigError("stencil radius must be a number, got nan")
     # bounded before int(), which a radius near the float range overflows
     max_cells = int(min(np.floor(stencil_radius / sp + 1e-9), grid.n_per_axis))
     if max_cells < 1:
@@ -161,7 +163,8 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
     """Evaluate the one-step action on the stencil.
 
     tau defaults to the grid spacing (unit velocities advance one cell);
-    stencil_radius defaults to 4 cells. Raises NumericalError when the
+    stencil_radius defaults to 4 cells. Raises ConfigError for a NaN,
+    infinite or nonpositive tau or a NaN radius, NumericalError when the
     kernel's arrays would not fit in free memory.
     """
     if L.dim != grid.dim:
@@ -169,8 +172,8 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
     sp = grid.spacing
     tau = sp if tau is None else float(tau)
     stencil_radius = 4 * sp if stencil_radius is None else float(stencil_radius)
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ConfigError(f"tau must be positive and finite, got {tau}")
 
     offsets = stencil_offsets(grid, stencil_radius)
     # the coordinates, the (S, N) weights and one stencil graph (float64
@@ -223,53 +226,42 @@ def first_min(rows) -> tuple:
     return best, arg
 
 
-def stencil_graph(K: ActionKernel, weights: np.ndarray, shift: float = 0.0,
-                  potential=None, source: bool = False) -> sparse.csr_matrix:
-    """Sparse (N, N) forward graph: row y lists its targets z = y + offsets[s]
-    in ascending order, the edge y -> z weighing weights[s, z] + shift, then
-    + potential(y) - potential(z) when a potential is given. With source, an
-    (N + 1)-th node has an edge to every cell, the last N entries, of weight
-    0 for the caller to rewrite.
+def stencil_graph(K: ActionKernel, shift: float, potential: np.ndarray) -> sparse.csr_matrix:
+    """Sparse forward graph on N + 1 nodes: row y lists its targets
+    z = y + offsets[s] in offset order, the edge y -> z weighing
+    K.weights[s, z] + shift + potential(y) - potential(z). Node N, a source
+    with no in-edges, has an edge to every cell, the last N entries, of
+    weight 0 for the caller to rewrite.
 
     Offsets congruent mod n alias onto the same (source, target) pair on
-    tiny grids: the cheapest weight is kept. Zero weights stay stored, since
-    csgraph reads a missing entry as no edge; infinite weights mark absent
-    edges and are dropped.
+    tiny grids: the first of them is listed with the cheapest weight. Zero
+    weights stay stored, since csgraph reads a missing entry as no edge;
+    infinite weights mark absent edges and are dropped.
     """
     N, n = K.point_count, K.grid.n_per_axis
-    offsets = K.offsets
+    offsets, weights = K.offsets, K.weights
     _, first, group = np.unique(offsets % n, axis=0, return_index=True, return_inverse=True)
     if first.size < len(offsets):
+        # each offset's alias class, numbered by its first member's order
+        group = np.argsort(np.argsort(first))[group]
         w = np.full((first.size, N), np.inf)
         for s, g in enumerate(group):
             np.minimum(w[g], weights[s], out=w[g])
-        offsets, weights = offsets[first], w
+        offsets, weights = offsets[np.sort(first)], w
     S = len(offsets)
     E = N * S
-    data, indices = np.empty(E + N * source), np.empty(E + N * source, dtype=np.int32)
-    D, T = data[:E].reshape(K.grid.shape + (S,)), indices[:E].reshape(K.grid.shape + (S,))
+    data, indices = np.empty(E + N), np.empty(E + N, dtype=np.int32)
+    D, T = data[:E].reshape(N, S), indices[:E].reshape(N, S)
     for s, t in enumerate(K.rolled(np.arange(N), -offsets)):
         w = weights[s][t]
         w += shift
-        if potential is not None:
-            w += potential
-            w -= potential[t]
-        T[..., s], D[..., s] = t.reshape(K.grid.shape), w.reshape(K.grid.shape)
-    # rows whose stencil wraps the same way round every axis share one order
-    # of their targets: a box of them, cut where some offset wraps, takes the
-    # order of its first row: each target's rank among that row's targets
-    cuts = [sorted({0, n, *(-offsets[:, a] % n).tolist()}) for a in range(K.grid.dim)]
-    for box in itertools.product(*(zip(c[:-1], c[1:]) for c in cuts)):
-        t = T[tuple(lo for lo, _ in box)]
-        rank = np.count_nonzero(t[:, None] > t, axis=1)
-        if np.any(rank != np.arange(S)):
-            box = tuple(slice(lo, hi) for lo, hi in box)
-            D[box][..., rank], T[box][..., rank] = D[box].copy(), T[box].copy()
-    indptr = np.arange(0, E + 1, S)
-    if source:
-        data[E:], indices[E:], indptr = 0.0, np.arange(N), np.append(indptr, E + N)
+        w += potential
+        w -= potential[t]
+        T[:, s], D[:, s] = t, w
+    data[E:], indices[E:] = 0.0, np.arange(N)
+    indptr = np.append(np.arange(0, E + 1, S), E + N)
     if not (np.isfinite(data.min()) and np.isfinite(data.max())):
         keep = np.isfinite(data)
         indptr = np.concatenate(([0], np.cumsum(np.add.reduceat(keep, indptr[:-1]))))
         data, indices = data[keep], indices[keep]
-    return sparse.csr_matrix((data, indices, indptr), shape=(N + source, N + source))
+    return sparse.csr_matrix((data, indices, indptr), shape=(N + 1, N + 1))

@@ -37,9 +37,8 @@ from .csvformat import FLOAT_FMT, format_rows
 from .errors import ArtifactError, ConfigError, WeakKamError
 from .geometry import ferry_delta_p, hausdorff1_report
 from .models import load_points_csv
-from .regularize import (alternating_smooth, aubry_drift, default_schedule,
-                         semiconcavity_constant, semiconvexity_constant,
-                         subsolution_residual_field)
+from .regularize import (alternating_smooth, aubry_drift, semiconcavity_constant,
+                         semiconvexity_constant, subsolution_residual_field)
 
 BARRIER_DUMP_LIMIT = 2048  # full matrix CSV only below this point count
 CSV_SLICE_ROWS = 1024  # rows formatted at once, so a long chunk's text stays small
@@ -242,9 +241,8 @@ def _stage_regularize(cfg, state):
     grid, K, L = state["grid"], state["K"], state["L"]
     c = state["cv"].c
     u = state["sol"].u
-    schedule = default_schedule(K.tau, stages=int(cfg.raw["regularizer"]["stages"]))
     tol = max(cfg.solver_tol(), 8 * state["sol"].residual)
-    v = alternating_smooth(u, K, c, schedule, tol=tol)
+    v = alternating_smooth(u, K, c, int(cfg.raw["regularizer"]["stages"]), tol=tol)
     resid = subsolution_residual_field(v, L, grid)
     cols = (np.arange(grid.point_count), u.values, v.values, resid - c)
     return {}, {

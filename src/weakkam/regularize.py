@@ -6,53 +6,30 @@ functions that stay dominated, agree with the input on the Aubry cells
 of order 1/t from the quadratic cost of fast transitions.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import GridTorus, ValueFunction
+from .grid import GridTorus, ValueFunction, check_ids
 from .kernel import ActionKernel
-from .critical import check_dominated
+from .critical import check_dominated, check_tolerance
 from .models import Lagrangian, legendre_hamiltonian
 
 
-@dataclass
-class SmoothingSchedule:
-    t_plus: list
-    t_minus: list
+def alternating_smooth(u: ValueFunction, K: ActionKernel, c: float, stages: int = 4,
+                       tol: float = 1e-9) -> ValueFunction:
+    """S_N(u): stage k = 1..stages runs 2^max(0, 3 - k) forward steps, then as
+    many backward steps: 4, 2, then 1 per stage.
 
-    def __post_init__(self):
-        if len(self.t_plus) != len(self.t_minus) or not self.t_plus:
-            raise ConfigError("schedule needs matching nonempty t_plus/t_minus lists")
-        if min(self.t_plus) <= 0 or min(self.t_minus) <= 0:
-            raise ConfigError("all smoothing times must be positive")
-
-    def step_counts(self, tau: float):
-        """Whole numbers of one-step operator applications per stage."""
-        plus = [max(1, int(round(t / tau))) for t in self.t_plus]
-        minus = [max(1, int(round(t / tau))) for t in self.t_minus]
-        return plus, minus
-
-
-def default_schedule(tau: float, stages: int = 4) -> SmoothingSchedule:
-    """Halving schedule starting at 4*tau, clamped to >= tau.
-
-    The opening stage is wide enough for the forward pass to flatten a
-    kink across several cells; later stages shrink toward the kernel
-    step to tighten values back onto the input.
+    The opening stage is wide enough for the forward pass to flatten a kink
+    across several cells; later stages shrink toward the kernel step to
+    tighten values back onto the input. Every individual step is
+    c*tau-shifted, which preserves domination exactly; the input must be
+    dominated to begin with, up to tol. ConfigError when stages is not a
+    positive integer or tol is not a finite number >= 0.
     """
-    ts = [tau * 2.0 ** max(0, 3 - n) for n in range(1, stages + 1)]
-    return SmoothingSchedule(t_plus=list(ts), t_minus=list(ts))
-
-
-def alternating_smooth(u: ValueFunction, K: ActionKernel, c: float,
-                       schedule: SmoothingSchedule, tol: float = 1e-9) -> ValueFunction:
-    """S_N(u): per stage, t/tau forward steps then t/tau backward steps.
-
-    Every individual step is c*tau-shifted, which preserves domination
-    exactly; the input must be dominated to begin with.
-    """
+    if not isinstance(stages, (int, np.integer)) or stages < 1:
+        raise ConfigError(f"stages must be a positive integer, got {stages!r}")
+    check_tolerance(tol)
     rep = check_dominated(K, u.values, c)
     if rep.max_violation > tol:
         raise NumericalError(
@@ -60,11 +37,11 @@ def alternating_smooth(u: ValueFunction, K: ActionKernel, c: float,
             f"on edge {rep.worst_edge}")
     shift = c * K.tau
     v = np.asarray(u.values, dtype=float).copy()
-    plus, minus = schedule.step_counts(K.tau)
-    for np_steps, nm_steps in zip(plus, minus):
-        for _ in range(np_steps):
+    for k in range(1, stages + 1):
+        steps = 2 ** max(0, 3 - k)
+        for _ in range(steps):
             v = K.apply_max(v, shift)
-        for _ in range(nm_steps):
+        for _ in range(steps):
             v = K.apply_min(v, shift)
     return ValueFunction(u.grid, v)
 
@@ -108,8 +85,9 @@ def subsolution_residual_field(u: ValueFunction, L: Lagrangian,
 
 
 def aubry_drift(u_in: ValueFunction, u_out: ValueFunction, aubry_indices) -> float:
-    """max |u_out - u_in| over the Aubry cells."""
-    idx = np.asarray(aubry_indices, dtype=np.int64)
+    """max |u_out - u_in| over the Aubry cells; ConfigError for a cell id
+    outside the grid."""
+    idx = check_ids(aubry_indices, u_in.grid.point_count)
     if idx.size == 0:
         raise ConfigError("no Aubry cells to measure drift on")
     return float(np.max(np.abs(u_out.values[idx] - u_in.values[idx])))

@@ -1,7 +1,5 @@
 """Shared kernel builders. Session-scoped: closures are the slow part."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from weakkam import (
     peierls_barrier,
     zero_field,
 )
-from weakkam.aubry import _Rolled
+from weakkam.aubry import PeierlsBarrier, _Rolled
 
 
 def toy_kernel(cost, tau=1.0):
@@ -41,11 +39,14 @@ def toy_kernel(cost, tau=1.0):
 
 
 def offset_delta(D):
-    """The Mather delta(y, z) = D[cell z - cell y] on the torus of D's shape,
-    read from D as from the barrier of a kernel whose every axis is invariant."""
+    """The Mather delta(y, z) = D[cell z - cell y] on the torus of D's shape
+    for a symmetric D, as the delta of the barrier h(y, z) = D[cell z - cell y] / 2
+    of a kernel whose every axis is invariant: halving and the sum of two
+    equal halves are exact."""
     D = np.asarray(D, dtype=float)
-    h = SimpleNamespace(size=D.size,
-                        delta_rows=_Rolled(D.reshape(1, -1), D.shape, list(range(D.ndim))))
+    axes = list(range(D.ndim))
+    h = PeierlsBarrier(size=D.size, representatives=np.array([0]), critical_edges=0,
+                       invariant_axes=axes, rows=_Rolled((D / 2).reshape(1, -1), D.shape, axes))
     return mather_delta(h)
 
 

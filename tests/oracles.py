@@ -46,7 +46,9 @@ offset. `stencil_graph_csc`, `initial_policy`, `improvement`,
 builds the whole table of sources, candidates or scores, and the graph
 lists every cell's sources in a CSC column. The library reads one offset
 row at a time (`ActionKernel.rolled`) and builds the forward graph
-straight into CSR, with the same values, ties and edge order.
+straight into CSR, with the same values and ties; each of its rows lists
+the targets in offset order, so it matches the oracle once its rows are
+sorted.
 
 `fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
 Python or numpy type; `pipeline.write_csv` gives each column one format

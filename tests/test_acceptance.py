@@ -33,7 +33,6 @@ from weakkam import (
     critical_graph,
     critical_value,
     default_chain_parameters,
-    default_schedule,
     ferry_delta_p,
     hausdorff1_report,
     interval_semimetric,
@@ -327,7 +326,7 @@ def test_11_alternating_smoothing_bounds():
     h = peierls_barrier(K, critical_graph(K, cv))
     A = aubry_set(h, None, K, cv.c)
     sol = weak_kam_solution(K, critical_graph(K, cv))
-    smoothed = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau), tol=1e-9)
+    smoothed = alternating_smooth(sol.u, K, cv.c, tol=1e-9)
 
     x = g.coords()[:, 0]
     exact = np.where(x <= 0.5,
@@ -347,7 +346,7 @@ def test_11_alternating_smoothing_bounds():
     tent = tent_function(g)
     before = semiconvexity_constant(tent)
     out = tent.values
-    for _ in range(4):  # one opening stage of the default schedule
+    for _ in range(4):  # the opening stage of alternating_smooth
         out = K.apply_max(out, cv.c * K.tau)
     after = semiconvexity_constant(ValueFunction(grid=g, values=out))
     assert after * 10.0 <= before

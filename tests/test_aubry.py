@@ -1,6 +1,8 @@
 """Peierls barrier, Aubry set, Mather semi-distance, quotient structure."""
 
+import collections
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from weakkam import (
 from weakkam import aubry, geometry, pipeline
 from weakkam.aubry import SemiMetric
 from weakkam.config import ExperimentConfig
+from weakkam.grid import check_ids
 
 from conftest import offset_delta, subgroup_offsets
 from test_critical import EXHAUSTIVE_CASES
@@ -152,9 +155,11 @@ def test_translate_rows_matches_the_rolling_loop(case):
         np.testing.assert_array_equal(rolled.block(rows, cols), want[rows][:, cols])
     y, z = np.random.default_rng(4).integers(0, K.point_count, (2, 50))
     np.testing.assert_array_equal(rolled.at(y, z), want[y, z])
-    # h.T's rows are rolls of the slab cells' columns
-    rolled_t = aubry._Rolled(rolled.at(ids, slab[:, None]), K.grid.shape, axes)
-    np.testing.assert_array_equal(rolled_t.block(ids[::-3], ids[1::2]), want.T[ids[::-3]][:, ids[1::2]])
+    # the barrier reads h.T from the same rolled rows
+    h = aubry.PeierlsBarrier(size=K.point_count, representatives=slab, critical_edges=0,
+                             invariant_axes=axes, rows=rolled)
+    for rows, cols in [(slice(5, 12), slice(None)), (ids[::-3], ids[1::2])]:
+        np.testing.assert_array_equal(h.block(rows, cols, transpose=True), want.T[rows][:, cols])
 
 
 # one row per block (1 and 7 entries), 7 rows (uneven on 64 and 576) and
@@ -248,6 +253,25 @@ def test_barrier_reader_reads_its_factors(monkeypatch, case):
     for got, ref in [(_read(h, pos), want), (_read(h, pos, transpose=True), want.T),
                      (_read(mather_delta(h), pos), want + want.T)]:
         assert not np.array_equal(got, ref)
+
+
+def test_transposed_rolled_barrier_reads_no_whole_rows():
+    # every axis invariant: h.T's rows are gathered from h's columns, a row
+    # block at a time, never copied out of len(cols) whole rows of h
+    g = build_grid(2, 32)
+    K = build_kernel(g, kinetic_lagrangian(2))
+    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
+    assert h.invariant_axes == [0, 1]
+    N, pos = K.point_count, np.arange(K.point_count)
+    tracemalloc.start()
+    try:
+        # consumed one block at a time, none held past its turn
+        collections.deque(aubry.row_blocks(h, pos, transpose=True), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of floats and its int64 gather index, against 8 MiB for N x N
+    assert peak <= 3 * 8 * aubry.BLOCK_ENTRIES < 8 * N * N
 
 
 @pytest.mark.parametrize("block", [1, 5 * 16, 1 << 20])
@@ -661,18 +685,21 @@ def test_classify_constant_field_periodic_label():
     h = peierls_barrier(K, critical_graph(K, cv))
     labels = classify_aubry(K, h, cv.c, np.array([0, 5]))
     assert labels == ["periodic", "periodic"]
+    for bad in ([-1], [100], [0, 32]):
+        with pytest.raises(ConfigError, match="outside the 32 points"):
+            classify_aubry(K, h, cv.c, np.array(bad))
 
 
 def test_semimetric_helpers():
     vals = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     m = SemiMetric(values=vals, symmetric=True)
     assert m.size == 3
-    ids = m.check_ids([2, 0])
+    ids = check_ids([2, 0], m.size)
     assert ids.dtype == np.int64 and ids.tolist() == [2, 0]
     # numpy would read -1 as the last row; size is one past it
     for bad in ([-1], [0, 3]):
         with pytest.raises(ConfigError, match="outside the 3 points"):
-            m.check_ids(bad)
+            check_ids(bad, m.size)
         A = aubry.AubrySet(indices=np.array(bad), self_barrier=np.zeros(len(bad)),
                            labels=["other"] * len(bad), threshold=0.0)
         for consumer in (lambda: quotient(m, A, 0.5),

@@ -148,6 +148,13 @@ def test_compare_rejects_empty():
         compare_aubry_chain(np.array([], dtype=int), np.array([0]), g)
 
 
+def test_compare_rejects_cells_outside_the_grid():
+    g = build_grid(1, 16)
+    for a, b in (([-1], [0]), ([0], [16]), ([3], [2, -5])):
+        with pytest.raises(ConfigError, match="outside the 16 points"):
+            compare_aubry_chain(np.array(a), np.array(b), g)
+
+
 # odd and even tori, where coordinates differ by exactly 1/2 and ties
 # between nearest neighbours round apart in the last bit
 @pytest.mark.parametrize("dim,n", [(1, 2), (1, 5), (1, 16), (2, 2), (2, 6), (2, 7), (2, 32)])

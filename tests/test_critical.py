@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from weakkam import (
     ActionKernel,
@@ -108,7 +109,8 @@ def test_dense_keeps_the_cheapest_aliased_offset(case):
     D = K.dense()
     u = np.random.default_rng(5).normal(size=K.point_count)
     np.testing.assert_array_equal(np.min(u[:, None] + D, axis=0), K.apply_min(u))
-    G = stencil_graph(K, K.weights)
+    N = K.point_count
+    G = stencil_graph(K, 0.0, np.zeros(N))[:N, :N]
     finite = np.isfinite(D)
     assert G.nnz == np.count_nonzero(finite)
     np.testing.assert_array_equal(D[finite], G.toarray()[finite])
@@ -237,6 +239,36 @@ def test_weak_kam_rejects_nan_and_minus_inf_seeds(pendulum_state_64):
     u = weak_kam_solution(K, cg, u0=u0).u.values
     h = pendulum_state_64["h"].values[40]
     np.testing.assert_allclose(u - u.min(), h - h.min(), atol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_weak_kam_needs_a_finite_nonnegative_tol(pendulum_state_64, tol):
+    K, cv = pendulum_state_64["K"], pendulum_state_64["cv"]
+    with pytest.raises(ConfigError, match="tol must be a finite number >= 0"):
+        weak_kam_solution(K, critical_graph(K, cv), tol=tol)
+
+
+def test_zero_edges_keep_the_row_order_of_the_graph(monkeypatch):
+    # constant drift 1/2: the self-loop and the step up one cell tie, so
+    # every row has two zero edges and the last row's wrap out of order
+    K = build_kernel(build_grid(1, 16), mane_lagrangian(constant_field([0.5], 1)))
+    seen = []
+
+    def spy(graph, **kwargs):
+        seen.append((graph.indices.copy(), graph.indptr.copy()))
+        return connected_components(graph, **kwargs)
+
+    monkeypatch.setattr(critical, "connected_components", spy)
+    G = critical_graph(K, critical_value(K)).graph
+    (indices, indptr), = seen
+    assert indptr.size == G.indptr.size
+    unsorted = False
+    for y in range(G.shape[0]):
+        row, zero = G.indices[G.indptr[y]:G.indptr[y + 1]], indices[indptr[y]:indptr[y + 1]]
+        where = [int(np.flatnonzero(row == z)[0]) for z in zero]
+        assert where == sorted(where), y
+        unsorted |= bool(np.any(np.diff(zero) < 0))
+    assert unsorted
 
 
 def test_all_run_builds_one_critical_graph(tmp_path, monkeypatch):

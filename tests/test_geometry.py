@@ -208,6 +208,10 @@ def test_offset_table_needs_every_point_in_order(kinetic_delta, pendulum_state_6
     D = kinetic_delta.offset_table(pos)
     assert D.size == pos.size
     assert np.array_equal(D.ravel(), kinetic_delta.values[0])
+    # the barrier's own table: h(y, z) = T(z - y)
+    h = kinetic_delta.h
+    assert np.array_equal(h.offset_table(pos).ravel(), h.values[0])
+    assert h.offset_table(pos[::-1]) is None
     for other in (pos[::-1], pos[:-1], pos[1:]):
         assert kinetic_delta.offset_table(other) is None
     # a barrier with a non-invariant axis has no offset table

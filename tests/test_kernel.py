@@ -103,6 +103,17 @@ def test_radius_past_the_float_range_is_a_config_error():
         stencil_offsets(build_grid(1, 8), 1.7e308)
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("stencil_radius", np.nan, "stencil radius must be a number"),
+    ("tau", np.nan, "tau must be positive and finite"),
+    ("tau", np.inf, "tau must be positive and finite"),
+    ("tau", 0.0, "tau must be positive and finite")])
+def test_nan_kernel_settings_are_config_errors(key, value, match):
+    import weakkam
+    with pytest.raises(weakkam.ConfigError, match=match):
+        build_kernel(build_grid(1, 16), kinetic_lagrangian(1), **{key: value})
+
+
 def test_kernel_refuses_more_memory_than_is_free(monkeypatch):
     # 2-d n=8 at a one-cell radius: N = 64 points, S = 5 offsets; the
     # coordinates, the weights and one stencil graph (float64 weights, int32

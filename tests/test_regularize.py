@@ -20,10 +20,8 @@ from weakkam import (
     zero_field,
 )
 from weakkam.regularize import (
-    SmoothingSchedule,
     alternating_smooth,
     aubry_drift,
-    default_schedule,
     discrete_gradient,
     semiconcavity_constant,
     semiconvexity_constant,
@@ -44,33 +42,30 @@ def pend_smooth_128():
     return {"g": g, "K": K, "c": cv.c, "u": sol.u}
 
 
-def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        SmoothingSchedule(t_plus=[1.0], t_minus=[1.0, 2.0])
-    with pytest.raises(ConfigError):
-        SmoothingSchedule(t_plus=[], t_minus=[])
-    with pytest.raises(ConfigError):
-        SmoothingSchedule(t_plus=[1.0, -1.0], t_minus=[1.0, 1.0])
-
-
-def test_default_schedule_halves_then_clamps():
-    s = default_schedule(0.125)
-    np.testing.assert_allclose(s.t_plus, [0.5, 0.25, 0.125, 0.125])
-    np.testing.assert_allclose(s.t_minus, s.t_plus)
-
-
-def test_step_counts_round_to_whole_steps():
-    s = SmoothingSchedule(t_plus=[0.5, 0.01], t_minus=[0.26, 0.125])
-    plus, minus = s.step_counts(0.125)
-    assert plus == [4, 1]
-    assert minus == [2, 1]
+def test_smooth_stages_halve_the_steps_then_clamp(monkeypatch, kinetic_kernel_16):
+    K = kinetic_kernel_16
+    runs = []
+    for name in ("apply_max", "apply_min"):
+        def counted(u, shift=0.0, _step=getattr(K, name), _name=name):
+            if not runs or runs[-1][0] != _name:
+                runs.append([_name, 0])
+            runs[-1][1] += 1
+            return _step(u, shift)
+        monkeypatch.setattr(K, name, counted)
+    u = ValueFunction(grid=K.grid, values=np.zeros(K.point_count))
+    alternating_smooth(u, K, 0.0, stages=6)
+    assert runs == [[name, steps] for steps in (4, 2, 1, 1, 1, 1)
+                    for name in ("apply_max", "apply_min")]
+    for bad in (0, -1, 2.0):
+        with pytest.raises(ConfigError, match="stages must be a positive integer"):
+            alternating_smooth(u, K, 0.0, stages=bad)
 
 
 def test_smooth_fixes_constants_on_kinetic():
     g = build_grid(1, 32)
     K = build_kernel(g, mane_lagrangian(zero_field(1)))
     u = ValueFunction(grid=g, values=np.full(32, 1.7))
-    v = alternating_smooth(u, K, 0.0, default_schedule(K.tau))
+    v = alternating_smooth(u, K, 0.0)
     np.testing.assert_array_equal(v.values, u.values)
 
 
@@ -79,13 +74,12 @@ def test_smooth_rejects_undominated_input():
     K = build_kernel(g, mane_lagrangian(zero_field(1)))
     u = ValueFunction(grid=g, values=10.0 * g.coords()[:, 0])
     with pytest.raises(NumericalError):
-        alternating_smooth(u, K, 0.0, default_schedule(K.tau))
+        alternating_smooth(u, K, 0.0)
 
 
 def test_smooth_preserves_domination_and_aubry_values(pend_smooth_128):
     K, c, u = pend_smooth_128["K"], pend_smooth_128["c"], pend_smooth_128["u"]
-    sched = default_schedule(K.tau)
-    v = alternating_smooth(u, K, c, sched)
+    v = alternating_smooth(u, K, c)
     assert check_dominated(K, v.values, c, tol=1e-9).dominated
     assert aubry_drift(u, v, [0]) <= 2e-9
     # the solution is bilateral-stable, so the smoother returns it intact
@@ -94,12 +88,11 @@ def test_smooth_preserves_domination_and_aubry_values(pend_smooth_128):
 
 def test_smooth_distance_bound(pend_smooth_128):
     K, c, u = pend_smooth_128["K"], pend_smooth_128["c"], pend_smooth_128["u"]
-    sched = default_schedule(K.tau)
-    v = alternating_smooth(u, K, c, sched)
-    # one shifted step moves a dominated u by at most max(diag + c*tau)
+    v = alternating_smooth(u, K, c)
+    # one shifted step moves a dominated u by at most max(diag + c*tau);
+    # four stages run 4 + 2 + 1 + 1 steps each way
     per_step = float(K.diagonal().max() + c * K.tau)
-    plus, minus = sched.step_counts(K.tau)
-    bound = per_step * (sum(plus) + sum(minus))
+    bound = per_step * 2 * (4 + 2 + 1 + 1)
     assert np.max(np.abs(v.values - u.values)) <= bound + 1e-12
 
 
@@ -108,7 +101,7 @@ def test_smooth_output_near_fixed_point():
     K = build_kernel(g, PEND)
     cv = critical_value(K)
     sol = weak_kam_solution(K, critical_graph(K, cv))
-    v = alternating_smooth(sol.u, K, cv.c, default_schedule(K.tau))
+    v = alternating_smooth(sol.u, K, cv.c)
     res = np.max(np.abs(K.apply_min(v.values, cv.c * K.tau) - v.values))
     assert res <= 2e-9
 
@@ -138,7 +131,7 @@ def test_forward_step_cuts_tent_semiconvexity():
     tent = tent_function(g)
     before = semiconvexity_constant(tent)
     out = tent.values
-    for _ in range(4):  # one opening stage of the default schedule
+    for _ in range(4):  # the opening stage of alternating_smooth
         out = K.apply_max(out, 1.0 * K.tau)
     after = semiconvexity_constant(ValueFunction(grid=g, values=out))
     assert after <= before / 10.0
@@ -183,6 +176,20 @@ def test_aubry_drift_reads_selected_cells():
     b = ValueFunction(grid=g, values=np.arange(8.0))
     assert aubry_drift(a, b, [0]) == 0.0
     assert aubry_drift(a, b, [0, 3]) == 3.0
+    # numpy would read -1 as the last cell, 7.0 here, and 99 past the end
+    for bad in ([-1], [0, 8], [99]):
+        with pytest.raises(ConfigError, match="outside the 8 points"):
+            aubry_drift(a, b, bad)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_smooth_needs_a_finite_nonnegative_tol(tol):
+    # a ramp of slope 32 violates domination by far more than any tol
+    g = build_grid(1, 16)
+    K = build_kernel(g, mane_lagrangian(zero_field(1)), stencil_radius=g.spacing)
+    u = ValueFunction(grid=g, values=32.0 * g.coords()[:, 0])
+    with pytest.raises(ConfigError, match="tol must be a finite number >= 0"):
+        alternating_smooth(u, K, 0.0, tol=tol)
 
 
 def test_tent_function_centers():

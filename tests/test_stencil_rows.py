@@ -55,16 +55,33 @@ def _inf_sheet():
 
 
 def assert_same_graph(G, O):
-    O = O.tocsr()
+    # G lists each row in offset order, the oracle's CSR in column order
+    G, O = G.sorted_indices(), O.tocsr()
     assert G.data.tobytes() == O.data.tobytes()
     np.testing.assert_array_equal(G.indices, O.indices)
     np.testing.assert_array_equal(G.indptr, O.indptr)
 
 
+def assert_offset_order(K, G):
+    """Row y of G lists y + offsets[s] in offset order, an alias once, and
+    the source row N lists every cell with weight 0."""
+    N = K.point_count
+    T = K.targets(np.arange(N))
+    for y in range(N):
+        cols = G.indices[G.indptr[y]:G.indptr[y + 1]]
+        # the first offset leading to each listed target
+        s = np.argmax(T[:, y][None, :] == cols[:, None], axis=1)
+        assert np.array_equal(T[s, y], cols) and np.all(np.diff(s) > 0), y
+    np.testing.assert_array_equal(G.indices[G.indptr[N]:], np.arange(N))
+    assert not G.data[G.indptr[N]:].any()
+
+
 def assert_matches_oracles(K, aubry=True):
-    W = K.weights
+    W, N = K.weights, K.point_count
     for shift in (0.0, -W.min(), 0.375):
-        assert_same_graph(stencil_graph(K, W, shift), oracles.stencil_graph_csc(K, W + shift))
+        G = stencil_graph(K, shift, np.zeros(N))
+        assert_offset_order(K, G)
+        assert_same_graph(G[:N, :N], oracles.stencil_graph_csc(K, W + shift))
     np.testing.assert_array_equal(_initial_policy(K), oracles.initial_policy(K))
 
     cv = critical_value(K)
@@ -72,7 +89,6 @@ def assert_matches_oracles(K, aubry=True):
     assert cv.bias.tobytes() == x.tobytes()
     assert cv.mean_cycle_weight == min(cycles, key=lambda mc: mc[0])[0]
 
-    N = K.point_count
     G = critical_graph(K, cv).graph[:N, :N]
     r, _ = oracles.reduced_costs(K, cv)
     assert_same_graph(G, oracles.stencil_graph_csc(K, r))
@@ -100,7 +116,8 @@ def test_offset_rows_match_the_table_forms_on_raw_kernels(case):
     K = _inf_sheet() if case == "inf-sheet" else EXHAUSTIVE_CASES[case]()
     if case == "inf-sheet":
         # the infinite weights are no edges
-        G = stencil_graph(K, K.weights)
+        N = K.point_count
+        G = stencil_graph(K, 0.0, np.zeros(N))[:N, :N]
         assert G.nnz == np.count_nonzero(np.isfinite(K.weights))
         assert np.all(np.isfinite(G.data))
     assert_matches_oracles(K, aubry=case == "aliased-hand")
