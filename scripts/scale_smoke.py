@@ -1,6 +1,6 @@
 """Scale smoke run: `weakkam all` on four 2-d grids, three of 128 x 128
-cells and one of 256 x 256, and on the 1-d pendulum at the barrier dump
-limit.
+cells and one of 256 x 256, and on the 1-d pendulum and the 1-d kinetic
+model at the barrier dump limit.
 
     python3 scripts/scale_smoke.py
 
@@ -22,11 +22,14 @@ Aubry set and the chain-recurrent set; it must stay below 200 MiB, and
 its `comparison.json` must record a distance of 0.0. The 1-d pendulum at
 n = 2,048 (`BARRIER_DUMP_LIMIT`) writes the largest `barrier.csv` the
 pipeline writes, 4.19 million rows and 113 MB, and must stay below
-150 MiB, so a writer that holds the whole file's text fails. The
-run's wall time, and each stage's `wall_time_s` and `peak_rss_mb` (the
-child's high-water mark when that stage ended) from its manifest, in the
-manifest's `stage_order`, are printed, never checked. Exits 1 when a
-check fails.
+150 MiB, so a writer that holds the whole file's text fails. The 1-d
+kinetic model at n = 2,048 writes the same file, but every cell is
+critical there, so it is the only case that reads the barrier's rolled
+slab row in row blocks at scale, one gather of at most BLOCK_ENTRIES
+entries a block; it must stay below 150 MiB too. The run's wall time,
+and each stage's `wall_time_s` and `peak_rss_mb` (the child's high-water
+mark when that stage ended) from its manifest, in the manifest's
+`stage_order`, are printed, never checked. Exits 1 when a check fails.
 """
 
 import json
@@ -49,6 +52,7 @@ CASES = [
     ("mane-zero-2d-128", {"family": "mane", "field": {"name": "zero"}}, 2, 128, 200),
     ("pendulum-1d-2048", {"family": "mechanical",
                           "potential": {"name": "cosine", "k": [1]}}, 1, 2048, 150),
+    ("kinetic-1d-2048", {"family": "kinetic"}, 1, 2048, 150),
 ]
 
 

@@ -11,10 +11,11 @@ translation-invariant axes and rolled.
 
 Row i of h, and of delta, is grid cell i: Aubry cell indices address them directly.
 
-h is kept as those k x N factors, never as an N x N array. Its consumers
-read h, h.T and delta = h + h.T in row blocks (row_blocks), each entry
-computed with the same operations, in the same order, as a dense fill;
-.values builds the dense matrix only for a caller that asks for it.
+h is kept as those k x N factors, never as an N x N array. Every reader
+of h, h.T and delta = h + h.T gathers through at(y, z): a row block
+(row_blocks) is one broadcast gather, each entry computed with the same
+operations, in the same order, as a dense fill; .values builds the dense
+matrix only for a caller that asks for it.
 """
 
 from dataclasses import dataclass
@@ -22,11 +23,10 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .critical import CriticalGraph
+from .critical import CriticalGraph, check_tolerance
 from .errors import ConfigError, NumericalError
 from .grid import check_ids
 from .kernel import ActionKernel, available_memory, check_memory, first_min, invariant_axes
@@ -38,9 +38,8 @@ BLOCK_ENTRIES = 1 << 18
 class _Pairwise:
     """Values over pairs of points 0..size-1, row and column i of point i (the
     flat grid index i, or the i-th point of a sampled set). A subclass gives
-    size, at(y, z) (elementwise, y and z broadcast), block(rows, cols,
-    transpose) (values[rows][:, cols], or of values.T; rows and cols both
-    slices or both index arrays) and values, the dense matrix."""
+    size, at(y, z) (elementwise, y and z index arrays that broadcast; the
+    one way values are read) and values, the dense matrix."""
 
     symmetric = False
 
@@ -91,10 +90,6 @@ class SemiMetric(_Pairwise):
     def at(self, y, z) -> np.ndarray:
         return self.values[y, z]
 
-    def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
-        values = self.values.T if transpose else self.values
-        return values[rows, cols] if isinstance(rows, slice) else values[rows[:, None], cols]
-
 
 def _dense(m: _Pairwise) -> np.ndarray:
     """The N x N matrix of m from its row blocks, if it fits in free memory."""
@@ -138,9 +133,6 @@ class _MinPlus:
             np.minimum(m, self.into[i][y] + self.out[i][z], out=m)
         return m
 
-    def block(self, rows, cols) -> np.ndarray:
-        return self.at((rows, None), cols)
-
 
 class _Rolled:
     """M[y, z] = table[s, z - y], with s the row of y's slab cell (y with
@@ -148,8 +140,8 @@ class _Rolled:
     and z - y taken along the invariant axes only, modulo the grid.
 
     Doubled along the invariant axes, row y of M is the window of its slab
-    row starting n - y_a cells in along each invariant axis a: one strided
-    view holds every window, and a block of rows is one copy of it.
+    row starting n - y_a cells in along each invariant axis a, so M[y, z]
+    is one entry of the doubled table, at base[y] + off[z].
     """
 
     def __init__(self, table: np.ndarray, shape: tuple, axes: list):
@@ -167,15 +159,9 @@ class _Rolled:
                      + (np.array(shape)[axes] - cells[:, axes]) @ step[lead:][axes])
         self.off = cells @ step[lead:]
         self.flat = grid.ravel()
-        self.windows = as_strided(self.flat, (self.flat.size - self.off[-1],) + shape,
-                                  (grid.itemsize,) + grid.strides[lead:], writeable=False)
 
     def at(self, y, z) -> np.ndarray:
         return self.flat[self.base[y] + self.off[z]]
-
-    def block(self, rows, cols) -> np.ndarray:
-        block = self.windows[self.base[rows]]
-        return block.reshape(block.shape[0], -1)[:, cols]
 
 
 @dataclass
@@ -183,10 +169,10 @@ class PeierlsBarrier(_Pairwise):
     """The barrier h as its factors, its representatives and critical edges.
 
     rows reads h: a _MinPlus of the shortest-path tables into and out of
-    the representatives, or a _Rolled of the slab rows. h.T is read from
-    the same reader, h(cols, rows) gathered entry by entry. When every axis
-    is invariant, h(y, z) = T(z - y) for the one slab row T, which
-    offset_table returns.
+    the representatives, or a _Rolled of the slab rows. h, h.T and delta
+    are all read through its at, h.T with the arguments swapped. When
+    every axis is invariant, h(y, z) = T(z - y) for the one slab row T,
+    which offset_table returns.
     """
 
     size: int
@@ -198,15 +184,8 @@ class PeierlsBarrier(_Pairwise):
     def at(self, y, z) -> np.ndarray:
         return self.rows.at(y, z)
 
-    def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
-        if not transpose:
-            return self.rows.block(rows, cols)
-        # rows of h.T are columns of h: gather them, never whole rows of h
-        ids = np.arange(self.size)
-        return self.rows.at(ids[cols][None, :], ids[rows][:, None])
-
     def offset_table(self, pos) -> Optional[np.ndarray]:
-        if not (isinstance(self.rows, _Rolled) and _whole(self, pos)
+        if not (isinstance(self.rows, _Rolled) and np.array_equal(pos, np.arange(self.size))
                 and len(self.invariant_axes) == len(self.rows.shape)):
             return None
         return self.rows.table.reshape(self.rows.shape)
@@ -214,23 +193,15 @@ class PeierlsBarrier(_Pairwise):
     values = cached_property(_dense)
 
 
-def _whole(m: _Pairwise, pos: np.ndarray) -> bool:
-    """Whether pos is every point of m, in order."""
-    return pos.size == m.size and np.array_equal(pos, np.arange(pos.size))
-
-
 def row_blocks(m: _Pairwise, pos: np.ndarray, entries: Optional[int] = None,
                transpose: bool = False):
     """Yield (i0, m[pos[i0:i1]][:, pos]), or of m.T when transpose, in row
     blocks of at most entries (BLOCK_ENTRIES) entries and at least one row,
-    read with slices (views of a dense m) when pos is every point in order."""
+    each a new array gathered through m.at."""
     rows = max(1, (entries or BLOCK_ENTRIES) // max(1, pos.size))
-    whole = _whole(m, pos)
     for i0 in range(0, pos.size, rows):
-        if whole:
-            yield i0, m.block(slice(i0, i0 + rows), slice(None), transpose)
-        else:
-            yield i0, m.block(pos[i0:i0 + rows], pos, transpose)
+        ids = pos[i0:i0 + rows, None]
+        yield i0, m.at(pos, ids) if transpose else m.at(ids, pos)
 
 
 def peierls_barrier(K: ActionKernel, cg: CriticalGraph) -> PeierlsBarrier:
@@ -284,8 +255,11 @@ def aubry_set(h: _Pairwise, eta: Optional[float], K: ActionKernel, c: float) -> 
 
     eta=None picks max(1e-8, 4x the worst negative float residue on the
     diagonal); the barrier construction makes true Aubry diagonals exact
-    zeros, so only rounding noise needs absorbing.
+    zeros, so only rounding noise needs absorbing. ConfigError unless eta
+    is None or a finite number >= 0.
     """
+    if eta is not None:
+        check_tolerance(eta, "eta")
     diag = h.diagonal()
     if eta is None:
         eta = max(1e-8, 4.0 * max(0.0, float(-diag.min())))
@@ -360,9 +334,6 @@ class MatherDelta(_Pairwise):
     def at(self, y, z) -> np.ndarray:
         return self.h.at(y, z) + self.h.at(z, y)
 
-    def block(self, rows, cols, transpose: bool = False) -> np.ndarray:
-        return self.h.block(rows, cols) + self.h.block(rows, cols, transpose=True)
-
     def offset_table(self, pos) -> Optional[np.ndarray]:
         T = self.h.offset_table(pos)
         if T is None:
@@ -409,8 +380,10 @@ def quotient(delta: _Pairwise, A: AubrySet, merge_threshold: float) -> QuotientP
     every axis invariant and A the whole grid), delta(x, y) = D(y - x), so
     the classes are the cosets of the subgroup generated by
     {v : D(v) <= merge_threshold}, found from D alone in O(N log N). Else
-    the threshold graph is read from the row blocks of delta.
+    the threshold graph is read from the row blocks of delta. ConfigError
+    unless merge_threshold is a finite number >= 0.
     """
+    check_tolerance(merge_threshold, "merge_threshold")
     pos = check_ids(A.indices, delta.size)
     D = delta.offset_table(pos)
     if D is not None:
@@ -460,8 +433,8 @@ def representation_check(h: _Pairwise, delta: Optional[_Pairwise],
     worst, pair = -np.inf, None
     # row blocks of the |A| x |A| residual; a later block must be strictly
     # worse (or NaN), so the pair is the first maximum in row-major order;
-    # argmax takes a block's first NaN. Only new arrays are written: the
-    # blocks may be views of dense matrices
+    # argmax takes a block's first NaN. res is a new array, since Hb is
+    # read again for Db
     deltas = None if delta is None else row_blocks(delta, pos)
     for (i0, Hb), (_, HTb) in zip(row_blocks(h, pos), row_blocks(h, pos, transpose=True)):
         res = Hb - diag

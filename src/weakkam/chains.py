@@ -45,11 +45,13 @@ class SetComparison:
 
 
 def integrate_flow(X: VectorField, x, dt: float, substeps: int = 4) -> np.ndarray:
-    """Classical 4th-order one-step integration of xdot = X(x), wrapped."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if substeps < 1:
-        raise ConfigError(f"substeps must be >= 1, got {substeps}")
+    """Classical 4th-order one-step integration of xdot = X(x), wrapped.
+    ConfigError unless dt is a finite number > 0 and substeps a positive
+    integer."""
+    if not 0 < dt < np.inf:
+        raise ConfigError(f"dt must be a finite number > 0, got {dt}")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ConfigError(f"substeps must be a positive integer, got {substeps!r}")
     y = np.atleast_2d(np.asarray(x, dtype=float)).copy()
     h = dt / substeps
     for _ in range(substeps):
@@ -72,12 +74,14 @@ def _check_memory(grid: GridTorus):
 def chain_graph(X: VectorField, grid: GridTorus, dt: float, eps: float,
                 substeps: int = 4) -> ChainGraph:
     """Edges x -> y for every cell y within eps of the flow image of x;
-    NumericalError when the cells and their images would not fit in memory."""
+    ConfigError for a NaN eps or one below the half-cell diagonal, and as
+    integrate_flow for dt and substeps; NumericalError when the cells and
+    their images would not fit in memory."""
     _check_memory(grid)
     half_diag = 0.5 * grid.spacing * np.sqrt(grid.dim)
-    if eps < half_diag:
+    if not eps >= half_diag:
         raise ConfigError(
-            f"eps={eps} is below the half-cell diagonal {half_diag:.3e}; "
+            f"eps={eps} is not at least the half-cell diagonal {half_diag:.3e}; "
             "the flow image could fall between cells and leave a node with no edge")
     images = integrate_flow(X, grid.coords(), dt, substeps)
     base = np.rint(images / grid.spacing).astype(np.int64)

@@ -26,11 +26,12 @@ ZERO_TOL = 1e-10
 NEGATIVE_TOL = 1e-9
 
 
-def check_tolerance(tol: float):
-    """ConfigError unless tol is a finite number >= 0: a NaN tolerance
-    would pass every residual, as no comparison with NaN is true."""
+def check_tolerance(tol: float, name: str = "tol"):
+    """ConfigError, naming the argument, unless tol is a finite number >= 0:
+    no comparison with NaN is true, so a NaN tolerance would pass every
+    residual and a NaN threshold would select no cell."""
     if not 0 <= tol < math.inf:
-        raise ConfigError(f"tol must be a finite number >= 0, got {tol}")
+        raise ConfigError(f"{name} must be a finite number >= 0, got {tol}")
 
 
 @dataclass

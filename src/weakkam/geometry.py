@@ -232,7 +232,7 @@ def quadratic_bound_check(delta: _Pairwise, A: AubrySet, grid: GridTorus,
     mask = (d >= 2 * grid.spacing) & (d <= window)
     if not np.any(mask):
         raise ConfigError("no Aubry/grid pairs inside the window")
-    vals = delta.block(pos, np.arange(delta.size))
+    vals = delta.at(pos[:, None], np.arange(delta.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mask, vals / d**2, -np.inf)
     flat = int(np.argmax(ratio))

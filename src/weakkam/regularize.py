@@ -24,14 +24,15 @@ def alternating_smooth(u: ValueFunction, K: ActionKernel, c: float, stages: int 
     across several cells; later stages shrink toward the kernel step to
     tighten values back onto the input. Every individual step is
     c*tau-shifted, which preserves domination exactly; the input must be
-    dominated to begin with, up to tol. ConfigError when stages is not a
-    positive integer or tol is not a finite number >= 0.
+    dominated to begin with, up to tol (a NaN violation, from a NaN entry
+    of u, is not). ConfigError when stages is not a positive integer or
+    tol is not a finite number >= 0.
     """
     if not isinstance(stages, (int, np.integer)) or stages < 1:
         raise ConfigError(f"stages must be a positive integer, got {stages!r}")
     check_tolerance(tol)
     rep = check_dominated(K, u.values, c)
-    if rep.max_violation > tol:
+    if not rep.max_violation <= tol:
         raise NumericalError(
             f"input is not dominated: violation {rep.max_violation:.3e} "
             f"on edge {rep.worst_edge}")

@@ -148,18 +148,19 @@ def test_translate_rows_matches_the_rolling_loop(case):
     sp = np.random.default_rng(3).standard_normal((slab.size, K.point_count))
     want = translate_rows(K, cells, axes, slab, sp)
     ids = np.arange(K.point_count)
-    # every row, a row block, and a block of rows and columns out of order
     rolled = aubry._Rolled(sp, K.grid.shape, axes)
-    for rows, cols in [(slice(None), slice(None)), (slice(5, 12), slice(None)),
-                       (ids[::-3], ids[1::2])]:
-        np.testing.assert_array_equal(rolled.block(rows, cols), want[rows][:, cols])
     y, z = np.random.default_rng(4).integers(0, K.point_count, (2, 50))
     np.testing.assert_array_equal(rolled.at(y, z), want[y, z])
-    # the barrier reads h.T from the same rolled rows
+    rows, cols = ids[::-3], ids[1::2]
+    np.testing.assert_array_equal(rolled.at(rows[:, None], cols), want[rows][:, cols])
+    # the barrier reads h and h.T from the same rolled rows, in row blocks of
+    # 5 rows, over every cell and over every third cell descending
     h = aubry.PeierlsBarrier(size=K.point_count, representatives=slab, critical_edges=0,
                              invariant_axes=axes, rows=rolled)
-    for rows, cols in [(slice(5, 12), slice(None)), (ids[::-3], ids[1::2])]:
-        np.testing.assert_array_equal(h.block(rows, cols, transpose=True), want.T[rows][:, cols])
+    for pos in [ids, ids[::-3]]:
+        for transpose, ref in [(False, want), (True, want.T)]:
+            got = np.concatenate([b for _, b in aubry.row_blocks(h, pos, 5 * pos.size, transpose)])
+            np.testing.assert_array_equal(got, ref[np.ix_(pos, pos)])
 
 
 # one row per block (1 and 7 entries), 7 rows (uneven on 64 and 576) and
@@ -256,22 +257,37 @@ def test_barrier_reader_reads_its_factors(monkeypatch, case):
 
 
 def test_transposed_rolled_barrier_reads_no_whole_rows():
-    # every axis invariant: h.T's rows are gathered from h's columns, a row
-    # block at a time, never copied out of len(cols) whole rows of h
+    # h and h.T are gathered a row block at a time, never copied out of
+    # whole rows of h: from the rolled slab rows when every axis is
+    # invariant, and from the representatives' tables of a drift field
     g = build_grid(2, 32)
-    K = build_kernel(g, kinetic_lagrangian(2))
-    h = peierls_barrier(K, critical_graph(K, critical_value(K)))
-    assert h.invariant_axes == [0, 1]
-    N, pos = K.point_count, np.arange(K.point_count)
-    tracemalloc.start()
-    try:
-        # consumed one block at a time, none held past its turn
-        collections.deque(aubry.row_blocks(h, pos, transpose=True), maxlen=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a block of floats and its int64 gather index, against 8 MiB for N x N
-    assert peak <= 3 * 8 * aubry.BLOCK_ENTRIES < 8 * N * N
+    for L, reader in [(kinetic_lagrangian(2), aubry._Rolled),
+                      (mane_lagrangian(sin_gradient_field(2)), aubry._MinPlus)]:
+        K = build_kernel(g, L)
+        h = peierls_barrier(K, critical_graph(K, critical_value(K)))
+        assert isinstance(h.rows, reader)
+        N, pos = K.point_count, np.arange(K.point_count)
+        for transpose in [False, True]:
+            tracemalloc.start()
+            try:
+                # consumed one block at a time, none held past its turn
+                collections.deque(aubry.row_blocks(h, pos, transpose=transpose), maxlen=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a block of floats and its int64 gather index (or the min-plus
+            # term folded into it), against 8 MiB for N x N
+            assert peak <= 3 * 8 * aubry.BLOCK_ENTRIES < 8 * N * N
+
+
+def test_dense_row_blocks_are_new_arrays():
+    m = SemiMetric(values=np.random.default_rng(6).standard_normal((40, 40)))
+    pos = np.arange(m.size)
+    for transpose, want in [(False, m.values), (True, m.values.T)]:
+        blocks = list(aubry.row_blocks(m, pos, 7 * m.size, transpose))
+        assert [i0 for i0, _ in blocks] == list(range(0, 40, 7))
+        np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), want)
+        assert not any(np.shares_memory(b, m.values) for _, b in blocks)
 
 
 @pytest.mark.parametrize("block", [1, 5 * 16, 1 << 20])
@@ -348,10 +364,20 @@ def test_aubry_constant_field_periodic():
     assert set(A.labels) == {"periodic"}
 
 
-def test_aubry_empty_at_negative_eta(pendulum_state_64):
+def test_aubry_set_needs_a_finite_nonnegative_eta(pendulum_state_64):
+    # unchecked, a negative or NaN eta selects no cell, which reads as a
+    # grid too coarse
     K, c, h = (pendulum_state_64[k] for k in ("K", "c", "h"))
-    with pytest.raises(NumericalError):
-        aubry_set(h, -1.0, K, c)
+    for eta in [np.nan, -1.0, np.inf]:
+        with pytest.raises(ConfigError, match="eta must be a finite number >= 0"):
+            aubry_set(h, eta, K, c)
+
+
+def test_aubry_empty_below_every_self_barrier(pendulum_state_64):
+    K, c = pendulum_state_64["K"], pendulum_state_64["c"]
+    h = SemiMetric(values=np.ones((K.point_count, K.point_count)))
+    with pytest.raises(NumericalError, match="empty Aubry set at eta=5.000e-01"):
+        aubry_set(h, 0.5, K, c)
 
 
 def test_mather_delta_symmetric_and_zero_on_aubry(pendulum_state_64):
@@ -386,6 +412,15 @@ def test_quotient_of_an_empty_set_has_no_classes():
                        labels=[], threshold=0.0)
     q = quotient(SemiMetric(values=np.zeros((3, 3))), A, 0.5)
     assert (q.classes, q.representative, q.class_count) == ([], [], 0)
+
+
+def test_quotient_needs_a_finite_nonnegative_threshold():
+    # unchecked, a NaN or negative threshold makes every cell a class of
+    # its own, on the offset table and on the row blocks alike
+    for delta in [offset_delta(subgroup_offsets()), SemiMetric(values=np.zeros((36, 36)))]:
+        for threshold in [np.nan, -1.0, np.inf]:
+            with pytest.raises(ConfigError, match="merge_threshold must be a finite number >= 0"):
+                quotient(delta, _every_cell(36), threshold)
 
 
 def test_quotient_doublewell_two_classes(doublewell_state_64):
@@ -496,8 +531,8 @@ def test_offset_quotient_matches_union_find(monkeypatch, dim, n):
     dense = SemiMetric(values=delta.values, symmetric=True)
     A = _every_cell(delta.size)
     monkeypatch.setattr(aubry, "row_blocks", _no_blocks)
-    # below every value, at each distinct value and above them all
-    for r in [-1.0, *np.unique(dense.values), 2 * dense.values.max()]:
+    # at each distinct value, 0 the least, and above them all
+    for r in [*np.unique(dense.values), 2 * dense.values.max()]:
         got, want = quotient(delta, A, r), union_find_quotient(dense, A, r)
         assert (got.classes, got.representative) == (want.classes, want.representative)
 

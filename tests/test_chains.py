@@ -80,6 +80,21 @@ def test_chain_graph_eps_floor():
         chain_graph(zero_field(1), g, dt=1.0, eps=0.1 * g.spacing)
 
 
+def test_chain_settings_are_config_errors():
+    # each error names its argument: unchecked, a NaN eps fails int(), a NaN
+    # or infinite dt warns and then asks for a larger eps, and a fractional
+    # substeps fails range()
+    g = build_grid(1, 16)
+    X = zero_field(1)
+    for kwargs, name in [({"eps": np.nan}, "eps"), ({"dt": np.nan}, "dt"),
+                         ({"dt": np.inf}, "dt"), ({"dt": 0.0}, "dt"),
+                         ({"substeps": 2.5}, "substeps"), ({"substeps": 0}, "substeps")]:
+        with pytest.raises(ConfigError, match=f"^{name}"):
+            chain_graph(X, g, **{"dt": 0.1, "eps": 0.1, **kwargs})
+    with pytest.raises(ConfigError, match="^substeps must be a positive integer, got 2.5"):
+        integrate_flow(X, g.coords(), 0.1, substeps=2.5)
+
+
 def test_chain_recurrent_zero_field_everything():
     g = build_grid(1, 32)
     p = default_chain_parameters(g, zero_field(1))

@@ -192,6 +192,16 @@ def test_smooth_needs_a_finite_nonnegative_tol(tol):
         alternating_smooth(u, K, 0.0, tol=tol)
 
 
+def test_smooth_rejects_a_nan_entry():
+    # a NaN violation compares false with tol; unchecked, the NaN is smoothed
+    g = build_grid(1, 16)
+    K = build_kernel(g, mane_lagrangian(zero_field(1)), stencil_radius=g.spacing)
+    values = np.zeros(16)
+    values[5] = np.nan
+    with pytest.raises(NumericalError, match="input is not dominated: violation nan"):
+        alternating_smooth(ValueFunction(grid=g, values=values), K, 0.0)
+
+
 def test_tent_function_centers():
     g = build_grid(1, 8)
     t0 = tent_function(g)
