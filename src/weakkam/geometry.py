@@ -217,7 +217,8 @@ def quadratic_bound_check(delta: _Pairwise, A: AubrySet, grid: GridTorus,
     2*spacing <= d(x,y) <= window.
 
     delta must cover the full grid (symmetrized barrier), since the y
-    side ranges over non-Aubry cells.
+    side ranges over non-Aubry cells. Raises NumericalError when its
+    |A| x N pair arrays would not fit in free memory.
     """
     if window <= 2 * grid.spacing:
         raise ConfigError(
@@ -225,6 +226,9 @@ def quadratic_bound_check(delta: _Pairwise, A: AubrySet, grid: GridTorus,
     if delta.size != grid.point_count:
         raise ConfigError(f"delta has {delta.size} points, the grid {grid.point_count}")
     pos = check_ids(A.indices, delta.size)
+    # a pair's dim displacements, distance, delta, squared distance, ratio, a temporary
+    check_memory(8 * (grid.dim + 5) * pos.size * delta.size, available_memory(),
+                 f"the {pos.size}x{delta.size} pair arrays need")
     xs = grid.coords(A.indices)
     ys = grid.coords()
     disp = wrap_displacement(xs[:, None, :], ys[None, :, :])

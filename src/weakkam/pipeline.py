@@ -14,10 +14,12 @@ printed at 12 significant digits, row order follows flat grid indices,
 and the manifest records a sha256 per emitted file. Wall times and peak
 memory live only in the manifest, never in CSVs.
 
-`write_csv` formats each chunk in slices of CSV_SLICE_ROWS rows with
-`csvformat.format_rows`: every column of a slice becomes fixed-width
-words in numpy, by its dtype, and one table of those words and the
-separators, NULs dropped, is the slice's text.
+`write_csv` formats each chunk in slices of CSV_SLICE_CELLS cells (rows
+= cells // columns, at least one) with `csvformat.format_rows`: every
+column of a slice becomes fixed-width words in numpy, by its dtype, its
+separator in its last word, and one table of those words, NULs dropped,
+is the slice's text. A matrix dump gathers its values one such slice at
+a time.
 """
 
 import hashlib
@@ -33,7 +35,7 @@ from .aubry import (aubry_set, mather_delta, peierls_barrier, quotient, represen
 from .chains import chain_graph, chain_recurrent_set, compare_aubry_chain
 from .config import ExperimentConfig
 from .critical import critical_graph, critical_value, weak_kam_solution
-from .csvformat import FLOAT_FMT, format_rows
+from .csvformat import FLOAT_FMT, digit_tables, format_rows
 from .errors import ArtifactError, ConfigError, WeakKamError
 from .geometry import ferry_delta_p, hausdorff1_report
 from .models import load_points_csv
@@ -41,21 +43,20 @@ from .regularize import (alternating_smooth, aubry_drift, semiconcavity_constant
                          semiconvexity_constant, subsolution_residual_field)
 
 BARRIER_DUMP_LIMIT = 2048  # full matrix CSV only below this point count
-CSV_SLICE_ROWS = 1024  # rows formatted at once, so a long chunk's text stays small
+CSV_SLICE_CELLS = 8192  # cells formatted at once, so a long chunk's text stays small
 
 
 # -- deterministic writers ----------------------------------------------------
 
 def _matrix_rows(m):
-    """Column chunks (i, j, m[i, j]) of whole rows, about CSV_SLICE_ROWS
-    entries each, cut from m's row blocks."""
-    n = m.size
-    per = max(1, CSV_SLICE_ROWS // n)
-    j = np.tile(np.arange(n), per)
-    for i0, block in row_blocks(m, np.arange(n)):
-        for r in range(0, block.shape[0], per):
-            part = block[r:r + per]
-            yield np.arange(i0 + r, i0 + r + part.shape[0]).repeat(n), j[:part.size], part.ravel()
+    """Column chunks (i, j, m[i, j]) of whole rows, one CSV slice each (or
+    one row, when a row is longer), each gathered on its own by
+    row_blocks, so a dump never holds more of m than one slice."""
+    n, rows = m.size, max(1, CSV_SLICE_CELLS // 3)
+    ids = np.arange(n)
+    j = np.tile(ids, max(1, rows // n))
+    for i0, block in row_blocks(m, ids, rows):
+        yield ids[i0:i0 + block.shape[0]].repeat(n), j[:block.size], block.ravel()
 
 
 def write_csv(path, header, chunks) -> str:
@@ -67,6 +68,8 @@ def write_csv(path, header, chunks) -> str:
     try:
         with open(path, "wb") as f:
             f.write((",".join(header) + "\n").encode())
+            # built per file, so that they are not resident between files
+            tables = digit_tables()
             for chunk in chunks:
                 cols = [np.asarray(c) for c in chunk]
                 shapes = [c.shape for c in cols]
@@ -76,8 +79,9 @@ def write_csv(path, header, chunks) -> str:
                 if len(set(shapes)) != 1 or len(shapes[0]) != 1:
                     raise ArtifactError(f"cannot write {path}: chunk columns of shapes "
                                         f"{shapes} are not one length")
-                for k in range(0, shapes[0][0], CSV_SLICE_ROWS):
-                    f.write(format_rows([c[k:k + CSV_SLICE_ROWS] for c in cols]))
+                rows = max(1, CSV_SLICE_CELLS // len(cols))
+                for k in range(0, shapes[0][0], rows):
+                    f.write(format_rows([c[k:k + rows] for c in cols], tables))
     except OSError as e:
         raise ArtifactError(f"cannot write {path}: {e}") from e
     return path

@@ -52,9 +52,10 @@ sorted.
 
 `fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
 Python or numpy type; `pipeline.write_csv` gives each column one format
-from its dtype and formats a slice of rows at once in numpy, integers
-and floats from digit tables and a float's exponent and 12-digit
-mantissa, leaving only near-ties and extreme values to Python.
+from its dtype and formats a slice of `CSV_SLICE_CELLS` cells at once in
+numpy, as 4-byte words with each separator in its column's last word,
+integers and floats from digit tables and a float's exponent and
+12-digit mantissa, leaving only near-ties and extreme values to Python.
 """
 
 from dataclasses import dataclass

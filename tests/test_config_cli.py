@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from weakkam import (ConfigError, ArtifactError, NumericalError, aubry, build_grid, chains,
-                     config, critical_value, geometry, pipeline, representation_check,
+                     config, critical_value, csvformat, geometry, pipeline, representation_check,
                      zero_field)
 from weakkam.cli import main
 from weakkam.config import ExperimentConfig
@@ -237,9 +237,10 @@ def test_matrix_rows_write_the_cell_by_cell_text(tmp_path, monkeypatch):
     vals = np.array([[0.0, -1.5e-300, np.inf], [1 / 3, 2.0**60, -0.0], [7.0, np.nan, 1e-12]])
     want = csv_text(["i", "j", "h"], [(i, j, vals[i, j]) for i in range(3) for j in range(3)])
     empty = (np.zeros(0, dtype=np.int64), [], np.zeros(0))
-    # one row per block, uneven blocks of 2 rows on 3, and one block
-    for block in (1, 6, 9):
-        monkeypatch.setattr(aubry, "BLOCK_ENTRIES", block)
+    # slices of one row (and rows of 3 entries gathered one at a time),
+    # uneven slices of 2 rows on 3, and one slice
+    for cells in (1, 18, 27):
+        monkeypatch.setattr(pipeline, "CSV_SLICE_CELLS", cells)
         chunks = [empty, *pipeline._matrix_rows(aubry.SemiMetric(values=vals)), empty]
         got = pipeline.write_csv(tmp_path / "rows.csv", ["i", "j", "h"], chunks)
         assert open(got, "rb").read() == want.encode()
@@ -251,6 +252,30 @@ def test_write_csv_formats_each_column_by_its_dtype(tmp_path):
     header = ["int", "uint", "bool", "float", "str", "list"]
     got = pipeline.write_csv(tmp_path / "kinds.csv", header, [cols])
     assert open(got, "rb").read() == csv_text(header, zip(*cols)).encode()
+
+
+def test_write_csv_holds_its_tables_and_about_one_slice():
+    # the digit tables, built from uint8 character codes (a float64 scratch
+    # array of the 10,000 four-digit values is 78 KiB), then a u.csv-shaped
+    # chunk of 4,096 rows written in two slices of 2,048 rows (17 words a
+    # row: 136 KiB of word columns and 136 KiB of table); the writer builds
+    # its own tables and frees them with the file
+    n = 4096
+    rng = np.random.default_rng(8)
+    cols = (np.arange(n), rng.random(n), rng.random(n), rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        csvformat.digit_tables()
+        tables = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        pipeline.write_csv(os.devnull, ["index", "x0", "x1", "value"], [cols])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 118 KiB and 366 KiB traced with numpy 2.4
+    assert tables < 136 * 1024
+    assert peak < 420 * 1024
+    assert held < 16 * 1024
 
 
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
@@ -265,12 +290,14 @@ def test_write_csv_refuses_a_chunk_unlike_its_header(tmp_path):
         pipeline.write_csv(tmp_path / "wide.csv", ["i", "x", "label"], [chunk])
 
 
-# 256-row column chunks in uneven slices of 100 rows, and in one slice
-@pytest.mark.parametrize("slice_rows", [100, pipeline.CSV_SLICE_ROWS])
-def test_every_csv_matches_the_cell_by_cell_text(tmp_path, monkeypatch, slice_rows):
+# 256-row column chunks in slices of one row, in uneven slices (25 rows of
+# 4 columns, 33 of 3, ...), in slices of 256 rows of 4 columns (341 of 3),
+# and in one slice; matrix rows are gathered one slice at a time
+@pytest.mark.parametrize("cells", [1, 100, 1024, pipeline.CSV_SLICE_CELLS])
+def test_every_csv_matches_the_cell_by_cell_text(tmp_path, monkeypatch, cells):
     # all on a 2-d drift model with ferry points writes all 8 kinds of CSV;
     # each is checked against its chunks written cell by cell
-    monkeypatch.setattr(pipeline, "CSV_SLICE_ROWS", slice_rows)
+    monkeypatch.setattr(pipeline, "CSV_SLICE_CELLS", cells)
     pts = tmp_path / "pts.csv"
     pts.write_text("x0,x1\n" + "".join(f"{k / 7},{(k * k % 7) / 7}\n" for k in range(7)))
     cfg = ExperimentConfig.from_dict({

@@ -1,5 +1,7 @@
 """Covering numbers, measure estimates, ferry semi-metrics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -101,18 +103,30 @@ def test_h1_interval_control_near_one():
     assert np.all(np.abs(np.asarray(rep.h1_estimates) - 1.0) <= 0.05)
 
 
-def test_quadratic_bound_on_exact_square_metric():
-    g = build_grid(1, 32)
+def _square_metric(n):
+    """The squared torus distance on a 1-d grid of n cells, every cell Aubry."""
+    g = build_grid(1, n)
     xs = g.coords()[:, 0]
     d = np.abs(xs[:, None] - xs[None, :])
     d = np.minimum(d, 1.0 - d)
-    m = SemiMetric(values=d**2, symmetric=True)
+    return g, SemiMetric(values=d**2, symmetric=True), SimpleNamespace(indices=np.arange(n))
 
-    class FakeAubry:
-        indices = np.arange(32)
 
-    rep = quadratic_bound_check(m, FakeAubry(), g, window=0.2)
+def test_quadratic_bound_on_exact_square_metric():
+    g, m, A = _square_metric(32)
+    rep = quadratic_bound_check(m, A, g, window=0.2)
     assert rep.max_ratio == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quadratic_bound_checks_free_memory_first(monkeypatch):
+    # 32 Aubry cells against 32 grid cells, 8 * (1 + 5) bytes a pair
+    g, m, A = _square_metric(32)
+    need = 48 * 32 * 32
+    monkeypatch.setattr(geometry, "available_memory", lambda: need - 1)
+    with pytest.raises(NumericalError, match="the 32x32 pair arrays need"):
+        quadratic_bound_check(m, A, g, window=0.2)
+    monkeypatch.setattr(geometry, "available_memory", lambda: need)
+    assert quadratic_bound_check(m, A, g, window=0.2).max_ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadratic_bound_pendulum_like(mane_zero_kernel_16):

@@ -325,20 +325,32 @@ _csv_pools = st.sampled_from(list(_CSV_CELLS)).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_csv_pools, min_size=1, max_size=4),
-       st.lists(st.sampled_from([0, 1, pipeline.CSV_SLICE_ROWS - 1, pipeline.CSV_SLICE_ROWS + 1]),
-                min_size=1, max_size=3),
+       st.lists(st.sampled_from([0, 1, 2, 13, 41]), min_size=1, max_size=3),
+       st.sampled_from([1, 5, 40, pipeline.CSV_SLICE_CELLS]),
        st.integers(min_value=0, max_value=2**31 - 1))
+# one row more than a slice of 3 columns, fallback cells in every column
 @example(pools=[np.array([-2**63, 2**63 - 1, 10**15 - 1, -10**15, 10**16 - 1, 2**53 + 1]),
                 np.array([2**64 - 1, 0, 10**15], dtype=np.uint64),
                 np.array([123456789012.5, 999999999999.5, 9.999999999995, 0.0, -0.0, np.inf,
                           -np.inf, np.nan, 5e-324, 1e-11, 1e34])],
-         sizes=[pipeline.CSV_SLICE_ROWS + 1], seed=0)
-def test_write_csv_matches_the_cell_by_cell_text(tmp_path_factory, pools, sizes, seed):
-    # chunks of 0 and 1 rows and of one row less or more than a slice, each
-    # column drawn from its pool of cells
+         sizes=[pipeline.CSV_SLICE_CELLS // 3 + 1], cells=pipeline.CSV_SLICE_CELLS, seed=0)
+# fallback cells of each kind in the last column, whose text ends in "\n",
+# and a text column last; each seed draws every cell of these pools
+@example(pools=[np.array(["", "other"]),
+                np.array([123456789012.5, 5e-324, -np.inf, np.nan, -1.7976931348623157e308])],
+         sizes=[9], cells=4, seed=6)
+@example(pools=[np.array([0.5, -0.0]), np.array([2**63 - 1, -2**63, -7])],
+         sizes=[9], cells=pipeline.CSV_SLICE_CELLS, seed=2)
+@example(pools=[np.array([2**63 - 1, 12]), np.array(["stationary", "", "périodique"])],
+         sizes=[5], cells=3, seed=3)
+def test_write_csv_matches_the_cell_by_cell_text(tmp_path_factory, pools, sizes, cells, seed):
+    # chunks of 0 to 41 rows in slices of one row up to the whole budget,
+    # each column drawn from its pool of cells
     rng = np.random.default_rng(seed)
     chunks = [tuple(pool[rng.integers(0, pool.size, size)] for pool in pools) for size in sizes]
     header = [f"c{k}" for k in range(len(pools))]
-    path = pipeline.write_csv(tmp_path_factory.mktemp("csv") / "cells.csv", header, chunks)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "CSV_SLICE_CELLS", cells)
+        path = pipeline.write_csv(tmp_path_factory.mktemp("csv") / "cells.csv", header, chunks)
     want = csv_text(header, [row for chunk in chunks for row in zip(*chunk)])
     assert path.read_bytes() == want.encode()
