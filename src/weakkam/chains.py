@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
-from .grid import GridTorus, check_ids, wrap_displacement
+from .grid import GridTorus, check_ids, mod1, wrap_displacement
 from .kernel import available_memory, check_memory
 from .models import VectorField
 
@@ -59,7 +59,7 @@ def integrate_flow(X: VectorField, x, dt: float, substeps: int = 4) -> np.ndarra
         k2 = X(y + 0.5 * h * k1)
         k3 = X(y + 0.5 * h * k2)
         k4 = X(y + h * k3)
-        y = np.mod(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), 1.0)
+        y = mod1(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     if np.asarray(x).ndim == 1:
         return y[0]
     return y
@@ -92,9 +92,9 @@ def chain_graph(X: VectorField, grid: GridTorus, dt: float, eps: float,
     rows, cols = [], []
     n = grid.point_count
     for sh in shifts:
-        cells = base + sh[None, :]
-        tgt = grid.index_of_cell(cells)
-        d = grid.torus_distance(images, grid.coords(tgt))
+        cells = (base + sh) % grid.n_per_axis
+        tgt = np.ravel_multi_index(tuple(cells.T), grid.shape)
+        d = grid.torus_distance(images, cells * grid.spacing)
         keep = d <= eps
         rows.append(np.nonzero(keep)[0])
         cols.append(tgt[keep])

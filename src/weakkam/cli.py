@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
 
 import argparse
+import functools
 import sys
 
 from .config import ExperimentConfig
@@ -16,6 +17,7 @@ from .pipeline import STAGES, run_pipeline
 _COMMANDS = {{"comparison": "mane-compare"}.get(s, s): [s] for s in [*STAGES, "all"]}
 
 
+@functools.lru_cache(maxsize=None)  # built once a process; parsing leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakkam",

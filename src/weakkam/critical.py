@@ -137,23 +137,23 @@ def _initial_policy(K: ActionKernel) -> np.ndarray:
     The tree comes from one Dijkstra run out of the cell v* with the
     cheapest self-loop, on forward edges shifted to be nonnegative; every
     reached cell takes the offset leading to its predecessor, so the
-    whole grid starts on the cycle at v*. Kernels without a zero offset
-    start from the cheapest incoming edge of every cell.
+    whole grid starts on the cycle at v*. Cells the tree leaves unreached,
+    and every cell of a kernel without a zero offset, take their cheapest
+    incoming edge.
     """
     W = K.weights
-    policy = np.argmin(W, axis=0)
     zero = np.nonzero(np.all(K.offsets == 0, axis=1))[0]
     if zero.size == 0:
-        return policy
+        return np.argmin(W, axis=0)
     N = K.point_count
     G = stencil_graph(K, -W.min(), np.zeros(N))
     v_star = int(np.argmin(W[zero[0]]))
     # v* cannot reach the source node N, which has no in-edges
     pred = dijkstra(G, indices=v_star, return_predecessors=True)[1][:N]
     del G
-    tree = first_min(np.where(src == pred, w, np.inf)
-                     for w, src in zip(W, K.rolled(np.arange(N))))[1]
-    policy = np.where(pred >= 0, tree, policy)
+    policy = first_min(np.where(src == pred, w, np.inf)
+                       for w, src in zip(W, K.rolled(np.arange(N))))[1]
+    policy[pred < 0] = np.argmin(W[:, pred < 0], axis=0)
     policy[v_star] = zero[0]
     return policy
 

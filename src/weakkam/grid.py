@@ -4,6 +4,9 @@ Points live on a uniform lattice with n cells per axis, spacing 1/n,
 indexed row-major (axis 0 major). All displacement arithmetic uses the
 minimal image convention: each component is wrapped into [-1/2, 1/2),
 with ties at exactly half a period resolved toward the negative side.
+The wrap is `mod1`, x - floor(x), and lengths come from `sum_squares`
+over the coordinate axis: both give np.mod(x, 1.0) and np.sum(a * a,
+axis=-1) bit for bit, without those calls' slow paths.
 """
 
 from dataclasses import dataclass, field
@@ -66,7 +69,7 @@ class GridTorus:
     def torus_distance(self, x, y) -> np.ndarray:
         """Euclidean distance on the torus between coordinate arrays."""
         d = wrap_displacement(np.asarray(x, float), np.asarray(y, float))
-        return np.linalg.norm(np.atleast_2d(d), axis=-1)
+        return np.sqrt(sum_squares(np.atleast_2d(d)))
 
 
 def build_grid(dim: int, n_per_axis: int) -> GridTorus:
@@ -80,7 +83,23 @@ def wrap_displacement(x, y) -> np.ndarray:
     A component difference of exactly 1/2 wraps to -1/2.
     """
     d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return np.mod(d + 0.5, 1.0) - 0.5
+    return mod1(d + 0.5) - 0.5
+
+
+def mod1(x) -> np.ndarray:
+    """x - floor(x): np.mod(x, 1.0) bit for bit for finite x, as both round the
+    real x - floor(x) once (fmod is exact); a tiny negative x gives 1.0."""
+    return x - np.floor(x)
+
+
+def sum_squares(a) -> np.ndarray:
+    """Sum of squares over the last axis, added left to right: np.sum(a * a,
+    axis=-1) bit for bit on axes shorter than 8, which numpy adds in order."""
+    a = np.asarray(a)
+    out = a[..., 0] * a[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * a[..., i]
+    return out
 
 
 @dataclass

@@ -8,8 +8,10 @@ for cells within the stencil radius, +inf outside (an explicit
 unreachable sentinel; min-plus arithmetic saturates through it).
 Because reachability depends only on the cell offset, the kernel is
 stored by stencil offset: weights[s, z] is the cost of entering cell z
-along offset s. Dense matrices are materialized on demand for small
-grids.
+along offset s. Stencil consumers read the values one offset at a
+time through `ActionKernel.rolled`: windows of one periodic halo, the
+mesh extended by the largest offset each way, built once per call.
+Dense matrices are materialized on demand for small grids.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NumericalError
-from .grid import GridTorus, as_value_array
+from .grid import GridTorus, as_value_array, mod1, sum_squares
 from .models import Lagrangian
 
 DENSE_LIMIT = 4096  # dense matrices allowed up to this many grid points
@@ -96,14 +98,20 @@ class ActionKernel:
         return mat
 
     def rolled(self, values, offsets=None):
-        """Yield values rolled along each offset over the grid, one (..., N)
+        """Yield values rolled along each offset over the grid, one new (..., N)
         array at a time: row s holds, at every cell z, the value at its source
-        z - offsets[s]; offsets=-K.offsets gives the value at the targets.
-        Every stencil consumer reads the stencil this way, one offset at a time."""
-        mesh = values.reshape(values.shape[:-1] + self.grid.shape)
-        axes = tuple(range(mesh.ndim - self.grid.dim, mesh.ndim))
-        for o in self.offsets if offsets is None else offsets:
-            yield np.roll(mesh, shift=tuple(o), axis=axes).reshape(values.shape)
+        z - offsets[s]; offsets=-K.offsets gives the value at the targets. Each
+        is a window copied from one periodic halo, the mesh extended by the
+        largest offset each way: how every stencil consumer reads the stencil."""
+        offsets = self.offsets if offsets is None else offsets
+        n, r = self.grid.n_per_axis, int(np.abs(offsets).max(initial=0))
+        halo = values.reshape(values.shape[:-1] + self.grid.shape)
+        lead = halo.ndim - self.grid.dim
+        for ax in range(lead, halo.ndim):
+            halo = halo.take(np.arange(-r, n + r) % n, axis=ax)
+        for o in offsets:
+            window = halo[(slice(None),) * lead + tuple(slice(r - c, r - c + n) for c in o)]
+            yield window.copy().reshape(values.shape)
 
     # -- min-plus primitives, vectorized over the mesh ----------------------
 
@@ -131,10 +139,11 @@ class ActionKernel:
         if u.shape[-1:] != (self.point_count,):
             raise ConfigError(f"values of shape {u.shape} for {self.point_count} kernel points")
         out = np.full_like(u, -np.inf)
-        for w, o in zip(self.weights, self.offsets):
-            # u(x+o) - cost[x][x+o]; the cost of entering x+o along o is
-            # indexed at the target, so roll both back to x.
-            np.maximum(out, next(self.rolled(u - (w + shift), [-o])), out=out)
+        targets = self.rolled(np.arange(self.point_count), -self.offsets)
+        for w, cand, t in zip(self.weights, self.rolled(u, -self.offsets), targets):
+            # u(x+o) - cost[x][x+o], the cost of entering x+o read at x+o
+            cand -= w[t] + shift
+            np.maximum(out, cand, out=out)
         return out
 
 
@@ -154,7 +163,7 @@ def stencil_offsets(grid: GridTorus, stencil_radius: float) -> np.ndarray:
     # itertools.product enumerates the offsets in lexicographic order
     mesh = np.array(list(itertools.product(range(-max_cells, max_cells + 1),
                                            repeat=grid.dim)), dtype=np.int64)
-    keep = np.sum((mesh * sp) ** 2, axis=1) <= stencil_radius**2 + 1e-12
+    keep = sum_squares(mesh * sp) <= stencil_radius**2 + 1e-12
     return mesh[keep]
 
 
@@ -186,7 +195,7 @@ def build_kernel(grid: GridTorus, L: Lagrangian, tau: float = None,
     for s, o in enumerate(offsets):
         disp = o * sp
         # midpoint of the hop into z along offset o, wrapped to [0,1)
-        mids = np.mod(coords - disp / 2.0, 1.0)
+        mids = mod1(coords - disp / 2.0)
         v = disp / tau
         weights[s] = tau * L(mids, np.broadcast_to(v, mids.shape))
     if not np.all(np.isfinite(weights)):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ArtifactError, ConfigError
-from .grid import GridTorus, wrap_displacement
+from .grid import GridTorus, sum_squares, wrap_displacement
 
 Array = np.ndarray
 
@@ -261,11 +261,10 @@ def mane_lagrangian(X: VectorField) -> Lagrangian:
     """Drift Lagrangian |v - X(x)|^2 / 2 with its closed-form conjugate."""
 
     def ev(x, v):
-        d = v - X(x)
-        return 0.5 * np.sum(d * d, axis=-1)
+        return 0.5 * sum_squares(v - X(x))
 
     def ham(x, p):
-        return 0.5 * np.sum(p * p, axis=-1) + np.sum(p * X(x), axis=-1)
+        return 0.5 * sum_squares(p) + np.sum(p * X(x), axis=-1)
 
     return Lagrangian(f"mane[{X.name}]", X.dim, ev, analytic_hamiltonian=ham)
 
@@ -274,10 +273,10 @@ def mechanical_lagrangian(V: Potential) -> Lagrangian:
     """L = |v|^2/2 - V(x), H = |p|^2/2 + V(x)."""
 
     def ev(x, v):
-        return 0.5 * np.sum(v * v, axis=-1) - V(x)
+        return 0.5 * sum_squares(v) - V(x)
 
     def ham(x, p):
-        return 0.5 * np.sum(p * p, axis=-1) + V(x)
+        return 0.5 * sum_squares(p) + V(x)
 
     return Lagrangian(f"mechanical[{V.name}]", V.dim, ev, analytic_hamiltonian=ham)
 

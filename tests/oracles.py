@@ -50,6 +50,11 @@ straight into CSR, with the same values and ties; each of its rows lists
 the targets in offset order, so it matches the oracle once its rows are
 sorted.
 
+`kernel_weights` evaluates the stencil weights with np.mod(., 1.0) for
+the midpoints and np.sum over the coordinate axis for |v|^2 and
+|v - X|^2; `build_kernel` and the models use `grid.mod1` and
+`grid.sum_squares`, which must give the same bytes.
+
 `fmt_cell` and `csv_text` write a CSV cell by cell, each cell by its own
 Python or numpy type; `pipeline.write_csv` gives each column one format
 from its dtype and formats a slice of `CSV_SLICE_CELLS` cells at once in
@@ -71,8 +76,8 @@ from weakkam.critical import (NEGATIVE_TOL, CriticalValue, DominationReport, Wea
                               _policy_values, critical_graph)
 from weakkam.errors import ConfigError, NumericalError
 from weakkam.grid import ValueFunction, as_value_array, wrap_displacement
-from weakkam.kernel import ActionKernel, invariant_axes
-from weakkam.models import Lagrangian
+from weakkam.kernel import ActionKernel, invariant_axes, stencil_offsets
+from weakkam.models import Lagrangian, Potential, VectorField
 
 
 def backward_sources(K: ActionKernel) -> np.ndarray:
@@ -80,6 +85,27 @@ def backward_sources(K: ActionKernel) -> np.ndarray:
     idx = np.arange(K.point_count).reshape(K.grid.shape)
     axes = tuple(range(K.grid.dim))
     return np.stack([np.roll(idx, shift=tuple(o), axis=axes).ravel() for o in K.offsets])
+
+
+def kernel_weights(grid, tau: float, stencil_radius: float, V: Optional[Potential] = None,
+                   X: Optional[VectorField] = None) -> np.ndarray:
+    """(S, N) weights tau * L(midpoint, offset * spacing / tau) of the
+    mechanical Lagrangian |v|^2/2 - V(x), or, given X, the Mane Lagrangian
+    |v - X(x)|^2/2, with midpoints wrapped by np.mod and squares summed
+    by np.sum."""
+    coords = grid.coords()
+    offsets = stencil_offsets(grid, stencil_radius)
+    weights = np.empty((len(offsets), grid.point_count))
+    for s, o in enumerate(offsets):
+        disp = o * grid.spacing
+        mids = np.mod(coords - disp / 2.0, 1.0)
+        v = np.broadcast_to(disp / tau, mids.shape)
+        if X is None:
+            weights[s] = tau * (0.5 * np.sum(v * v, axis=-1) - V(mids))
+        else:
+            d = v - X(mids)
+            weights[s] = tau * (0.5 * np.sum(d * d, axis=-1))
+    return weights
 
 
 def _karp(K: ActionKernel):

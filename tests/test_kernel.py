@@ -1,5 +1,7 @@
 """Action kernels and min-plus primitives against hand and scipy oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
@@ -10,6 +12,7 @@ from weakkam import (
     build_kernel,
     cosine_potential,
     kinetic_lagrangian,
+    make_potential,
     mane_lagrangian,
     mechanical_lagrangian,
     sin_gradient_field,
@@ -19,7 +22,7 @@ from weakkam import NumericalError, kernel
 from weakkam.kernel import invariant_axes
 
 from conftest import toy_kernel
-from oracles import backward_sources, kernel_closure, minplus_power_min
+from oracles import backward_sources, kernel_closure, kernel_weights, minplus_power_min
 
 TOY = [[0.0, 5.0], [1.0, 3.0]]
 
@@ -72,6 +75,61 @@ def test_targets_invert_backward_sources():
     u = np.random.default_rng(3).normal(size=K.point_count)
     np.testing.assert_array_equal(np.array(list(K.rolled(u))), u[src])
     np.testing.assert_array_equal(np.array(list(K.rolled(u, -K.offsets))), u[fwd])
+
+
+def _np_roll(values, grid, offsets) -> list:
+    mesh = values.reshape(values.shape[:-1] + grid.shape)
+    axes = tuple(range(mesh.ndim - grid.dim, mesh.ndim))
+    return [np.roll(mesh, tuple(o), axis=axes).reshape(values.shape) for o in offsets]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_rolled_is_np_roll_one_new_array_at_a_time(dim, n):
+    # a hand-built kernel on a tiny torus: the unit offsets alias at n = 2,
+    # and the far offsets are n or more cells long
+    grid = build_grid(dim, n)
+    offsets = np.array(list(itertools.product(range(-1, 2), repeat=dim)), dtype=np.int64)
+    K = ActionKernel(grid=grid, tau=1.0, stencil_radius=grid.spacing, offsets=offsets,
+                     weights=np.zeros((len(offsets), grid.point_count)))
+    rng = np.random.default_rng(10 * dim + n)
+    far = np.array([[n] * dim, [-2 * n - 1] * dim, [3 * n + 1, -n][:dim]], dtype=np.int64)
+    N = grid.point_count
+    for values in (rng.normal(size=N), rng.normal(size=(3, N)), np.arange(N)):
+        kept = values.copy()
+        for offs in (None, -offsets, offsets[1:2], far):
+            rows = K.rolled(values, offs)
+            for want in _np_roll(values, grid, offsets if offs is None else offs):
+                row = next(rows)
+                assert row.shape == values.shape and not np.shares_memory(row, values)
+                np.testing.assert_array_equal(row, want)
+                # a write into one row reaches neither the input nor the next row
+                row += 1
+            assert next(rows, None) is None
+            np.testing.assert_array_equal(values, kept)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [5, 48, 50, 64])
+@pytest.mark.parametrize("model", ["kinetic", "cosine", "sin_gradient"])
+def test_kernel_weights_are_the_np_mod_and_np_sum_formula_byte_for_byte(model, dim, n):
+    # the spacing 1/n is inexact at every n here but 64; the default stencil
+    # of four cells needs n >= 9, so n = 5 takes two
+    grid = build_grid(dim, n)
+    radius = 2 * grid.spacing if n < 9 else 4 * grid.spacing
+    V = X = None
+    if model == "sin_gradient":
+        X = sin_gradient_field(dim)
+        L = mane_lagrangian(X)
+    elif model == "cosine":
+        V = make_potential({"name": "cosine"}, dim)
+        L = mechanical_lagrangian(V)
+    else:
+        V = make_potential({"name": "zero"}, dim)
+        L = kinetic_lagrangian(dim)
+    K = build_kernel(grid, L, stencil_radius=radius)
+    want = kernel_weights(grid, grid.spacing, radius, V=V, X=X)
+    assert K.weights.tobytes() == want.tobytes()
 
 
 def test_kinetic_kernel_entries():
