@@ -17,7 +17,7 @@ from .pipeline import STAGES, run_pipeline
 _COMMANDS = {{"comparison": "mane-compare"}.get(s, s): [s] for s in [*STAGES, "all"]}
 
 
-@functools.lru_cache(maxsize=None)  # built once a process; parsing leaves it as it is
+@functools.cache  # built once a process; parsing leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakkam",

@@ -153,7 +153,8 @@ def _initial_policy(K: ActionKernel) -> np.ndarray:
     del G
     policy = first_min(np.where(src == pred, w, np.inf)
                        for w, src in zip(W, K.rolled(np.arange(N))))[1]
-    policy[pred < 0] = np.argmin(W[:, pred < 0], axis=0)
+    unreached = pred < 0
+    policy[unreached] = np.argmin(W[:, unreached], axis=0)
     policy[v_star] = zero[0]
     return policy
 
