@@ -1,5 +1,5 @@
-"""Scale smoke run: `weakkam all` on four 2-d grids, three of 128 x 128
-cells and one of 256 x 256, and on the 1-d pendulum and the 1-d kinetic
+"""Scale smoke run: `weakkam all` on five 2-d grids, three of 128 x 128
+cells and two of 256 x 256, and on the 1-d pendulum and the 1-d kinetic
 model at the barrier dump limit.
 
     python3 scripts/scale_smoke.py
@@ -15,8 +15,13 @@ float array would take 32 GiB) below 300 MiB too: it peaks near
 170 MiB since no stencil consumer holds an (S, N) table beside the
 weights and the stencil graph (S = 49 offsets; one float table is
 25 MiB there). The mechanical case, whose Aubry set is one circle of
-128 cells, must stay below 300 MiB. The Mane zero-field case has the
-kinetic kernel, and its `comparison` stage
+128 cells, must stay below 300 MiB. At n = 256 its 256 representatives
+give two barrier tables of 128 MiB each (k x N float64, N = 65,536),
+and the run must stay below 500 MiB: the bias is added to each Dijkstra
+output in place, so no third table is made beside the two (it peaks
+near 430 MiB; with a shifted copy it peaked at 562 MiB). It takes about
+50 s, most of it in the barrier's 512 Dijkstra runs. The Mane
+zero-field case has the kinetic kernel, and its `comparison` stage
 measures the Hausdorff distance between two sets of all N cells, the
 Aubry set and the chain-recurrent set; it must stay below 200 MiB, and
 its `comparison.json` must record a distance of 0.0. The 1-d pendulum at
@@ -50,6 +55,8 @@ CASES = [
     ("kinetic-2d-256", {"family": "kinetic"}, 2, 256, 300),
     ("mechanical-2d-128", {"family": "mechanical",
                            "potential": {"name": "cosine", "k": [1, 0]}}, 2, 128, 300),
+    ("mechanical-2d-256", {"family": "mechanical",
+                           "potential": {"name": "cosine", "k": [1, 0]}}, 2, 256, 500),
     ("mane-zero-2d-128", {"family": "mane", "field": {"name": "zero"}}, 2, 128, 200),
     ("pendulum-1d-2048", {"family": "mechanical",
                           "potential": {"name": "cosine", "k": [1]}}, 1, 2048, 100),

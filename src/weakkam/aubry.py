@@ -114,6 +114,7 @@ class QuotientPartition:
     classes: list              # list of sorted lists of Aubry grid indices
     representative: list       # smallest member of each class
     merge_threshold: float
+    diameter: float            # largest delta between two members of a class
 
     @property
     def class_count(self) -> int:
@@ -148,10 +149,8 @@ class _Rolled:
         self.table, self.shape = table, shape
         rest = [a for a in range(len(shape)) if a not in axes]
         lead = len(rest)
-        grid = table.reshape(tuple(shape[a] for a in rest) + shape)
-        for a in axes:
-            grid = np.concatenate([grid, grid], axis=lead + a)
-        grid = np.ascontiguousarray(grid)
+        grid = np.tile(table.reshape(tuple(shape[a] for a in rest) + shape),
+                       (1,) * lead + tuple(2 if a in axes else 1 for a in range(len(shape))))
         step = np.array(grid.strides) // grid.itemsize
         cells = np.stack(np.unravel_index(np.arange(table.shape[1]), shape), axis=-1)
         # where the window of each source y starts, and where target z lies in it
@@ -234,8 +233,9 @@ def peierls_barrier(K: ActionKernel, cg: CriticalGraph) -> PeierlsBarrier:
         tables, rows = [sp], _Rolled(sp, shape, axes)
     else:
         # into[i, y] = SP(y, a) - x(a) and out[i, y] = SP(a, y) + x(a), a = reps[i]
-        into = dijkstra(G.T, indices=reps)[:, :N] - x
-        out = dijkstra(G, indices=reps)[:, :N] + x
+        into, out = dijkstra(G.T, indices=reps)[:, :N], dijkstra(G, indices=reps)[:, :N]
+        into -= x  # in place: no third k x N table beside the two
+        out += x
         tables, rows = [into, out], _MinPlus(into, out)
     h = PeierlsBarrier(size=N, representatives=reps, critical_edges=cg.critical_edges,
                        invariant_axes=axes, rows=rows)
@@ -374,34 +374,42 @@ def _coset_labels(V: np.ndarray) -> np.ndarray:
 
 
 def quotient(delta: _Pairwise, A: AubrySet, merge_threshold: float) -> QuotientPartition:
-    """Classes of Aubry indices joined by chains of delta <= merge_threshold.
+    """Classes of Aubry indices joined by chains of delta <= merge_threshold,
+    and the largest delta between two members of one class.
 
     When delta is one offset table D over every cell (delta.offset_table:
     every axis invariant and A the whole grid), delta(x, y) = D(y - x), so
     the classes are the cosets of the subgroup generated by
-    {v : D(v) <= merge_threshold}, found from D alone in O(N log N). Else
-    the threshold graph is read from the row blocks of delta. ConfigError
-    unless merge_threshold is a finite number >= 0.
+    {v : D(v) <= merge_threshold}, found from D alone in O(N log N), and
+    every class has the diameter of the class of cell 0. Else the
+    threshold graph and the diameter are read from the row blocks of
+    delta. ConfigError unless merge_threshold is a finite number >= 0.
     """
     check_tolerance(merge_threshold, "merge_threshold")
     pos = check_ids(A.indices, delta.size)
     D = delta.offset_table(pos)
     if D is not None:
         labels = _coset_labels(D <= merge_threshold)
-    elif all(np.all(b <= merge_threshold) for _, b in row_blocks(delta, pos)):
-        # one class, or none for an empty set
-        labels = np.zeros(pos.size, dtype=np.int64)
+        diameter = float(np.max(D.ravel()[labels == labels[0]], initial=0.0))
     else:
-        graph = sparse.vstack([sparse.csr_matrix(b <= merge_threshold)
-                               for _, b in row_blocks(delta, pos)])
-        labels = connected_components(graph, directed=False)[1]
+        if all(np.all(b <= merge_threshold) for _, b in row_blocks(delta, pos)):
+            # one class, or none for an empty set
+            labels = np.zeros(pos.size, dtype=np.int64)
+        else:
+            graph = sparse.vstack([sparse.csr_matrix(b <= merge_threshold)
+                                   for _, b in row_blocks(delta, pos)])
+            labels = connected_components(graph, directed=False)[1]
+        diameter = 0.0
+        for i0, block in row_blocks(delta, pos):
+            same = labels[i0:i0 + block.shape[0], None] == labels
+            diameter = max(diameter, float(np.max(block, where=same, initial=0.0)))
     groups = {}
     for label, i in zip(labels.tolist(), A.indices.tolist()):
         groups.setdefault(label, []).append(i)
     classes = sorted((sorted(m) for m in groups.values()), key=lambda m: m[0])
     reps = [m[0] for m in classes]
     return QuotientPartition(classes=classes, representative=reps,
-                             merge_threshold=float(merge_threshold))
+                             merge_threshold=float(merge_threshold), diameter=diameter)
 
 
 @dataclass

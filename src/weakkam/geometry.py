@@ -3,20 +3,24 @@ semi-metric delta_p.
 
 The 1-dimensional Hausdorff measure of a finite semi-metric space is
 estimated through greedy coverings: N(r) balls of radius r give the
-surrogate N(r)*2r. Greedy covering is deterministic under index order,
-which the artifact determinism contract relies on.
+surrogate N(r)*2r. One greedy loop (_greedy) serves every covering: it
+anchors each ball at the first uncovered point, so the covering is
+deterministic under index order, which the artifact determinism
+contract relies on. A ball layout gives the loop the centers whose ball
+holds a point, the members of a ball and each candidate's count of
+uncovered points.
 
 When delta is one offset table D over every cell of the grid
 (delta.offset_table: every axis invariant and the point set the whole
 grid in order), delta(x, y) = D(y - x), so every ball of radius r is a
 translate c + B_r of B_r = {v : D(v) <= r} and the coverings read D
-alone, with no |A| x |A| array. Otherwise one pass over delta, in row
-blocks, writes a small-integer level matrix that counts the scales each
-entry lies within, so the balls of every radius are a threshold of it.
-A level matrix that, with one gather of candidate balls, would not fit
-in the free memory is refused as a numerical failure, never allocated.
-The balls holding a point are a column of the matrix; on a symmetric
-delta they are read as a row.
+alone, with no |A| x |A| array (_cover_offsets). Otherwise one pass over
+delta, in row blocks, writes a small-integer level matrix that counts
+the scales each entry lies within, so the balls of every radius are a
+threshold of it (_levels, _cover). A level matrix that, with one gather
+of candidate balls, would not fit in the free memory is refused as a
+numerical failure, never allocated. The balls holding a point are a
+column of the matrix; on a symmetric delta they are read as a row.
 """
 
 from dataclasses import dataclass
@@ -66,105 +70,93 @@ def _levels(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> np.ndarray
     return L
 
 
-def _cover(L: np.ndarray, t: int, r: float, pos: np.ndarray, symmetric: bool) -> list:
-    """Greedy covering by the balls L > t (rows of L), of radius r.
+def _greedy(pos: np.ndarray, r: float, holders, members, gains) -> list:
+    """Greedy covering of the points pos by balls of radius r, one list of
+    centers (indices into pos) in the order chosen.
 
     The anchor p is the first uncovered point, so every point before it
-    is covered and only columns from p on can gain. w[j] is t while j is
-    uncovered and the dtype's top after, which no level exceeds, so
-    L[c, p:] > w[p:] marks the uncovered points of c's ball.
+    is covered. holders(p) gives the centers whose ball holds p, in
+    increasing order; gains(cands, uncovered) each one's count of
+    uncovered points; the center is the first of the largest gains, and
+    members(q), an index into pos, marks q's ball covered. Raises
+    NumericalError when p lies in no ball.
     """
-    k = L.shape[0]
-    covered = np.iinfo(L.dtype).max
-    w = np.full(k, t, dtype=L.dtype)
-    count = np.min_scalar_type(k)
+    uncovered = np.ones(pos.size, dtype=bool)
     centers = []
     p = 0
-    while True:
-        while p < k and w[p] == covered:
-            p += 1
-        if p == k:
-            return centers
-        cands = ((L[p] if symmetric else L[:, p]) > t).nonzero()[0]
+    while p < pos.size:
+        p += int(uncovered[p:].argmax())
+        if not uncovered[p]:
+            break
+        cands = holders(p)
         if cands.size == 0:
             raise NumericalError(f"point {pos[p]} lies in no ball of radius {r}")
-        if cands.size == 1:
-            q = int(cands[0])
-        else:
-            gain = L[cands, p:]
-            np.greater(gain, w[p:], out=gain)
-            q = int(cands[int(np.argmax(np.add.reduce(gain, axis=1, dtype=count)))])
+        q = int(cands[0] if cands.size == 1 else cands[gains(cands, uncovered).argmax()])
         centers.append(q)
-        w[p:][L[q, p:] > t] = covered
+        uncovered[members(q)] = False
+    return centers
 
 
-def _cover_offsets(D: np.ndarray, r: float) -> list:
-    """Greedy covering of every cell of the grid of D's shape by the balls
-    c + B, B = {v : D(v) <= r}: _cover's contract on delta(x, y) = D(y - x).
+def _cover(L: np.ndarray, t: int, r: float, pos: np.ndarray, symmetric: bool) -> list:
+    """_greedy by the balls L > t, the rows of L; the balls holding a point
+    are its column, read as its row when symmetric."""
+    def gains(cands, uncovered):
+        # in place: the one gather of candidate balls _levels allows for
+        g = L[cands]
+        np.greater(g, t, out=g)
+        g &= uncovered
+        return g.sum(axis=1)
 
-    The anchor p is the first uncovered cell; the candidates are the
-    cells p - B whose ball holds it, in flat order; a candidate's gain is
-    the number of uncovered cells in its ball, by a gather of the balls
-    or, above FFT_ABOVE * N entries, one FFT correlation of the uncovered
-    mask with B rounded to integers; ties go to the lowest index. Cells
-    are added as flat indices into the grid doubled along every axis,
-    where `wrap` maps each back to its cell.
+    lookup = L if symmetric else L.T
+    return _greedy(pos, r, lambda p: (lookup[p] > t).nonzero()[0], lambda q: L[q] > t, gains)
+
+
+def _cover_offsets(D: np.ndarray, pos: np.ndarray, r: float) -> list:
+    """_greedy over every cell of the grid of D's shape by the balls c + B,
+    B = {v : D(v) <= r}: delta(x, y) = D(y - x).
+
+    The balls holding cell p are centred at p - B. Cells are added as flat
+    indices into the grid doubled along every axis, where `wrap` maps
+    each back to its cell. A gain is the number of uncovered cells in a
+    ball, by a gather of the candidate balls or, when that would read
+    more than FFT_ABOVE * N entries, one FFT correlation of the uncovered
+    mask with B rounded to integers.
     """
     shape, N = D.shape, D.size
     ball = D <= r
     B = np.stack(np.nonzero(ball), axis=-1)
-    if B.shape[0] == 0:
-        raise NumericalError(f"point 0 lies in no ball of radius {r}")
-    n = np.array(shape)
-    doubled = np.arange(N).reshape(shape)
-    for a in range(len(shape)):
-        doubled = np.concatenate([doubled, doubled], axis=a)
+    doubled = np.tile(np.arange(N).reshape(shape), (2,) * len(shape))
     wrap = doubled.ravel()
     step = np.array(doubled.strides) // doubled.itemsize
     base = np.stack(np.unravel_index(np.arange(N), shape), axis=-1) @ step
-    plus, minus = B @ step, (-B % n) @ step
+    plus, minus = B @ step, (-B % shape) @ step
     if B.shape[0] == 1:
         # each ball holds one cell: the anchors are every cell in order
         return wrap[base + minus[0]].tolist()
-    axes = list(range(len(shape)))
-    uncovered = np.ones(N, dtype=bool)
-    spectrum = None
-    centers = []
-    p = 0
-    while True:
-        while p < N and not uncovered[p]:
-            p += 1
-        if p == N:
-            return centers
-        cands = np.sort(wrap[base[p] + minus])
-        if cands.size * B.shape[0] <= FFT_ABOVE * N:
-            gain = np.count_nonzero(uncovered[wrap[base[cands, None] + plus]], axis=1)
-        else:
-            if spectrum is None:
-                spectrum = np.conj(np.fft.rfftn(ball))
+    if B.shape[0] ** 2 <= FFT_ABOVE * N:
+        def gains(cands, uncovered):
+            return uncovered[wrap[base[cands, None] + plus]].sum(axis=1)
+    else:
+        spectrum, axes = np.conj(np.fft.rfftn(ball)), tuple(range(D.ndim))
+
+        def gains(cands, uncovered):
             mask = np.fft.rfftn(uncovered.reshape(shape)) * spectrum
-            gain = np.rint(np.fft.irfftn(mask, s=shape, axes=axes).ravel()[cands])
-        q = int(cands[int(np.argmax(gain))])
-        centers.append(q)
-        uncovered[wrap[base[q] + plus]] = False
+            return np.rint(np.fft.irfftn(mask, s=shape, axes=axes).ravel()[cands])
+    return _greedy(pos, r, lambda p: np.sort(wrap[base[p] + minus]),
+                   lambda q: wrap[base[q] + plus], gains)
 
 
 def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> list:
     """Greedy ball coverings of delta on the points pos at each of the scales,
-    given in decreasing order; one list of centers per scale.
+    given in decreasing order; one list of centers per scale (_greedy).
 
-    Each covering is anchored at the first uncovered point. The center
-    is the candidate whose ball covers that point and the most other
-    uncovered points (ties to the lowest index), so balls straddle the
-    frontier instead of trailing it; anchoring at the first uncovered
-    point keeps the scan deterministic and the count within the usual
-    greedy factor of the optimal covering. When delta is one offset
-    table D over every cell (delta.offset_table), the balls are the
-    translates of {v : D(v) <= r} (_cover_offsets). Otherwise balls are
-    rows of the level matrix (_levels); the candidates are the anchor's
-    column, read as its row when delta.symmetric. Raises NumericalError
-    when the level matrix, or the offset cover's tables, would not fit in
-    free memory or a point lies in no ball.
+    The center of each ball is the candidate that covers the first
+    uncovered point and the most other uncovered points (ties to the
+    lowest index), so balls straddle the frontier instead of trailing it,
+    and the count stays within the usual greedy factor of the optimal
+    covering. Raises NumericalError when the level matrix, or the offset
+    cover's tables, would not fit in free memory or a point lies in no
+    ball.
     """
     D = delta.offset_table(pos)
     if D is not None:
@@ -174,7 +166,7 @@ def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> 
         N = D.size
         check_memory(8 * N * (2**D.ndim + 5 + 2 * min(FFT_ABOVE, N)), available_memory(),
                      f"the covering tables over {N} cells need")
-        return [_cover_offsets(D, float(r)) for r in scales]
+        return [_cover_offsets(D, pos, float(r)) for r in scales]
     L = _levels(delta, pos, scales)
     return [_cover(L, t, float(r), pos, delta.symmetric) for t, r in enumerate(scales)]
 
@@ -182,8 +174,9 @@ def _greedy_coverings(delta: _Pairwise, pos: np.ndarray, scales: np.ndarray) -> 
 def hausdorff1_report(delta: _Pairwise, indices, scale_grid) -> CoveringReport:
     """Covering counts and 1-d measure surrogates across scales.
 
-    Every scale's covering runs on one level matrix of delta. No scale
-    masking is applied: callers choose scale grids that avoid saturation
+    Every scale's covering reads one offset table of delta when it has one,
+    else one level matrix of delta over the points. No scale masking is
+    applied: callers choose scale grids that avoid saturation
     (r below the resolution of the point set) when the slope matters.
     """
     scales = np.asarray(scale_grid, dtype=float)
@@ -191,8 +184,7 @@ def hausdorff1_report(delta: _Pairwise, indices, scale_grid) -> CoveringReport:
         raise ConfigError("scale_grid must be nonempty finite positive radii")
     scales = np.sort(scales)[::-1].copy()
     ids = np.arange(delta.size) if indices is None else check_ids(indices, delta.size)
-    coverings = _greedy_coverings(delta, ids, scales)
-    counts = np.array([len(c) for c in coverings])
+    counts = np.array([len(c) for c in _greedy_coverings(delta, ids, scales)])
     h1 = counts * 2.0 * scales
     if scales.size >= 2 and counts.max() > counts.min():
         # -log r, not log(1/r): 1/r overflows on subnormal radii

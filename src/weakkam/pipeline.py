@@ -183,24 +183,14 @@ def _stage_quotient(cfg, state):
     rep = representation_check(state["h"], None, state["A"])
     delta = state["delta"] = mather_delta(state["h"])
     Q = state["Q"] = quotient(delta, state["A"], cfg.merge_threshold(grid))
-    D = delta.offset_table(state["A"].indices)
-    if D is not None:
-        # every class is a coset of the class of cell 0, which comes first
-        diam = float(np.max(D.ravel()[Q.classes[0]], initial=0.0))
-    else:
-        class_of = {m: ci for ci, members in enumerate(Q.classes) for m in members}
-        label = np.array([class_of[i] for i in state["A"].indices.tolist()])
-        diam = 0.0
-        for i0, block in row_blocks(delta, state["A"].indices):
-            same = label[i0:i0 + block.shape[0], None] == label
-            diam = max(diam, float(np.max(block, where=same, initial=0.0)))
     cols = ([ci for ci, members in enumerate(Q.classes) for _ in members],
             [m for members in Q.classes for m in members])
-    return {"class_count": Q.class_count, "offset_table": D is not None}, {
+    return {"class_count": Q.class_count,
+            "offset_table": delta.offset_table(state["A"].indices) is not None}, {
         "quotient.csv": (["class_id", "member_index"], [cols]),
         "quotient.json": {
             "class_count": Q.class_count,
-            "max_class_diameter_delta": diam,
+            "max_class_diameter_delta": Q.diameter,
             "eta": state["A"].threshold,
             "merge_threshold": Q.merge_threshold,
             "representation_max_residual": rep.max_residual,

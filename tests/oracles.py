@@ -27,12 +27,13 @@ velocity grid (`HamiltonianProbe`); the library evaluates each model's
 closed-form conjugate, which the tests check against it.
 
 `_greedy_centers`, `union_find_quotient` and `_auto_scales` are the
-greedy covering, the quotient and the covering scale grid on float copies
-of the whole |A| x |A| block of delta; the library reads that block in
-row blocks, into a level matrix that serves every covering scale and
-into sparse threshold pairs for the quotient, or, when delta is one
-offset table D over every cell, reads D alone: balls are translates of
-{v : D(v) <= r} and classes are cosets.
+greedy covering, the quotient with its class diameter and the covering
+scale grid on float copies of the whole |A| x |A| block of delta; the
+library reads that block in row blocks, into a level matrix that serves
+every covering scale and into sparse threshold pairs and class labels
+for the quotient, or, when delta is one offset table D over every cell,
+reads D alone: balls are translates of {v : D(v) <= r} and classes are
+cosets.
 
 `dense_hausdorff` is the Hausdorff distance between two cell sets from
 the whole |a| x |b| x dim array of displacements;
@@ -422,13 +423,15 @@ def _greedy_centers(values: np.ndarray, r: float) -> list:
 
 
 def union_find_quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) -> QuotientPartition:
-    """Union-find merge of Aubry indices at delta <= merge_threshold."""
+    """Union-find merge of Aubry indices at delta <= merge_threshold, and the
+    largest delta within a class from the dense values of each class."""
     sub = delta.values[np.ix_(A.indices, A.indices)]
     k = A.indices.size
     if np.all(sub <= merge_threshold):
         members = sorted(int(i) for i in A.indices)
         return QuotientPartition(classes=[members], representative=[members[0]],
-                                 merge_threshold=float(merge_threshold))
+                                 merge_threshold=float(merge_threshold),
+                                 diameter=float(np.max(sub, initial=0.0)))
     parent = list(range(k))
 
     def find(i):
@@ -449,8 +452,9 @@ def union_find_quotient(delta: SemiMetric, A: AubrySet, merge_threshold: float) 
         groups.setdefault(find(i), []).append(int(ids[i]))
     classes = sorted((sorted(m) for m in groups.values()), key=lambda m: m[0])
     reps = [m[0] for m in classes]
+    diameter = max(float(np.max(delta.values[np.ix_(m, m)], initial=0.0)) for m in classes)
     return QuotientPartition(classes=classes, representative=reps,
-                             merge_threshold=float(merge_threshold))
+                             merge_threshold=float(merge_threshold), diameter=diameter)
 
 
 def _auto_scales(delta, indices) -> np.ndarray:

@@ -280,6 +280,23 @@ def test_transposed_rolled_barrier_reads_no_whole_rows():
             assert peak <= 3 * 8 * aubry.BLOCK_ENTRIES < 8 * N * N
 
 
+def test_barrier_makes_no_second_table():
+    # 64 representatives (the circle x0 = 0) over N = 4,096 cells: one k x N
+    # table is 2 MiB. Shifting Dijkstra's output by the bias into a new
+    # array would hold a second table beside it at the peak
+    K = _kernel(2, 64, mechanical_lagrangian(cosine_potential(2, [1, 0])))
+    cg = critical_graph(K, critical_value(K))
+    tracemalloc.start()
+    try:
+        h = peierls_barrier(K, cg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    k, N = h.representatives.size, h.size
+    assert (k, N) == (64, 4096)
+    assert peak - held < 8 * k * N / 2
+
+
 def test_dense_row_blocks_are_new_arrays():
     m = SemiMetric(values=np.random.default_rng(6).standard_normal((40, 40)))
     pos = np.arange(m.size)
@@ -411,7 +428,7 @@ def test_quotient_of_an_empty_set_has_no_classes():
     A = aubry.AubrySet(indices=np.zeros(0, dtype=np.int64), self_barrier=np.zeros(0),
                        labels=[], threshold=0.0)
     q = quotient(SemiMetric(values=np.zeros((3, 3))), A, 0.5)
-    assert (q.classes, q.representative, q.class_count) == ([], [], 0)
+    assert (q.classes, q.representative, q.class_count, q.diameter) == ([], [], 0, 0.0)
 
 
 def test_quotient_needs_a_finite_nonnegative_threshold():
@@ -497,7 +514,8 @@ def test_row_blocks_read_every_row_once(monkeypatch, ids, block):
     for r in (0.25, 0.5, 0.75):
         assert geometry._greedy_coverings(delta, pos, np.array([r]))[0] == _greedy_centers(sub, r)
         got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
-        assert (got.classes, got.representative) == (want.classes, want.representative)
+        assert (got.classes, got.representative, got.diameter) == (
+            want.classes, want.representative, want.diameter)
     np.testing.assert_array_equal(pipeline._auto_scales(*pipeline._delta_range(delta, pos)),
                                   _auto_scales(delta, pos))
     H = np.triu(vals)
@@ -534,7 +552,8 @@ def test_offset_quotient_matches_union_find(monkeypatch, dim, n):
     # at each distinct value, 0 the least, and above them all
     for r in [*np.unique(dense.values), 2 * dense.values.max()]:
         got, want = quotient(delta, A, r), union_find_quotient(dense, A, r)
-        assert (got.classes, got.representative) == (want.classes, want.representative)
+        assert (got.classes, got.representative, got.diameter) == (
+            want.classes, want.representative, want.diameter)
 
 
 def test_offset_quotient_of_a_proper_subgroup(monkeypatch):
@@ -547,7 +566,8 @@ def test_offset_quotient_of_a_proper_subgroup(monkeypatch):
     assert q.classes == sorted([6 * i + j, 6 * i + j + 2, 6 * i + j + 4]
                                for i in range(6) for j in range(2))
     want = union_find_quotient(dense, A, 0.5)
-    assert (q.classes, q.representative) == (want.classes, want.representative)
+    assert (q.classes, q.representative, q.diameter) == (
+        want.classes, want.representative, want.diameter)
 
 
 # 36 classes of one cell, then one class of all (delta takes 0, 1/6, ..., 1)
@@ -560,7 +580,9 @@ def test_quotient_stage_reads_the_offset_table(monkeypatch, threshold):
                                       "aubry": {"merge_threshold": threshold}})
     state = {"grid": K.grid, "h": h, "A": _every_cell(36)}
     monkeypatch.setattr(pipeline, "row_blocks", _no_blocks)
+    monkeypatch.setattr(aubry, "row_blocks", _no_blocks)
     stats, artifacts = pipeline._stage_quotient(cfg, state)
+    monkeypatch.undo()
     values = state["delta"].values
     want = max(float(np.max(values[np.ix_(m, m)])) for m in state["Q"].classes)
     assert stats["offset_table"] is True

@@ -90,6 +90,17 @@ def test_h1_two_point_set_scales_linearly():
     np.testing.assert_allclose(rep.h1_estimates, [0.4, 0.2])
 
 
+def test_h1_of_no_points_needs_no_balls():
+    # the greedy loop finds no first uncovered point, on either read of the
+    # balls holding a point
+    vals = np.array([[0.0, 1.0], [2.0, 0.0]])
+    for m in (metric_from(np.minimum(vals, vals.T)), SemiMetric(values=vals)):
+        rep = hausdorff1_report(m, [], [0.5, 0.1])
+        assert rep.covering_counts.tolist() == [0, 0]
+        assert rep.h1_estimates.tolist() == [0.0, 0.0]
+        assert rep.dim_slope == 0.0
+
+
 def test_h1_singleton_tends_to_zero():
     m = metric_from(np.zeros((1, 1)))
     rep = hausdorff1_report(m, [0], [0.2, 0.1, 0.05])

@@ -252,7 +252,8 @@ def test_block_consumers_match_copying_oracles(case, radius):
             assert geometry._greedy_coverings(delta, indices, np.array([r]))[0] == want
             assert hausdorff1_report(delta, indices, [r]).covering_counts[0] == len(want)
             got, want = quotient(delta, A, r), union_find_quotient(delta, A, r)
-            assert (got.classes, got.representative) == (want.classes, want.representative)
+            assert (got.classes, got.representative, got.diameter) == (
+                want.classes, want.representative, want.diameter)
         scales = pipeline._auto_scales(*pipeline._delta_range(delta, indices))
         np.testing.assert_array_equal(scales, oracle_scales(delta, indices))
         counts = hausdorff1_report(delta, indices, scales).covering_counts
