@@ -9,7 +9,9 @@ left out: it records wall times and memory. Two checkouts whose outputs
 `diff` equal wrote byte-identical artifacts. The cases cover every model
 family and field, both dimensions, the rolled (every cell critical) and
 the representative barrier, the chains and comparison stages and one
-ferry run. Exits 1 when a run does not exit 0.
+ferry run. Most `all` cases label every Aubry cell `stationary`;
+`mane-constant-10-2d-32` labels all 1,024 `periodic`. Exits 1 when a
+run does not exit 0.
 """
 
 import hashlib
@@ -47,6 +49,7 @@ CASES = [
     ("mane-neg-grad-2d-32", "all",
      _mane(name="neg_grad", potential={"name": "cosine", "k": [1, 0]}), 2, 32),
     ("mane-constant-1d-256", "all", _mane(name="constant", components=[0.5]), 1, 256),
+    ("mane-constant-10-2d-32", "all", _mane(name="constant", components=[1.0, 0.0]), 2, 32),
     ("mane-sin-gradient-2d-24", "all", _mane(name="sin_gradient"), 2, 24),
     ("ferry", "ferry", {"family": "kinetic"}, 2, 16),
 ]

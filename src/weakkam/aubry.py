@@ -277,48 +277,36 @@ def aubry_set(h: _Pairwise, eta: Optional[float], K: ActionKernel, c: float) -> 
 def classify_aubry(K: ActionKernel, h: _Pairwise, c: float, indices) -> list:
     """Label Aubry cells stationary / periodic / other.
 
-    stationary: the cell's own self-loop minimizes cost(x,y)+c*tau+h(y,x).
-    periodic: following successors returns to the cell through distinct
-    cells within point_count steps. ConfigError for an id outside the grid.
+    stationary: the cell's own self-loop minimizes cost(x,y)+c*tau+h(y,x)
+    within 1e-12. Any other cell moves to its first minimizing successor;
+    a moving cell is periodic when that successor lies in its own strong
+    component of the graph of moves, so that following successors through
+    moving cells returns to it. ConfigError for an id outside the grid or
+    a stencil without the zero offset.
     """
     indices = check_ids(indices, K.point_count)
-    succ, stationary = {}, {}
-
-    def learn(cells):
-        # each cell's minimizing successor, and whether its self-loop ties the
-        # minimum within 1e-12: for the indices, then for cells orbits reach
-        def scores():
-            # cost(x, y) + c*tau + h(y, x), y = x + offset, one offset at a time
-            for w, t in zip(K.weights, K.rolled(np.arange(K.point_count), -K.offsets)):
-                fwd = t[cells]
-                yield w[fwd] + c * K.tau + h.at(fwd, cells)
-
-        best, s = first_min(scores())
-        stay = K.weights[K.zero_offset][cells] + c * K.tau + h.at(cells, cells)
-        succ.update(zip(cells.tolist(), K.targets(cells, K.offsets[s]).tolist()))
-        stationary.update(zip(cells.tolist(), (stay <= best + 1e-12).tolist()))
-
-    learn(indices)
-    labels = []
-    for x in indices.tolist():
-        if stationary[x]:
-            labels.append("stationary")
-            continue
-        seen = {x}
-        v = succ[x]
-        label = "other"
-        for _ in range(K.point_count):
-            if v == x:
-                label = "periodic"
-                break
-            if v not in succ:
-                learn(np.array([v]))
-            if v in seen or stationary[v]:
-                break  # closed onto a different orbit
-            seen.add(v)
-            v = succ[v]
-        labels.append(label)
-    return labels
+    N, ct = K.point_count, c * K.tau
+    stay = K.weights[K.zero_offset] + ct
+    succ, stationary = np.full(N, -1), np.zeros(N, dtype=bool)
+    # learn the indices, then in each pass every cell a moving cell of the
+    # pass before steps to that is not learned yet, until no cell is new
+    cells = np.unique(indices)
+    while cells.size:
+        # cost(x, y) + c*tau + h(y, x), y = x + offset, one offset at a time
+        fwds = (t[cells] for t in K.rolled(np.arange(N), -K.offsets))
+        best, s = first_min(w[fwd] + ct + h.at(fwd, cells) for w, fwd in zip(K.weights, fwds))
+        succ[cells] = K.targets(cells, K.offsets[s])
+        stationary[cells] = stay[cells] + h.at(cells, cells) <= best + 1e-12
+        reached = succ[cells[~stationary[cells]]]
+        cells = np.unique(reached[succ[reached] < 0])
+    moving = np.flatnonzero((succ >= 0) & ~stationary)
+    moves = sparse.csr_matrix((np.ones(moving.size), succ[moving],
+                               np.searchsorted(moving, np.arange(N + 1))), shape=(N, N))
+    _, comp = connected_components(moves, directed=True, connection="strong")
+    code = np.where(stationary[indices], 0,
+                    np.where(comp[succ[indices]] == comp[indices], 1, 2))
+    # one str object per name, shared by every label: the AubrySet keeps them
+    return np.array(["stationary", "periodic", "other"], dtype=object)[code].tolist()
 
 
 @dataclass

@@ -31,14 +31,15 @@ from weakkam import (
 from weakkam import aubry, geometry, pipeline
 from weakkam.aubry import SemiMetric
 from weakkam.config import ExperimentConfig
-from weakkam.grid import check_ids
+from weakkam.grid import GridTorus, check_ids
 
+import oracles
 from conftest import offset_delta, subgroup_offsets
 from test_critical import EXHAUSTIVE_CASES
 from oracles import (_auto_scales, _greedy_centers, closure_barrier, kernel_closure,
                      representative_barrier, slab_barrier, translate_rows,
                      union_find_quotient, value_iteration_weak_kam)
-from weakkam.kernel import invariant_axes
+from weakkam.kernel import ActionKernel, invariant_axes
 
 
 @pytest.fixture(scope="module")
@@ -745,6 +746,80 @@ def test_classify_constant_field_periodic_label():
     for bad in ([-1], [100], [0, 32]):
         with pytest.raises(ConfigError, match="outside the 32 points"):
             classify_aubry(K, h, cv.c, np.array(bad))
+
+
+def _label_case(rng, zero=True):
+    """A hand-built kernel, its offsets drawn from a box up to the period (so
+    they may alias) with the zero offset unless zero is False, quarter-integer
+    weights, a dense quarter-integer h with some rows infinite, and c."""
+    dim = int(rng.integers(1, 3))
+    n = int(rng.integers(2, 13 if dim == 1 else 6))
+    r = int(rng.integers(1, n + 1))
+    box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * dim, indexing="ij"), axis=-1)
+    moves = box.reshape(-1, dim)
+    moves = moves[moves.any(axis=1)]
+    offsets = moves[rng.choice(len(moves), size=min(len(moves), int(rng.integers(1, 6))),
+                               replace=False)]
+    if zero:
+        offsets = np.insert(offsets, int(rng.integers(0, len(offsets) + 1)), 0, axis=0)
+    g = GridTorus(dim, n)
+    N = g.point_count
+    weights = rng.integers(0, 9, size=(len(offsets), N)) / 4.0
+    if rng.random() < 0.5:
+        # one offset cheaper everywhere: longer orbits, more of them periodic
+        weights[int(rng.integers(0, len(offsets)))] -= 1.0
+    K = ActionKernel(grid=g, tau=float(rng.choice([0.5, 1.0])), stencil_radius=g.spacing,
+                     offsets=offsets, weights=weights)
+    H = rng.integers(-2, 9, size=(N, N)) / 4.0
+    H[rng.integers(0, N, size=int(rng.integers(0, 3)))] = np.inf
+    return K, SemiMetric(H), float(rng.integers(-4, 5) / 4.0)
+
+
+def test_classify_matches_the_walk_oracle():
+    rng = np.random.default_rng(28)
+    seen = collections.Counter()
+    for _ in range(400):
+        K, h, c = _label_case(rng)
+        ids = rng.integers(0, K.point_count, size=int(rng.integers(0, K.point_count + 2)))
+        labels = classify_aubry(K, h, c, ids)
+        assert labels == oracles.classify_aubry(K, h, c, ids)
+        seen.update(labels)
+    assert set(seen) == {"stationary", "periodic", "other"}
+
+
+def test_classify_needs_the_zero_offset_and_ids_in_the_grid():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        K, h, c = _label_case(rng, zero=False)
+        N = K.point_count
+        # no id, or no moving cell, still needs the self-loop's cost
+        for ids in ([], [0], np.arange(N)):
+            with pytest.raises(ConfigError, match="not in stencil"):
+                classify_aubry(K, h, c, np.array(ids, dtype=np.int64))
+        # the ids are checked first
+        for bad in ([-1], [N], [0, N + 3]):
+            with pytest.raises(ConfigError, match=f"outside the {N} points"):
+                classify_aubry(K, h, c, np.array(bad))
+
+
+def test_classify_learns_reached_cells_in_batches(monkeypatch):
+    # even cells step to the odd cell after them, and odd cells stay
+    g = GridTorus(1, 8)
+    even = (np.arange(8) % 2 == 0).astype(float)
+    K = ActionKernel(grid=g, tau=1.0, stencil_radius=g.spacing, offsets=np.array([[0], [1]]),
+                     weights=np.stack([even, even]))
+    h, ids = SemiMetric(np.zeros((8, 8))), np.array([0, 2, 4])
+    expected = oracles.classify_aubry(K, h, 0.0, ids)
+    calls, rolled = [], K.rolled
+
+    def counted(*args):
+        calls.append(args)
+        return rolled(*args)
+
+    monkeypatch.setattr(K, "rolled", counted)
+    assert classify_aubry(K, h, 0.0, ids) == expected == ["other"] * 3
+    # one pass learns the indices, one the three odd cells they reach
+    assert len(calls) == 2
 
 
 def test_semimetric_helpers():
